@@ -211,7 +211,7 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
         weighting.export_records(weights), schema="weight"
     )
     wpoints = weighting.weighted_points(points, weights)
-    model = clustering.run(wpoints, config, threads=args.threads)
+    model = clustering.run(wpoints, config)
     _stage(args.out, f"model_{mode}").save([model.to_record()], schema="cluster-model")
     coords_by_id = {p.chunk_id: p.coords for p in points}
     reports = _reports_dir(args.out)
@@ -220,7 +220,7 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
     log.info(
         "%s k-means: %d iterations, converged=%s, distortion %.6f, %d dual-assigned",
         mode, model.iterations, model.converged, model.distortion,
-        sum(1 for a in model.assignments if a.secondary_cluster is not None),
+        int((model.secondary >= 0).sum()),
     )
     return 0
 
@@ -242,7 +242,7 @@ def cmd_elbow(args: argparse.Namespace) -> int:
         wpoints = weighting.unit_points(points)
     config = _cluster_config(args, mode=args.mode, k=args.k_min)
     results = clustering.elbow_scan(
-        wpoints, config, (args.k_min, args.k_max), restarts=args.restarts, threads=args.threads
+        wpoints, config, (args.k_min, args.k_max), restarts=args.restarts
     )
     reporting.write_elbow_csv(_reports_dir(args.out) / "elbow.csv", results)
     for k, d in results:
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_flags.add_argument("--mode", choices=("modified", "standard"), default="modified")
     cluster_flags.add_argument("--seeding", choices=("random", "partial"), default="random")
     cluster_flags.add_argument("--seed", type=int, default=0)
-    cluster_flags.add_argument("--threads", type=int, default=1)
+    cluster_flags.add_argument("--threads", type=int, default=1, help="has no effect")
     cluster_flags.add_argument("--raw-denominator", action="store_true")
 
     p = sub.add_parser("ingest", parents=[common, ingest_flags],

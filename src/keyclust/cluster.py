@@ -9,16 +9,16 @@ is neither erased nor frozen. Standard mode zeroes all three knobs and is
 the classical Lloyd baseline.
 
 Determinism contract: a fixed seed and fixed input produce an identical
-model, including history, regardless of the thread count used for the
-assignment step. Centroid accumulation folds members in input (chunk)
-order via ``np.add.at``, so results are bit-stable.
+model, including history. Every step runs in one thread: centroid
+accumulation folds members in input (chunk) order via ``np.add.at`` and
+the distortion sums its terms in the same order, so results are
+bit-stable.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence
 
@@ -114,23 +114,68 @@ class Assignment:
 
 
 @dataclass(eq=False)
-class IterationSnapshot:
-    """One iteration: updated centroids plus the assignments (computed
-    against the previous iteration's centroids) that produced them."""
+class _AssignmentPass:
+    """One assignment pass over ``point_ids``, stored as parallel arrays:
+    ``primary`` and ``secondary`` cluster indices (-1 for no secondary),
+    ``d1`` and ``d2`` the distances to the nearest and second-nearest
+    centroids (``d2`` is infinite when k == 1)."""
 
-    centroids: np.ndarray
-    assignments: list[Assignment]
+    point_ids: list[str]
+    primary: np.ndarray
+    secondary: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
 
     @property
-    def dual_ids(self) -> list[str]:
-        return [a.chunk_id for a in self.assignments if a.secondary_cluster is not None]
+    def assignments(self) -> list[Assignment]:
+        """A per-point view of the arrays, built on every access."""
+        return [
+            Assignment(cid, p, None if s < 0 else s, a, b)
+            for cid, p, s, a, b in zip(
+                self.point_ids, self.primary.tolist(), self.secondary.tolist(),
+                self.d1.tolist(), self.d2.tolist(),
+            )
+        ]
+
+    def _arrays_record(self) -> dict[str, list]:
+        return {
+            "primary": self.primary.tolist(),
+            "secondary": self.secondary.tolist(),
+            "d1": self.d1.tolist(),
+            "d2": [None if math.isinf(d) else d for d in self.d2.tolist()],
+        }
+
+
+def _arrays_from_record(rec: Mapping[str, Any]) -> dict[str, np.ndarray]:
+    d2 = np.asarray(rec["d2"], dtype=np.float64)  # a JSON null becomes NaN
+    d2[np.isnan(d2)] = np.inf
+    return {
+        "primary": np.asarray(rec["primary"], dtype=np.int64),
+        "secondary": np.asarray(rec["secondary"], dtype=np.int64),
+        "d1": np.asarray(rec["d1"], dtype=np.float64),
+        "d2": d2,
+    }
 
 
 @dataclass(eq=False)
-class ClusterModel:
+class IterationSnapshot(_AssignmentPass):
+    """One iteration: updated centroids plus the assignment pass (computed
+    against the previous iteration's centroids) that produced them."""
+
+    centroids: np.ndarray
+
+    @property
+    def dual_ids(self) -> list[str]:
+        return [self.point_ids[i] for i in np.flatnonzero(self.secondary >= 0)]
+
+
+@dataclass(eq=False)
+class ClusterModel(_AssignmentPass):
+    """A fitted model: final centroids, the final assignment pass against
+    them, and the per-iteration history. Every pass shares ``point_ids``."""
+
     config: ClusterConfig
     centroids: np.ndarray
-    assignments: list[Assignment]
     iterations: int
     history: list[IterationSnapshot]
     distortion: float
@@ -138,70 +183,44 @@ class ClusterModel:
 
     def member_ids(self, cluster_index: int) -> list[str]:
         """Chunk ids assigned to a cluster (primary or secondary), input order."""
-        return [
-            a.chunk_id
-            for a in self.assignments
-            if a.primary_cluster == cluster_index or a.secondary_cluster == cluster_index
-        ]
+        hit = (self.primary == cluster_index) | (self.secondary == cluster_index)
+        return [self.point_ids[i] for i in np.flatnonzero(hit)]
 
     def to_record(self) -> dict[str, Any]:
         return {
             "config": self.config.to_record(),
-            "point_ids": [a.chunk_id for a in self.assignments],
+            "point_ids": list(self.point_ids),
             "centroids": self.centroids.tolist(),
             "iterations": self.iterations,
             "converged": self.converged,
             "distortion": self.distortion,
-            "final": _assignments_to_arrays(self.assignments),
+            "final": self._arrays_record(),
             "history": [
-                {
-                    "centroids": snap.centroids.tolist(),
-                    **_assignments_to_arrays(snap.assignments),
-                }
+                {"centroids": snap.centroids.tolist(), **snap._arrays_record()}
                 for snap in self.history
             ],
         }
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "ClusterModel":
-        ids = rec["point_ids"]
+        ids = list(rec["point_ids"])
         return cls(
             config=ClusterConfig.from_record(rec["config"]),
             centroids=np.asarray(rec["centroids"], dtype=np.float64),
-            assignments=_assignments_from_arrays(ids, rec["final"]),
+            point_ids=ids,
+            **_arrays_from_record(rec["final"]),
             iterations=rec["iterations"],
             history=[
                 IterationSnapshot(
                     centroids=np.asarray(h["centroids"], dtype=np.float64),
-                    assignments=_assignments_from_arrays(ids, h),
+                    point_ids=ids,
+                    **_arrays_from_record(h),
                 )
                 for h in rec["history"]
             ],
             distortion=rec["distortion"],
             converged=rec["converged"],
         )
-
-
-def _assignments_to_arrays(assignments: Sequence[Assignment]) -> dict[str, list]:
-    return {
-        "primary": [a.primary_cluster for a in assignments],
-        "secondary": [-1 if a.secondary_cluster is None else a.secondary_cluster for a in assignments],
-        "d1": [a.d_primary for a in assignments],
-        "d2": [None if math.isinf(a.d_secondary) else a.d_secondary for a in assignments],
-    }
-
-
-def _assignments_from_arrays(ids: Sequence[str], rec: Mapping[str, Any]) -> list[Assignment]:
-    return [
-        Assignment(
-            chunk_id=cid,
-            primary_cluster=p,
-            secondary_cluster=None if s < 0 else s,
-            d_primary=d1,
-            d_secondary=math.inf if d2 is None else d2,
-        )
-        for cid, p, s, d1, d2 in zip(ids, rec["primary"], rec["secondary"], rec["d1"], rec["d2"])
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -224,41 +243,26 @@ def _distinct_row_indices(X: np.ndarray) -> list[int]:
     return sorted(seen.values())
 
 
-def _distances_sq(X: np.ndarray, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Squared Euclidean distances (n, k). Each row's result depends only on
-    that row's values, so sharding across threads never changes the output."""
-
-    def block(rows: np.ndarray) -> np.ndarray:
-        diff = rows[:, None, :] - centroids[None, :, :]
-        return np.sum(diff * diff, axis=2)
-
-    if threads <= 1 or X.shape[0] < 2 * threads:
-        return block(X)
-    parts = np.array_split(X, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(block, parts))
-    return np.concatenate(results, axis=0)
+def _distances_sq(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (n, k)."""
+    diff = X[:, None, :] - centroids[None, :, :]
+    return np.sum(diff * diff, axis=2)
 
 
 def _assign_arrays(
-    X: np.ndarray, centroids: np.ndarray, threshold: float, threads: int = 1
+    X: np.ndarray, centroids: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Primary/secondary labels and distances for every point.
 
     Ties are broken toward the lowest cluster index (argmin keeps the first
     minimum). Secondary assignment requires a strict gap below threshold,
-    so threshold 0 never dual-assigns.
+    so threshold 0 never dual-assigns. With k == 1 every second distance
+    is infinite, so no point is dual-assigned.
     """
-    n = X.shape[0]
-    k = centroids.shape[0]
-    d2all = _distances_sq(X, centroids, threads)
+    d2all = _distances_sq(X, centroids)
     prim = np.argmin(d2all, axis=1)
-    rows = np.arange(n)
+    rows = np.arange(X.shape[0])
     d1 = np.sqrt(d2all[rows, prim])
-    if k == 1:
-        sec = np.full(n, -1, dtype=np.int64)
-        d2 = np.full(n, np.inf)
-        return prim, sec, d1, d2
     masked = d2all.copy()
     masked[rows, prim] = np.inf
     second = np.argmin(masked, axis=1)
@@ -314,15 +318,13 @@ def _update_arrays(
     return new, empties
 
 
-def _repair_empty(
-    centroids: np.ndarray, empties: Sequence[int], X: np.ndarray, threads: int = 1
-) -> None:
+def _repair_empty(centroids: np.ndarray, empties: Sequence[int], X: np.ndarray) -> None:
     """Reseed each empty cluster to the point farthest from its nearest
     centroid. All empties are reseeded against the same (post-update)
     distance table; ties and already-taken points fall to the next index."""
     if not empties:
         return
-    dmin = _distances_sq(X, centroids, threads).min(axis=1)
+    dmin = _distances_sq(X, centroids).min(axis=1)
     order = np.argsort(-dmin, kind="stable")
     taken = 0
     for ci in empties:
@@ -330,21 +332,6 @@ def _repair_empty(
         taken += 1
         centroids[ci] = X[pick]
         log.info("reseeded empty cluster %d to point %d", ci, pick)
-
-
-def _build_assignments(
-    ids: Sequence[str], prim: np.ndarray, sec: np.ndarray, d1: np.ndarray, d2: np.ndarray
-) -> list[Assignment]:
-    return [
-        Assignment(
-            chunk_id=cid,
-            primary_cluster=int(prim[i]),
-            secondary_cluster=None if sec[i] < 0 else int(sec[i]),
-            d_primary=float(d1[i]),
-            d_secondary=float(d2[i]),
-        )
-        for i, cid in enumerate(ids)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +346,9 @@ def assign_point(
     below ``threshold``."""
     X = np.asarray([point.coords], dtype=np.float64)
     prim, sec, d1, d2 = _assign_arrays(X, np.asarray(centroids, dtype=np.float64), threshold)
-    return _build_assignments([point.chunk_id], prim, sec, d1, d2)[0]
+    return Assignment(
+        point.chunk_id, int(prim[0]), None if sec[0] < 0 else int(sec[0]), float(d1[0]), float(d2[0])
+    )
 
 
 def update_centroids(
@@ -427,9 +416,7 @@ def _partial_seed(
     return run(subset, inner).centroids.copy()
 
 
-def run(
-    points: Sequence[WeightedPoint], config: ClusterConfig, threads: int = 1
-) -> ClusterModel:
+def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
     """Iterate assign-all / update-centroids until the summed centroid
     movement drops below epsilon or max_iter is reached.
 
@@ -445,28 +432,22 @@ def run(
     history: list[IterationSnapshot] = []
     converged = False
     for _ in range(config.max_iter):
-        prim, sec, d1, d2 = _assign_arrays(X, centroids, config.threshold, threads)
+        prim, sec, d1, d2 = _assign_arrays(X, centroids, config.threshold)
         new, empties = _update_arrays(
             X, w, prim, sec, centroids, config.damping_weight, config.raw_denominator
         )
-        _repair_empty(new, empties, X, threads)
+        _repair_empty(new, empties, X)
         movement = float(np.sum(np.sqrt(np.sum((new - centroids) ** 2, axis=1))))
-        history.append(
-            IterationSnapshot(
-                centroids=new.copy(),
-                assignments=_build_assignments(ids, prim, sec, d1, d2),
-            )
-        )
+        history.append(IterationSnapshot(ids, prim, sec, d1, d2, centroids=new.copy()))
         centroids = new
         if movement < config.epsilon:
             converged = True
             break
-    prim, sec, d1, d2 = _assign_arrays(X, centroids, config.threshold, threads)
-    assignments = _build_assignments(ids, prim, sec, d1, d2)
     model = ClusterModel(
+        ids,
+        *_assign_arrays(X, centroids, config.threshold),
         config=config,
         centroids=centroids,
-        assignments=assignments,
         iterations=len(history),
         history=history,
         distortion=0.0,
@@ -488,15 +469,15 @@ def distortion(
     model's assignment ids when given.
     """
     if points is not None:
-        ids = [p.chunk_id for p in points]
-        if ids != [a.chunk_id for a in model.assignments]:
+        if [p.chunk_id for p in points] != model.point_ids:
             raise ValueError("model assignments do not cover the given points")
-    total = 0.0
-    for a in model.assignments:
-        total += a.d_primary * a.d_primary
-        if include_secondary and a.secondary_cluster is not None:
-            total += a.d_secondary * a.d_secondary
-    return total
+    terms = model.d1 * model.d1
+    if include_secondary:
+        dual_sq = np.where(model.secondary >= 0, model.d2 * model.d2, 0.0)
+        terms = np.column_stack([terms, dual_sq]).ravel()
+    # cumsum adds point by point, primary term before secondary, so the
+    # total is bit-stable; adding 0.0 for a single-assigned point is exact
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def elbow_scan(
@@ -504,7 +485,6 @@ def elbow_scan(
     config: ClusterConfig,
     k_range: tuple[int, int],
     restarts: int = 10,
-    threads: int = 1,
 ) -> list[tuple[int, float]]:
     """Best-of-``restarts`` distortion for every k in the inclusive range.
 
@@ -525,6 +505,6 @@ def elbow_scan(
         for r in range(restarts):
             seed = int(np.random.default_rng((config.seed, k, r)).integers(2**63))
             cfg = replace(config, k=k, seed=seed)
-            best = min(best, run(points, cfg, threads).distortion)
+            best = min(best, run(points, cfg).distortion)
         out.append((k, best))
     return out

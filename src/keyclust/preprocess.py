@@ -257,13 +257,17 @@ def segment_sentences(body: str) -> list[str]:
         nxt = body[m.end()] if m.end() < len(body) else ""
         if not nxt.isupper():
             continue
-        prev = re.search(r"(\S+)\s*$", body[: m.start() + 1])
-        if prev:
-            word = prev.group(1).rstrip(_TERMINAL).lstrip(_STRIP_CHARS).lower()
-            if word in ABBREVIATIONS:
-                continue
-            if len(word) == 1 and word.isalpha() and prev.group(1)[0].isupper():
-                continue
+        # the preceding word runs back from the terminal to the last
+        # whitespace (str.isspace is the test the regex \s uses)
+        word_start = m.start()
+        while word_start > 0 and not body[word_start - 1].isspace():
+            word_start -= 1
+        raw = body[word_start : m.start() + 1]
+        word = raw.rstrip(_TERMINAL).lstrip(_STRIP_CHARS).lower()
+        if word in ABBREVIATIONS:
+            continue
+        if len(word) == 1 and word.isalpha() and raw[0].isupper():
+            continue
         piece = " ".join(body[start : m.end()].split())
         if piece:
             sentences.append(piece)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import colorsys
 import csv
 import logging
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,16 +208,17 @@ def write_iteration_csv(
 ) -> None:
     """Scatter data per iteration: the assignments recorded in history,
     projected onto the first two reduced dimensions."""
+    points = [(cid, *map(repr, _coords_2d(coords_by_id[cid]))) for cid in model.point_ids]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "chunk_id", "x", "y", "primary", "secondary"])
         for it, snap in enumerate(model.history, start=1):
-            for a in snap.assignments:
-                x, y = _coords_2d(coords_by_id[a.chunk_id])
-                writer.writerow(
-                    [it, a.chunk_id, repr(x), repr(y), a.primary_cluster,
-                     "" if a.secondary_cluster is None else a.secondary_cluster]
+            writer.writerows(
+                [it, cid, x, y, p, "" if s < 0 else s]
+                for (cid, x, y), p, s in zip(
+                    points, snap.primary.tolist(), snap.secondary.tolist()
                 )
+            )
 
 
 def _palette(k: int) -> list[str]:
@@ -272,23 +274,30 @@ def write_iteration_svgs(
     prefix: str = "iteration",
 ) -> list[Path]:
     """One scatter SVG per iteration; dual-assigned points are drawn as a
-    distinct black series over the per-cluster colors."""
+    distinct black series over the per-cluster colors. Files of this prefix
+    numbered past the last iteration, left by an earlier longer run, are
+    removed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     colors = _palette(model.config.k)
+    xy = [_coords_2d(coords_by_id[cid]) for cid in model.point_ids]
     paths = []
     for it, snap in enumerate(model.history, start=1):
         pts: list[tuple[float, float, str]] = []
         dual_pts: list[tuple[float, float, str]] = []
-        for a in snap.assignments:
-            x, y = _coords_2d(coords_by_id[a.chunk_id])
-            if a.secondary_cluster is not None:
+        for (x, y), p, s in zip(xy, snap.primary.tolist(), snap.secondary.tolist()):
+            if s >= 0:
                 dual_pts.append((x, y, "black"))
             else:
-                pts.append((x, y, colors[a.primary_cluster]))
+                pts.append((x, y, colors[p]))
         cents = [_coords_2d(c) for c in snap.centroids]
         svg = _svg_scatter(pts + dual_pts, cents, f"iteration {it}")
         path = out / f"{prefix}_{it:03d}.svg"
         path.write_text(svg, encoding="utf-8")
         paths.append(path)
+    numbered = re.compile(re.escape(prefix) + r"_(\d{3,})\.svg")
+    for stale in out.iterdir():
+        m = numbered.fullmatch(stale.name)
+        if m and int(m.group(1)) > len(model.history):
+            stale.unlink()
     return paths

@@ -7,6 +7,7 @@ loops, dense eigendecomposition) and shares no code with the package.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from typing import Sequence
 
@@ -140,3 +141,35 @@ def tfidf_oracle(token_lists: Sequence[Sequence[str]]):
         norm = math.sqrt(sum(w * w for w in weights.values()))
         out.append({i: w / norm for i, w in weights.items()} if norm else {})
     return index, out
+
+
+def segment_sentences_oracle(
+    body: str, abbreviations: frozenset[str], terminal: str, strip_chars: str
+) -> list[str]:
+    """Sentence segmentation as first written: the word before each
+    candidate boundary is found by a regex search over the whole prefix of
+    the body, which is quadratic in body length. The abbreviation set and
+    the two character sets are the package's data, passed in."""
+    if not body or not body.strip():
+        return []
+    sentences: list[str] = []
+    start = 0
+    for m in re.finditer(r"[.!?]+[\"'”’)\]]*\s+", body):
+        nxt = body[m.end()] if m.end() < len(body) else ""
+        if not nxt.isupper():
+            continue
+        prev = re.search(r"(\S+)\s*$", body[: m.start() + 1])
+        if prev:
+            word = prev.group(1).rstrip(terminal).lstrip(strip_chars).lower()
+            if word in abbreviations:
+                continue
+            if len(word) == 1 and word.isalpha() and prev.group(1)[0].isupper():
+                continue
+        piece = " ".join(body[start : m.end()].split())
+        if piece:
+            sentences.append(piece)
+        start = m.end()
+    tail = " ".join(body[start:].split())
+    if tail:
+        sentences.append(tail)
+    return sentences

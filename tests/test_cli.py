@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,25 @@ class TestPipeline:
         ]) == 0
         assert (out / "reports" / "comparison.csv").is_file()
 
+    def test_shorter_rerun_removes_stale_iteration_svgs(self, corpus_dir, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert main(["vectorize", "--out", str(out)]) == 0
+        assert main(["reduce", "--out", str(out), "--pca-dim", "8"]) == 0
+        shutil.copytree(out / "stages", fresh / "stages")
+        cluster = ["cluster", "--query", "vaccine", "--k", "4", "--seed", "7"]
+        for mode in ("standard", "modified"):
+            assert main([*cluster, "--mode", mode, "--out", str(out), "--max-iter", "5"]) == 0
+        assert (out / "reports" / "iteration_modified_005.svg").is_file()
+        assert main([*cluster, "--mode", "modified", "--out", str(out), "--max-iter", "3"]) == 0
+        assert not (out / "reports" / "iteration_modified_004.svg").exists()
+        # the other prefix's files are left alone until its own rerun
+        assert (out / "reports" / "iteration_standard_005.svg").is_file()
+        assert main([*cluster, "--mode", "standard", "--out", str(out), "--max-iter", "3"]) == 0
+        for mode in ("standard", "modified"):
+            assert main([*cluster, "--mode", mode, "--out", str(fresh), "--max-iter", "3"]) == 0
+        assert tree_digest(out / "reports") == tree_digest(fresh / "reports")
+
     def test_later_stages_never_mutate_earlier_ones(self, corpus_dir, tmp_path):
         out = tmp_path / "out"
         base = ["--out", str(out)]
@@ -170,6 +190,28 @@ class TestFailureModes:
         out = tmp_path / "out"
         run_pipeline(corpus_dir, out)
         assert main(["cluster", "--out", str(out), "--query", "the", "--k", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cluster", "--query", "vaccine", "--k", "3"],
+            ["elbow", "--mode", "modified", "--query", "vaccine", "--k-max", "3"],
+        ],
+    )
+    def test_stale_points_stage_exits_1(self, tmp_path, capsys, command):
+        corpus, first_half = tmp_path / "corpus", tmp_path / "first_half"
+        write_corpus_dir(corpus, n_articles=8, seed=0, n_sentences=20)
+        write_corpus_dir(first_half, n_articles=4, seed=0, n_sentences=20)
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["ingest", *out, "--corpus", f"{corpus}:synthetic"]) == 0
+        assert main(["vectorize", *out]) == 0
+        assert main(["reduce", *out, "--pca-dim", "10"]) == 0
+        assert main(["ingest", *out, "--corpus", f"{first_half}:synthetic"]) == 0
+        capsys.readouterr()
+        assert main([*command, *out]) == 1
+        err = capsys.readouterr().err
+        assert "error: stale stage 'points'" in err
+        assert "'keyclust reduce'" in err
 
     def test_parse_failures_logged_but_not_fatal(self, tmp_path, caplog):
         corpus = tmp_path / "corpus"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyclust.cluster import (
-    Assignment,
     ClusterConfig,
     ClusterModel,
     assign_point,
@@ -306,10 +306,8 @@ class TestRun:
         rng = np.random.default_rng(17)
         pts = random_points(rng, 120, 4)
         cfg = ClusterConfig(k=5, threshold=0.2, seed=6)
-        one = run(pts, cfg, threads=1)
-        four = run(pts, cfg, threads=4)
-        again = run(pts, cfg, threads=1)
-        assert models_equal(one, four)
+        one = run(pts, cfg)
+        again = run(pts, cfg)
         assert models_equal(one, again)
 
     def test_standard_mode_ignores_weights(self):
@@ -323,9 +321,25 @@ class TestRun:
     def test_model_record_round_trip(self):
         rng = np.random.default_rng(31)
         pts = random_points(rng, 30, 2)
-        model = run(pts, ClusterConfig(k=3, threshold=0.3, seed=12))
-        back = ClusterModel.from_record(model.to_record())
-        assert models_equal(model, back)
+        # a dual-assigning modified run, a k == 1 run, and a standard run
+        for cfg in (
+            ClusterConfig(k=3, threshold=0.3, seed=12),
+            ClusterConfig(k=1, seed=12),
+            ClusterConfig(k=3, mode="standard", seed=12),
+        ):
+            model = run(pts, cfg)
+            rec = model.to_record()
+            back = ClusterModel.from_record(json.loads(json.dumps(rec)))
+            assert models_equal(model, back)
+            assert json.dumps(back.to_record()) == json.dumps(rec)
+            if cfg.k == 1:
+                assert rec["final"]["d2"] == [None] * 30
+                assert all(h["d2"] == [None] * 30 for h in rec["history"])
+                assert np.isinf(back.d2).all()
+                assert all(np.isinf(h.d2).all() for h in back.history)
+            if cfg.k > 1 and cfg.threshold > 0:
+                assert (back.secondary >= 0).any()
+                assert any((h.secondary >= 0).any() for h in back.history)
 
     def test_standard_distortion_non_increasing_across_iterations(self):
         rng = np.random.default_rng(41)
@@ -357,13 +371,14 @@ class TestDistortion:
 
     def test_dual_counting_hand_value(self):
         # one dual-assigned point at distances 0.5 and 0.505
-        assignments = [
-            Assignment("a", 0, 1, 0.5, 0.505),
-        ]
         model = ClusterModel(
             config=ClusterConfig(k=2),
             centroids=np.zeros((2, 1)),
-            assignments=assignments,
+            point_ids=["a"],
+            primary=np.array([0]),
+            secondary=np.array([1]),
+            d1=np.array([0.5]),
+            d2=np.array([0.505]),
             iterations=1,
             history=[],
             distortion=0.0,
@@ -377,6 +392,25 @@ class TestDistortion:
         pts = random_points(rng, 100, 2)
         model = run(pts, ClusterConfig(k=4, threshold=0.5, seed=3))
         assert distortion(model) >= distortion(model, include_secondary=False)
+
+    def test_equals_per_point_loop_bitwise(self):
+        # the array sum must add terms in the order of the per-point loop:
+        # primary term, then the secondary term of a dual-assigned point
+        rng = np.random.default_rng(53)
+        pts = random_points(rng, 200, 3)
+        for cfg in (
+            ClusterConfig(k=1, seed=2),
+            ClusterConfig(k=5, threshold=0.4, seed=2),
+            ClusterConfig(k=5, mode="standard", seed=2),
+        ):
+            model = run(pts, cfg)
+            for include_secondary in (True, False):
+                total = 0.0
+                for a in model.assignments:
+                    total += a.d_primary * a.d_primary
+                    if include_secondary and a.secondary_cluster is not None:
+                        total += a.d_secondary * a.d_secondary
+                assert distortion(model, include_secondary=include_secondary) == total
 
     def test_points_validated_when_given(self):
         pts = [wp("a", [0.0]), wp("b", [2.0])]

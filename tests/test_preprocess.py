@@ -1,9 +1,14 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyclust.errors import InvalidPattern
 from keyclust.preprocess import (
+    _STRIP_CHARS,
+    _TERMINAL,
+    ABBREVIATIONS,
     Chunk,
     ChunkPolicy,
     CleaningConfig,
@@ -15,6 +20,13 @@ from keyclust.preprocess import (
     pos_tag,
     segment_sentences,
 )
+
+from oracles import segment_sentences_oracle
+
+
+def segment_oracle(body):
+    return segment_sentences_oracle(body, ABBREVIATIONS, _TERMINAL, _STRIP_CHARS)
+
 
 
 class TestSegmentSentences:
@@ -57,6 +69,41 @@ class TestSegmentSentences:
     def test_non_whitespace_content_always_preserved(self, body):
         sentences = segment_sentences(body)
         assert "".join("".join(s.split()) for s in sentences) == "".join(body.split())
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "See Fig. 3 for details. More follows. The study by Smith et al. Showed it.",
+            "Written by V. B. Surya and others. Next point. I. Roman numeral? Yes.",
+            'He said "Stop." Then left. (See the table.) After that [ref.] Nothing.',
+            "It ended.\u201d Then it began.\u2019 Again! Really? Yes.",
+            "First paragraph ends here.\n\nSecond paragraph starts. Fig.\n\nThree.",
+            "Non-breaking\xa0space.\xa0Next one. Thin\u2009space.\u2009After it.",
+            "Ideographic\u3000space.\u3000After. Separator.\x1cControl. Em\u2003space.\u2003Done.",
+            "Written by\xa0V. Smith. Shown in\u2009Fig. Three. The\u3000approx. Value.",
+            "Them\x1cvs. Us. That\u2003i.e. This. Smith\u202fet al. Found it.",
+            "Trailing e.g. Example here. i.e. That one. approx. Ten. vs. Them.",
+            "Nested \"quote.\") Next. Multiple stops... Then more!! Really?! Yes.",
+        ],
+    )
+    def test_matches_prefix_regex_oracle(self, body):
+        assert segment_sentences(body) == segment_oracle(body)
+
+    @given(st.text(alphabet="Ab .!?\"')]\n\xa0\u2009\u3000eFig", max_size=200))
+    @settings(max_examples=200)
+    def test_matches_oracle_on_generated_bodies(self, body):
+        assert segment_sentences(body) == segment_oracle(body)
+
+    def test_long_body_segments_in_linear_time(self):
+        body = " ".join(
+            f"Sentence {i} cites Fig. {i % 7} and Smith et al. on the vaccine trial."
+            for i in range(4000)
+        )
+        started = time.perf_counter()
+        got = segment_sentences(body)
+        elapsed = time.perf_counter() - started
+        assert len(got) == 4000
+        assert elapsed < 2.0, f"4000 sentences took {elapsed:.2f}s"
 
 
 class TestMakeChunks:

@@ -28,11 +28,25 @@ from conftest import toy_chunk
 from oracles import term_count_oracle
 
 
+def pass_arrays(assignments):
+    """The array fields of an assignment pass holding these assignments."""
+    return dict(
+        point_ids=[a.chunk_id for a in assignments],
+        primary=np.array([a.primary_cluster for a in assignments], dtype=np.int64),
+        secondary=np.array(
+            [-1 if a.secondary_cluster is None else a.secondary_cluster for a in assignments],
+            dtype=np.int64,
+        ),
+        d1=np.array([a.d_primary for a in assignments], dtype=np.float64),
+        d2=np.array([a.d_secondary for a in assignments], dtype=np.float64),
+    )
+
+
 def make_model(assignments, k=2, history=None):
     return ClusterModel(
         config=ClusterConfig(k=k),
         centroids=np.zeros((k, 2)),
-        assignments=assignments,
+        **pass_arrays(assignments),
         iterations=len(history or []),
         history=history or [],
         distortion=0.0,
@@ -253,7 +267,7 @@ class TestWriters:
         history = [
             IterationSnapshot(
                 centroids=np.array([[0.0, 0.0], [1.0, 1.0]]),
-                assignments=history_assignments,
+                **pass_arrays(history_assignments),
             )
         ]
         return make_model(history_assignments, history=history)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyclust.errors import QueryNotInVocabulary
+from keyclust.errors import QueryNotInVocabulary, StageIoError
 from keyclust.pca import ReducedPoint
 from keyclust.vectorize import build_vocabulary
 from keyclust.weighting import (
@@ -116,7 +116,7 @@ class TestHelpers:
 
     def test_weighted_points_missing_id(self):
         points = [ReducedPoint(chunk_id="a", coords=np.array([0.0]))]
-        with pytest.raises(KeyError):
+        with pytest.raises(StageIoError):
             weighted_points(points, {})
 
     def test_unit_points(self):
