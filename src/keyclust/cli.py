@@ -320,17 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_flags = argparse.ArgumentParser(add_help=False)
     reduce_flags.add_argument("--pca-dim", type=int, default=50)
 
-    cluster_flags = argparse.ArgumentParser(add_help=False)
-    cluster_flags.add_argument("--k", type=int, default=5)
-    cluster_flags.add_argument("--threshold", type=float, default=clustering.DEFAULT_THRESHOLD)
-    cluster_flags.add_argument("--damping", type=float, default=clustering.DEFAULT_DAMPING)
-    cluster_flags.add_argument("--epsilon", type=float, default=clustering.DEFAULT_EPSILON)
-    cluster_flags.add_argument("--max-iter", type=int, default=clustering.DEFAULT_MAX_ITER)
-    cluster_flags.add_argument("--mode", choices=("modified", "standard"), default="modified")
-    cluster_flags.add_argument("--seeding", choices=("random", "partial"), default="random")
-    cluster_flags.add_argument("--seed", type=int, default=0)
-    cluster_flags.add_argument("--threads", type=int, default=1, help="has no effect")
-    cluster_flags.add_argument("--raw-denominator", action="store_true")
+    def cluster_flags(mode: str) -> argparse.ArgumentParser:
+        # a fresh parent per default: set_defaults on a subparser would
+        # rewrite the --mode action that every user of a shared parent holds
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--k", type=int, default=5)
+        flags.add_argument("--threshold", type=float, default=clustering.DEFAULT_THRESHOLD)
+        flags.add_argument("--damping", type=float, default=clustering.DEFAULT_DAMPING)
+        flags.add_argument("--epsilon", type=float, default=clustering.DEFAULT_EPSILON)
+        flags.add_argument("--max-iter", type=int, default=clustering.DEFAULT_MAX_ITER)
+        flags.add_argument("--mode", choices=("modified", "standard"), default=mode)
+        flags.add_argument("--seeding", choices=("random", "partial"), default="random")
+        flags.add_argument("--seed", type=int, default=0)
+        flags.add_argument("--threads", type=int, default=1, help="has no effect")
+        flags.add_argument("--raw-denominator", action="store_true")
+        return flags
 
     p = sub.add_parser("ingest", parents=[common, ingest_flags],
                        help="load corpora and write document + chunk stages")
@@ -344,18 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit PCA and write the reduced-point stage")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("cluster", parents=[common, cluster_flags],
+    p = sub.add_parser("cluster", parents=[common, cluster_flags("modified")],
                        help="weight points by query and fit a cluster model")
     p.add_argument("--query", required=True)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("elbow", parents=[common, cluster_flags],
+    p = sub.add_parser("elbow", parents=[common, cluster_flags("standard")],
                        help="distortion-vs-k scan (best of N restarts)")
     p.add_argument("--query", default=None)
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--restarts", type=int, default=10)
-    p.set_defaults(func=cmd_elbow, mode="standard")
+    p.set_defaults(func=cmd_elbow)
 
     p = sub.add_parser("report", parents=[common],
                        help="comparison table, top terms, and cluster extracts")
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run-all",
-        parents=[common, ingest_flags, vec_flags, reduce_flags, cluster_flags],
+        parents=[common, ingest_flags, vec_flags, reduce_flags, cluster_flags("modified")],
         help="chain ingest, vectorize, reduce, both cluster modes, and report",
     )
     p.add_argument("--query", required=True)

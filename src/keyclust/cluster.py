@@ -10,8 +10,9 @@ the classical Lloyd baseline.
 
 Determinism contract: a fixed seed and fixed input produce an identical
 model, including history. Every step runs in one thread: centroid
-accumulation folds members in input (chunk) order via ``np.add.at`` and
-the distortion sums its terms in the same order, so results are
+accumulation folds members in input (chunk) order, primaries before the
+secondaries of dual-assigned points (``np.bincount`` adds in input order),
+and the distortion sums its terms in the same order, so results are
 bit-stable.
 """
 
@@ -290,18 +291,14 @@ def _update_arrays(
     their previous centroid and are reported for reseeding.
     """
     k, dim = previous.shape
-    sums = np.zeros((k, dim), dtype=np.float64)
-    wsum = np.zeros(k, dtype=np.float64)
-    counts = np.zeros(k, dtype=np.int64)
-    wx = X * w[:, None]
-    np.add.at(sums, prim, wx)
-    np.add.at(wsum, prim, w)
-    np.add.at(counts, prim, 1)
     dual = sec >= 0
-    if dual.any():
-        np.add.at(sums, sec[dual], wx[dual])
-        np.add.at(wsum, sec[dual], w[dual])
-        np.add.at(counts, sec[dual], 1)
+    labels = np.concatenate([prim, sec[dual]])
+    wx = X * w[:, None]
+    wx = np.concatenate([wx, wx[dual]])
+    flat = (labels[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(flat, weights=wx.ravel(), minlength=k * dim).reshape(k, dim)
+    wsum = np.bincount(labels, weights=np.concatenate([w, w[dual]]), minlength=k)
+    counts = np.bincount(labels, minlength=k)
     new = np.empty_like(previous)
     empties: list[int] = []
     for i in range(k):

@@ -1,12 +1,10 @@
-"""Principal component analysis via per-component power iteration.
+"""Principal component analysis by one dense eigendecomposition.
 
-Each component is the dominant direction of the residual covariance,
-found by power iteration and removed by deflation before the next one is
-sought. The covariance is applied in whichever representation is smaller:
-for wide data (V > n) the V-by-V covariance is never materialized and one
-application is two matrix-vector products against the centered data; for
-tall data (n >= V) the explicit V-by-V covariance is built once and each
-application is a single small product.
+The components are the leading eigenvectors of the sample covariance.
+Tall input (n >= V) builds the V-by-V covariance and hands it to LAPACK's
+symmetric eigensolver (``numpy.linalg.eigh``); wide input (V > n) never
+materializes it and takes the thin SVD of the centered data instead, whose
+right singular vectors are the same eigenvectors.
 """
 
 from __future__ import annotations
@@ -20,14 +18,6 @@ import numpy as np
 from .errors import DimensionTooLarge, LengthMismatch
 
 log = logging.getLogger(__name__)
-
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 1000
-# sine of the angle between C@w and w below which w satisfies the
-# eigen-equation closely enough to count as converged
-RESIDUAL_TOL = 1e-9
-# fixed start-vector seed: fit_pca must be deterministic across runs
-_START_SEED = 0x5EED
 
 
 @dataclass(eq=False)
@@ -87,8 +77,9 @@ def fit_pca(vectors: np.ndarray, d: int) -> PcaModel:
     """Extract the top ``d`` principal components of ``vectors`` (n, V).
 
     Components are eigenvectors of the sample covariance of the mean-centered
-    input, ordered by eigenvalue, found by power iteration (tolerance 1e-10,
-    at most 1000 iterations per component) with Gram-Schmidt deflation. The
+    input, ordered by non-increasing eigenvalue, from one LAPACK call: a
+    symmetric eigendecomposition of the V-by-V covariance when V <= n, a thin
+    SVD of the centered data otherwise. Variances are clipped at zero. The
     sign convention makes each component's largest-magnitude entry positive.
     """
     X = np.ascontiguousarray(vectors, dtype=np.float64)
@@ -108,100 +99,17 @@ def fit_pca(vectors: np.ndarray, d: int) -> PcaModel:
     if degenerate:
         log.warning("degenerate input: zero covariance, components carry no variance")
 
-    comps = np.empty((d, v), dtype=np.float64)
-    eig = np.empty(d, dtype=np.float64)
-    rng = np.random.default_rng(_START_SEED)
-    # variance below this is numerically zero: the deflated residual is pure
-    # rounding noise inside the span of already-extracted components
-    var_floor = 1e-28 * max(total_var, 1e-300)
-    use_gram = v <= n  # explicit covariance is the smaller object
-    if use_gram:
-        cov = (resid.T @ resid) / (n - 1)
-        for j in range(d):
-            comps[j], eig[j] = _leading_direction(
-                lambda w: cov @ w, v, comps[:j], rng, var_floor
-            )
-            cov -= eig[j] * np.outer(comps[j], comps[j])
+    if v <= n:
+        evals, evecs = np.linalg.eigh((resid.T @ resid) / (n - 1))  # ascending
+        eig, comps = evals[::-1][:d], evecs[:, ::-1][:, :d].T
     else:
-        inv = 1.0 / (n - 1)
-        for j in range(d):
-            comps[j], eig[j] = _leading_direction(
-                lambda w: (resid.T @ (resid @ w)) * inv, v, comps[:j], rng, var_floor
-            )
-            resid -= np.outer(resid @ comps[j], comps[j])
-    order = np.argsort(-eig, kind="stable")
-    comps, eig = comps[order], eig[order]
-    for j in range(d):
-        if comps[j, int(np.argmax(np.abs(comps[j])))] < 0:
-            comps[j] = -comps[j]
-    return PcaModel(mean=mean, components=comps, explained_variance=eig, degenerate=degenerate)
-
-
-def _leading_direction(
-    apply_cov, v: int, prev: np.ndarray, rng: np.random.Generator, var_floor: float
-) -> tuple[np.ndarray, float]:
-    """Power iteration for the dominant eigenvector of the covariance
-    behind ``apply_cov``, kept orthogonal to the rows of ``prev``.
-    Returns (unit vector, variance).
-
-    Stops when the direction settles (change < POWER_TOL) or when the
-    eigen-equation residual is tiny: the sine of the angle between C@w and
-    w drops below RESIDUAL_TOL. The second test is what terminates inside
-    clusters of near-equal eigenvalues, where the direction keeps drifting
-    forever but any unit vector of the cluster's subspace is an equally
-    valid component. Variance at or below ``var_floor`` means the residual
-    covariance is numerically zero, so a deterministic orthonormal filler
-    is returned.
-    """
-    w = _orthogonalize(rng.standard_normal(v), prev)
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        return _fallback_direction(prev, v), 0.0
-    w /= nw
-    for _ in range(POWER_MAX_ITER):
-        cw = apply_cov(w)
-        variance = float(w @ cw)  # Rayleigh quotient, w is unit
-        if variance <= var_floor:
-            return _fallback_direction(prev, v), 0.0
-        eigen_resid = float(np.linalg.norm(cw - variance * w))
-        z = _orthogonalize(cw, prev)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return _fallback_direction(prev, v), 0.0
-        z /= nz
-        if z @ w < 0.0:
-            z = -z
-        direction_done = np.linalg.norm(z - w) < POWER_TOL
-        w = z
-        if direction_done or eigen_resid <= RESIDUAL_TOL * float(np.linalg.norm(cw)):
-            break
-    return w, float(w @ apply_cov(w))
-
-
-def _orthogonalize(w: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    if prev.shape[0]:
-        # twice for numerical hygiene (classical Gram-Schmidt reorthogonalization)
-        w = w - prev.T @ (prev @ w)
-        w = w - prev.T @ (prev @ w)
-    return w
-
-
-def _fallback_direction(prev: np.ndarray, v: int) -> np.ndarray:
-    """Deterministic orthonormal filler for zero-variance subspaces: the
-    standard basis vector with the largest residual after projecting out
-    ``prev``, normalized."""
-    best, best_norm = None, -1.0
-    for i in range(v):
-        e = np.zeros(v)
-        e[i] = 1.0
-        r = _orthogonalize(e, prev)
-        nr = float(np.linalg.norm(r))
-        if nr > best_norm:
-            best, best_norm = r, nr
-        if nr > 0.9:
-            break
-    assert best is not None and best_norm > 0.0
-    return best / best_norm
+        _, s, vt = np.linalg.svd(resid, full_matrices=False)  # descending
+        eig, comps = s[:d] ** 2 / (n - 1), vt[:d]
+    largest = comps[np.arange(d), np.argmax(np.abs(comps), axis=1)]
+    comps = comps * np.sign(largest)[:, None]
+    return PcaModel(
+        mean=mean, components=comps, explained_variance=np.maximum(eig, 0.0), degenerate=degenerate
+    )
 
 
 def pca_transform(vector: np.ndarray, model: PcaModel) -> np.ndarray:

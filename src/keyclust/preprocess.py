@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Pattern, Sequence
+from typing import Any, Callable, Mapping, Pattern, Sequence
 
 from .corpus import Document
 from .errors import InvalidPattern
@@ -79,6 +79,8 @@ NUMBER_WORDS = frozenset(
 _NUMERAL = re.compile(r"^[+-]?\d[\d.,:/%-]*$")
 
 DEFAULT_DISALLOWED_POS = frozenset({"PRON", "DET", "CONJ", "NUM"})
+# distinct raw tokens whose cleaned form is remembered per config
+CLEAN_CACHE_SIZE = 1 << 14
 
 
 def pos_tag(token: str) -> str:
@@ -307,25 +309,41 @@ def clean_text(text: str, config: CleaningConfig) -> list[str]:
 
     Per token: lowercase; drop removal-pattern matches (checked both before
     and after stripping surrounding punctuation); drop short tokens,
-    stoplist members, and disallowed parts of speech.
+    stoplist members, and disallowed parts of speech. Each distinct raw
+    token is cleaned once per config (see ``_token_cleaner``).
+    """
+    kept = map(_token_cleaner(config), text.split())
+    return [tok for tok in kept if tok is not None]
+
+
+@functools.lru_cache(maxsize=4)
+def _token_cleaner(config: CleaningConfig) -> Callable[[str], str | None]:
+    """The cleaning rules of ``config`` as a memoized function of one
+    whitespace-free token, returning its kept form or None if dropped.
+
+    The memo is per config rather than keyed by (token, config): two equal
+    configs built apart hold distinct stoplists, and comparing them on
+    every token hit would cost more than the cleaning it saves.
     """
     patterns = _compiled(config.removal_patterns)
-    out: list[str] = []
-    for raw in text.split():
+
+    @functools.lru_cache(maxsize=CLEAN_CACHE_SIZE)
+    def clean(raw: str) -> str | None:
         tok = raw.lower()
         if any(p.match(tok) for p in patterns):
-            continue
+            return None
         tok = tok.strip(_STRIP_CHARS)
         if not tok or any(p.match(tok) for p in patterns):
-            continue
+            return None
         if len(tok) < config.min_token_length:
-            continue
+            return None
         if tok in config.stoplist:
-            continue
+            return None
         if pos_tag(tok) in config.disallowed_pos:
-            continue
-        out.append(tok)
-    return out
+            return None
+        return tok
+
+    return clean
 
 
 def clean_tokens(chunk: Chunk, config: CleaningConfig) -> Chunk:

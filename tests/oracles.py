@@ -97,8 +97,8 @@ def lloyd_oracle(
 
 
 def eigh_pca_oracle(X: np.ndarray, d: int):
-    """Dense covariance eigendecomposition (the thing the implementation
-    avoids materializing). Returns (mean, components (d, V), variances)."""
+    """Dense covariance eigendecomposition with no sign convention and no
+    wide-input path. Returns (mean, components (d, V), variances)."""
     X = np.asarray(X, dtype=np.float64)
     mean = X.mean(axis=0)
     Xc = X - mean
@@ -106,6 +106,38 @@ def eigh_pca_oracle(X: np.ndarray, d: int):
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:d]
     return mean, evecs[:, order].T.copy(), evals[order].copy()
+
+
+def add_at_update_oracle(X, w, prim, sec, previous, damping_weight, raw_denominator=False):
+    """Weighted, damped centroid update as first written: six unbuffered
+    ``np.add.at`` accumulations (primaries, then the secondaries of
+    dual-assigned points, ``sec >= 0``), each in input order. Returns
+    (new centroids, empty cluster indices)."""
+    k, dim = previous.shape
+    sums = np.zeros((k, dim), dtype=np.float64)
+    wsum = np.zeros(k, dtype=np.float64)
+    counts = np.zeros(k, dtype=np.int64)
+    wx = X * w[:, None]
+    np.add.at(sums, prim, wx)
+    np.add.at(wsum, prim, w)
+    np.add.at(counts, prim, 1)
+    dual = sec >= 0
+    np.add.at(sums, sec[dual], wx[dual])
+    np.add.at(wsum, sec[dual], w[dual])
+    np.add.at(counts, sec[dual], 1)
+    new = previous.copy()
+    empties = []
+    for i in range(k):
+        if counts[i] == 0:
+            empties.append(i)
+            continue
+        num = sums[i] + damping_weight * previous[i]
+        if raw_denominator:
+            den = float(counts[i]) + (1.0 if damping_weight > 0.0 else 0.0)
+        else:
+            den = wsum[i] + damping_weight
+        new[i] = num / den
+    return new, empties
 
 
 def df_oracle(token_lists: Sequence[Sequence[str]]) -> dict[str, int]:

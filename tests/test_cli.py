@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from keyclust.cli import main
+from keyclust.cli import build_parser, main
 
 from conftest import write_corpus_dir
 
@@ -157,6 +157,27 @@ class TestPipeline:
         vec_lines = (out / "stages" / "vectors.jsonl").read_text().splitlines()[1:]
         vec_ids = {json.loads(line)["chunk_id"] for line in vec_lines}
         assert not (empty_ids & vec_ids)  # but never vectorized
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, mode",
+        [
+            (["cluster", "--query", "x"], "modified"),
+            (["run-all", "--query", "x", "--corpus", "c:l"], "modified"),
+            (["elbow"], "standard"),
+            (["cluster", "--query", "x", "--mode", "standard"], "standard"),
+            (["elbow", "--mode", "modified"], "modified"),
+        ],
+    )
+    def test_mode_defaults(self, argv, mode):
+        assert build_parser().parse_args(argv).mode == mode
+
+    def test_defaults_independent_of_parse_order(self):
+        parser = build_parser()
+        assert parser.parse_args(["elbow"]).mode == "standard"
+        assert parser.parse_args(["cluster", "--query", "x"]).mode == "modified"
+        assert parser.parse_args(["elbow"]).mode == "standard"
 
 
 class TestFailureModes:

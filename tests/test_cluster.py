@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyclust.cluster import (
+    _update_arrays,
     ClusterConfig,
     ClusterModel,
     assign_point,
@@ -20,7 +21,7 @@ from keyclust.errors import NonFiniteInput, TooFewDistinctPoints
 from keyclust.weighting import WeightedPoint
 
 from conftest import blob_points, random_points
-from oracles import lloyd_oracle, sqdist
+from oracles import add_at_update_oracle, lloyd_oracle, sqdist
 
 
 def wp(chunk_id, coords, weight=1.0):
@@ -177,6 +178,23 @@ class TestUpdateCentroids:
             lo = np.minimum(np.min([p.coords for p in pts], axis=0), prev[0])
             hi = np.maximum(np.max([p.coords for p in pts], axis=0), prev[0])
             assert np.all(new[0] >= lo - 1e-12) and np.all(new[0] <= hi + 1e-12)
+
+
+    def test_bincount_accumulation_matches_add_at_bitwise(self):
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            n, k, dim = int(rng.integers(1, 60)), int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            X = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4)
+            w = rng.uniform(0.01, 1.0, n)
+            prim = rng.integers(0, k, n)
+            sec = np.where(rng.random(n) < 0.4, rng.integers(0, k, n), -1)
+            prev = rng.standard_normal((k, dim))
+            damping = (0.0, 0.01)[trial % 2]
+            raw = trial % 3 == 0
+            got, got_empty = _update_arrays(X, w, prim, sec, prev, damping, raw)
+            want, want_empty = add_at_update_oracle(X, w, prim, sec, prev, damping, raw)
+            assert np.array_equal(got, want)
+            assert got_empty == want_empty
 
 
 class TestInitCentroids:

@@ -4,14 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from keyclust.corpus import load_corpus
 from keyclust.errors import DimensionTooLarge, LengthMismatch
 from keyclust.pca import PcaModel, fit_pca, pca_transform
+from keyclust.preprocess import chunk_document
+from keyclust.vectorize import build_vocabulary, densify, tfidf_vector
 
+from conftest import write_corpus_dir
 from oracles import eigh_pca_oracle
 
 
 def random_matrix(seed, n=20, v=5):
     return np.random.default_rng(seed).standard_normal((n, v))
+
+
+def planted_spectrum(n=400, v=60, seed=0):
+    """Data whose sample covariance has exactly the eigenvalues 10, 9.99,
+    9.98, 9.97, twenty between 1 and 0.999, then a geometric tail: two
+    clusters of near-equal eigenvalues, the case iterative solvers stall in."""
+    rng = np.random.default_rng(seed)
+    lam = np.concatenate(
+        [[10.0, 9.99, 9.98, 9.97], np.linspace(1.0, 0.999, 20), np.geomspace(0.5, 0.01, v - 24)]
+    )
+    basis, _ = np.linalg.qr(rng.standard_normal((v, v)))
+    z = rng.standard_normal((n, v))
+    scores, _ = np.linalg.qr(z - z.mean(axis=0))  # orthonormal, centered columns
+    return scores @ np.diag(np.sqrt(lam * (n - 1))) @ basis.T + 3.0
 
 
 def align_sign(a, b):
@@ -117,6 +135,35 @@ class TestFitPca:
         assert np.all(model.explained_variance >= -1e-15)
 
 
+    @pytest.mark.parametrize("d", [2, 22, 30])
+    def test_exact_on_clustered_spectrum(self, d):
+        X = planted_spectrum()
+        resid = X - X.mean(axis=0)
+        cov = resid.T @ resid / (X.shape[0] - 1)
+        model = fit_pca(X, d)
+        lam1 = model.explained_variance[0]
+        for w, lam in zip(model.components, model.explained_variance):
+            assert np.linalg.norm(cov @ w - lam * w) <= 1e-12 * lam1
+        top = np.sort(np.linalg.eigvalsh(cov))[::-1][:d]
+        assert abs(model.explained_variance.sum() - top.sum()) <= 1e-12 * top.sum()
+
+    def test_wide_rank_deficient(self):
+        base = np.random.default_rng(1).standard_normal((5, 40))
+        X = np.concatenate([base, base[::-1]])  # V = 40 > n = 10, centered rank 4
+        model = fit_pca(X, 8)
+        assert model.components.shape == (8, 40)
+        gram = model.components @ model.components.T
+        assert np.abs(gram - np.eye(8)).max() < 1e-12
+        evar = model.explained_variance
+        assert np.all(evar[:4] > 0.1)
+        assert np.all(evar[4:] <= 1e-24 * evar[0])
+        _, comps, want = eigh_pca_oracle(X, 4)
+        assert evar[:4] == pytest.approx(want, rel=1e-10)
+        assert np.abs(align_sign(model.components[:4], comps) - comps).max() < 1e-9
+        for row in model.components:
+            assert row[int(np.argmax(np.abs(row)))] > 0
+
+
 class TestPcaTransform:
     def test_mean_maps_to_zero(self):
         X = random_matrix(1, n=15, v=6)
@@ -152,3 +199,22 @@ class TestPcaTransform:
         assert np.array_equal(back.components, model.components)
         assert np.array_equal(back.explained_variance, model.explained_variance)
         assert back.degenerate == model.degenerate
+
+    def test_distances_match_eigh_on_pipeline_vectors(self, tmp_path, clean_config):
+        # the 3000-chunk corpus of acceptance criterion 10, ingested and
+        # vectorized in-process with the CLI's defaults
+        write_corpus_dir(tmp_path, n_articles=100, seed=0, n_sentences=90)
+        docs = load_corpus(tmp_path, "synthetic").documents
+        chunks = [c for doc in docs for c in chunk_document(doc, clean_config) if c.tokens]
+        vocab = build_vocabulary(chunks)
+        X = densify([tfidf_vector(c, vocab) for c in chunks], len(vocab))
+        assert X.shape[0] >= 2500 and X.shape[0] > X.shape[1]
+        coords = pca_transform(X, fit_pca(X, 50))[::6]
+        mean, comps, _ = eigh_pca_oracle(X, 50)
+        want = ((X - mean) @ comps.T)[::6]
+
+        def pairwise(P):
+            sq = np.sum(P * P, axis=1)
+            return np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * P @ P.T, 0.0))
+
+        assert np.abs(pairwise(coords) - pairwise(want)).max() < 1e-9

@@ -222,6 +222,19 @@ class TestCleanTokens:
         assert clean_text(text, clean_config) == clean_text(text, clean_config)
 
 
+    def test_memo_is_per_config(self, clean_config):
+        text = "Vaccine vaccine, VACCINE trial (trial) 95% the vaccine."
+        want = ["vaccine", "vaccine", "vaccine", "trial", "trial", "vaccine"]
+        assert clean_text(text, clean_config) == want
+        equal = CleaningConfig(stoplist=set(clean_config.stoplist))
+        assert equal == clean_config and equal is not clean_config
+        assert clean_text(text, equal) == want
+        stricter = CleaningConfig(stoplist=clean_config.stoplist | {"vaccine"})
+        assert clean_text(text, stricter) == ["trial", "trial"]
+        looser = CleaningConfig(stoplist=clean_config.stoplist, min_token_length=6)
+        assert clean_text(text, looser) == ["vaccine", "vaccine", "vaccine", "vaccine"]
+        assert clean_text(text, clean_config) == want
+
 class TestCleaningConfig:
     def test_invalid_pattern(self):
         with pytest.raises(InvalidPattern):
