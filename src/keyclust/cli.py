@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from . import cluster as clustering
 from . import pca as reduction
@@ -23,7 +23,7 @@ from . import report as reporting
 from . import vectorize as vectorization
 from . import weighting
 from .corpus import DEFAULT_BATCH_SIZE, Document, StageStore, batch_iter, load_corpus
-from .errors import EmptyCorpus, KeyclustError, StageIoError
+from .errors import EmptyCorpus, KeyclustError, SchemaMismatch, StageIoError
 from .preprocess import (
     Chunk,
     CleaningConfig,
@@ -36,30 +36,54 @@ log = logging.getLogger("keyclust")
 
 STOPLIST_ENV = "KEYCLUST_STOPLIST"
 
-STAGE_DOCUMENTS = "documents"
-STAGE_CHUNKS = "chunks"
-STAGE_VOCABULARY = "vocabulary"
-STAGE_VECTORS = "vectors"
-STAGE_PCA = "pca"
-STAGE_POINTS = "points"
-STAGE_WEIGHTS = "weights"
+MODES = ("standard", "modified")
+
+# every stage file: name -> (record schema, the command that writes it)
+STAGES = {
+    "documents": ("document", "keyclust ingest"),
+    "chunks": ("chunk", "keyclust ingest"),
+    "vocabulary": ("vocab-term", "keyclust vectorize"),
+    "vectors": ("tfidf", "keyclust vectorize"),
+    "pca": ("pca-model", "keyclust reduce"),
+    "points": ("reduced-point", "keyclust reduce"),
+    "weights": ("weight", "keyclust cluster"),
+    **{f"model_{m}": ("cluster-model", f"keyclust cluster --mode {m}") for m in MODES},
+}
 
 
-def _stage(out: str, name: str) -> StageStore:
-    return StageStore(root_path=Path(out) / "stages", stage_name=name)
+def _save(
+    out: str, name: str, records: Iterable[Mapping[str, Any]], meta: Mapping[str, Any] | None = None
+) -> int:
+    return StageStore(Path(out) / "stages", name).save(records, STAGES[name][0], meta)
+
+
+def _load(out: str, name: str) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    schema, writer = STAGES[name]
+    try:
+        return StageStore(Path(out) / "stages", name).load_with_meta(schema)
+    except StageIoError as exc:
+        raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
+
+
+def _load_chunks(out: str) -> list[Chunk]:
+    return [Chunk.from_record(r) for r in _load(out, "chunks")[0]]
+
+
+def _load_points(out: str) -> list[reduction.ReducedPoint]:
+    return [reduction.ReducedPoint.from_record(r) for r in _load(out, "points")[0]]
+
+
+def _load_vocab(out: str) -> vectorization.Vocabulary:
+    records, meta = _load(out, "vocabulary")
+    if "n_chunks" not in meta:
+        raise SchemaMismatch("stage 'vocabulary' header has no 'n_chunks'")
+    return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
 
 
 def _reports_dir(out: str) -> Path:
     path = Path(out) / "reports"
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _load_stage(out: str, name: str, schema: str, hint: str) -> list[dict[str, Any]]:
-    try:
-        return _stage(out, name).load(schema)
-    except StageIoError as exc:
-        raise StageIoError(f"missing stage {name!r} ({exc}) — {hint}") from exc
 
 
 def _cleaning_config(args: argparse.Namespace) -> CleaningConfig:
@@ -117,23 +141,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         log.info("corpus %s: %d documents, %d failures", label, len(rep.documents), len(rep.errors))
     if not documents:
         raise EmptyCorpus("no documents loaded from any corpus")
-
-    def chunk_stream():
-        for batch in batch_iter(documents, args.batch_size):
-            for doc in batch:
-                yield from (c.to_record() for c in chunk_document(doc, config))
-
-    n_docs = _stage(args.out, STAGE_DOCUMENTS).save(
-        (d.to_record() for d in documents), schema="document"
-    )
-    n_chunks = _stage(args.out, STAGE_CHUNKS).save(chunk_stream(), schema="chunk")
+    batches = batch_iter(documents, args.batch_size)  # raises before any stage is written
+    chunks = (c.to_record() for batch in batches for doc in batch for c in chunk_document(doc, config))
+    n_docs = _save(args.out, "documents", (d.to_record() for d in documents))
+    n_chunks = _save(args.out, "chunks", chunks)
     log.info("ingested %d documents into %d chunks (%d files failed)", n_docs, n_chunks, failures)
     return 0
-
-
-def _load_chunks(out: str) -> list[Chunk]:
-    records = _load_stage(out, STAGE_CHUNKS, "chunk", "run 'keyclust ingest' first")
-    return [Chunk.from_record(r) for r in records]
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
@@ -144,46 +157,28 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
     vocab = vectorization.build_vocabulary(
         nonempty, min_df=args.min_df, max_df_ratio=args.max_df_ratio
     )
-    _stage(args.out, STAGE_VOCABULARY).save(
-        vocab.to_records(), schema="vocab-term", meta={"n_chunks": vocab.n_chunks}
-    )
+    _save(args.out, "vocabulary", vocab.to_records(), meta={"n_chunks": vocab.n_chunks})
     vectors = [vectorization.tfidf_vector(c, vocab) for c in nonempty]
     empty_vectors = sum(1 for v in vectors if v.is_empty)
     if empty_vectors:
         log.warning("%d chunks have no in-vocabulary token (zero vectors)", empty_vectors)
-    _stage(args.out, STAGE_VECTORS).save(
-        (v.to_record() for v in vectors), schema="tfidf"
-    )
+    _save(args.out, "vectors", (v.to_record() for v in vectors))
     log.info("vocabulary %d terms over %d chunks", len(vocab), vocab.n_chunks)
     return 0
 
 
-def _load_vocab(out: str) -> vectorization.Vocabulary:
-    store = _stage(out, STAGE_VOCABULARY)
-    try:
-        records, meta = store.load_with_meta("vocab-term")
-    except StageIoError as exc:
-        raise StageIoError(
-            f"missing stage {STAGE_VOCABULARY!r} ({exc}) — run 'keyclust vectorize' first"
-        ) from exc
-    return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
-
-
 def cmd_reduce(args: argparse.Namespace) -> int:
     vocab = _load_vocab(args.out)
-    records = _load_stage(args.out, STAGE_VECTORS, "tfidf", "run 'keyclust vectorize' first")
-    vectors = [vectorization.TfIdfVector.from_record(r) for r in records]
+    vectors = [vectorization.TfIdfVector.from_record(r) for r in _load(args.out, "vectors")[0]]
     matrix = vectorization.densify(vectors, len(vocab))
     cap = min(len(vocab), len(vectors) - 1)
     dim = min(args.pca_dim, cap)
     if dim < args.pca_dim:
         log.warning("pca-dim %d capped to %d by the data", args.pca_dim, dim)
     model = reduction.fit_pca(matrix, dim)
-    _stage(args.out, STAGE_PCA).save([model.to_record()], schema="pca-model")
+    _save(args.out, "pca", [model.to_record()])
     points = reduction.reduce_points([v.chunk_id for v in vectors], matrix, model)
-    _stage(args.out, STAGE_POINTS).save(
-        (p.to_record() for p in points), schema="reduced-point"
-    )
+    _save(args.out, "points", (p.to_record() for p in points))
     log.info(
         "reduced %d vectors to %d dimensions (top variance %.6f)",
         len(points), dim, float(model.explained_variance[0]),
@@ -191,28 +186,25 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_points(out: str) -> list[reduction.ReducedPoint]:
-    records = _load_stage(out, STAGE_POINTS, "reduced-point", "run 'keyclust reduce' first")
-    return [reduction.ReducedPoint.from_record(r) for r in records]
+def _query_weights(args: argparse.Namespace, points: list[reduction.ReducedPoint]) -> dict[str, float]:
+    """Weights of ``args.query`` for the chunks behind ``points``."""
+    chunks = _load_chunks(args.out)
+    vocab = _load_vocab(args.out)
+    query_words = weighting.normalize_query(args.query, _cleaning_config(args))
+    point_ids = {p.chunk_id for p in points}
+    return weighting.assign_weights(
+        [c for c in chunks if c.chunk_id in point_ids], query_words, vocab
+    )
 
 
 def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
     mode = mode or args.mode
-    chunks = _load_chunks(args.out)
-    vocab = _load_vocab(args.out)
     points = _load_points(args.out)
     config = _cluster_config(args, mode=mode)
-    query_words = weighting.normalize_query(args.query, _cleaning_config(args))
-    point_ids = {p.chunk_id for p in points}
-    weights = weighting.assign_weights(
-        [c for c in chunks if c.chunk_id in point_ids], query_words, vocab
-    )
-    _stage(args.out, STAGE_WEIGHTS).save(
-        weighting.export_records(weights), schema="weight"
-    )
-    wpoints = weighting.weighted_points(points, weights)
-    model = clustering.run(wpoints, config)
-    _stage(args.out, f"model_{mode}").save([model.to_record()], schema="cluster-model")
+    weights = _query_weights(args, points)
+    _save(args.out, "weights", weighting.export_records(weights))
+    model = clustering.run(weighting.weighted_points(points, weights), config)
+    _save(args.out, f"model_{mode}", [model.to_record()])
     coords_by_id = {p.chunk_id: p.coords for p in points}
     reports = _reports_dir(args.out)
     reporting.write_iteration_csv(reports / f"iterations_{mode}.csv", model, coords_by_id)
@@ -230,14 +222,7 @@ def cmd_elbow(args: argparse.Namespace) -> int:
     if args.mode == "modified":
         if not args.query:
             raise KeyclustError("--query is required for a modified-mode elbow scan")
-        chunks = _load_chunks(args.out)
-        vocab = _load_vocab(args.out)
-        query_words = weighting.normalize_query(args.query, _cleaning_config(args))
-        point_ids = {p.chunk_id for p in points}
-        weights = weighting.assign_weights(
-            [c for c in chunks if c.chunk_id in point_ids], query_words, vocab
-        )
-        wpoints = weighting.weighted_points(points, weights)
+        wpoints = weighting.weighted_points(points, _query_weights(args, points))
     else:
         wpoints = weighting.unit_points(points)
     config = _cluster_config(args, mode=args.mode, k=args.k_min)
@@ -252,15 +237,18 @@ def cmd_elbow(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     chunks = _load_chunks(args.out)
-    doc_records = _load_stage(args.out, STAGE_DOCUMENTS, "document", "run 'keyclust ingest' first")
-    doc_labels = {r["doc_id"]: r["corpus_label"] for r in doc_records}
+    doc_labels = {r["doc_id"]: r["corpus_label"] for r in _load(args.out, "documents")[0]}
+    point_ids = [c.chunk_id for c in chunks if c.tokens]
     models = {}
-    for mode in ("standard", "modified"):
-        records = _load_stage(
-            args.out, f"model_{mode}", "cluster-model",
-            f"run 'keyclust cluster --mode {mode}' first",
-        )
-        models[mode] = clustering.ClusterModel.from_record(records[0])
+    for mode in MODES:
+        name = f"model_{mode}"
+        model = clustering.ClusterModel.from_record(_load(args.out, name)[0][0])
+        if model.point_ids != point_ids:
+            raise StageIoError(
+                f"stale stage {name!r}: its {len(model.point_ids)} points are not the "
+                f"{len(point_ids)} current chunks with tokens — re-run '{STAGES[name][1]}'"
+            )
+        models[mode] = model
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
     rows = reporting.comparison_table(
         chunks, query_words, models["standard"], models["modified"], doc_labels
@@ -285,8 +273,8 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     cmd_ingest(args)
     cmd_vectorize(args)
     cmd_reduce(args)
-    cmd_cluster(args, mode="standard")
-    cmd_cluster(args, mode="modified")
+    for mode in MODES:
+        cmd_cluster(args, mode=mode)
     cmd_report(args)
     return 0
 

@@ -299,20 +299,14 @@ def _update_arrays(
     sums = np.bincount(flat, weights=wx.ravel(), minlength=k * dim).reshape(k, dim)
     wsum = np.bincount(labels, weights=np.concatenate([w, w[dual]]), minlength=k)
     counts = np.bincount(labels, minlength=k)
-    new = np.empty_like(previous)
-    empties: list[int] = []
-    for i in range(k):
-        if counts[i] == 0:
-            new[i] = previous[i]
-            empties.append(i)
-            continue
-        num = sums[i] + damping_weight * previous[i]
-        if raw_denominator:
-            den = float(counts[i]) + (1.0 if damping_weight > 0.0 else 0.0)
-        else:
-            den = wsum[i] + damping_weight
-        new[i] = num / den
-    return new, empties
+    if raw_denominator:
+        den = counts + (1.0 if damping_weight > 0.0 else 0.0)
+    else:
+        den = wsum + damping_weight
+    full = counts > 0
+    new = previous.copy()
+    new[full] = (sums[full] + damping_weight * previous[full]) / den[full, None]
+    return new, np.flatnonzero(~full).tolist()
 
 
 def _repair_empty(centroids: np.ndarray, empties: Sequence[int], X: np.ndarray) -> None:

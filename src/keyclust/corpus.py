@@ -117,12 +117,12 @@ def _parse_article(fp: Path, label: str) -> Document:
 
 
 def batch_iter(items: Sequence[T], batch_size: int) -> Iterator[list[T]]:
-    """Yield consecutive batches; every batch except possibly the last has
-    exactly ``batch_size`` items, and their concatenation is the input."""
+    """Consecutive batches; every batch except possibly the last has exactly
+    ``batch_size`` items, and their concatenation is the input. The size is
+    checked at the call, before the first batch is taken."""
     if batch_size < 1:
         raise InvalidBatchSize(f"batch_size must be >= 1, got {batch_size}")
-    for start in range(0, len(items), batch_size):
-        yield list(items[start : start + batch_size])
+    return (list(items[s : s + batch_size]) for s in range(0, len(items), batch_size))
 
 
 @dataclass
@@ -171,9 +171,12 @@ class StageStore:
                     fh.write(_dumps(rec) + "\n")
                     count += 1
             os.replace(tmp, path)
-        except OSError as exc:
+        except BaseException as exc:
+            # a failing record iterator leaves no debris and the old file intact
             tmp.unlink(missing_ok=True)
-            raise StageIoError(f"cannot write stage {self.stage_name!r}: {exc}") from exc
+            if isinstance(exc, OSError):
+                raise StageIoError(f"cannot write stage {self.stage_name!r}: {exc}") from exc
+            raise
         self.record_count = count
         return count
 
@@ -207,9 +210,20 @@ class StageStore:
                         f"stage {self.stage_name!r} has format version "
                         f"{header.get('version')!r}, expected {STAGE_FORMAT_VERSION}"
                     )
-                records = [json.loads(line) for line in fh if line.strip()]
+                records = []
+                for lineno, line in enumerate(fh, start=2):
+                    if not line.strip():
+                        continue
+                    try:
+                        records.append(json.loads(line))
+                    except json.JSONDecodeError as exc:
+                        raise SchemaMismatch(
+                            f"stage {self.stage_name!r} line {lineno} is not valid JSON: {exc}"
+                        ) from exc
         except OSError as exc:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatch(f"stage {self.stage_name!r} is not valid UTF-8: {exc}") from exc
         self.record_count = len(records)
         meta = {k: v for k, v in header.items() if k not in ("stage", "schema", "version")}
         return records, meta

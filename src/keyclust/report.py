@@ -67,7 +67,7 @@ def cluster_reports(
     out = []
     for ci in range(model.config.k):
         ids = model.member_ids(ci)
-        members = [chunks_by_id[i] for i in ids if i in chunks_by_id]
+        members = [chunks_by_id[i] for i in ids]
         out.append(
             ClusterReport(
                 cluster_index=ci,

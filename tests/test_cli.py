@@ -234,6 +234,93 @@ class TestFailureModes:
         assert "error: stale stage 'points'" in err
         assert "'keyclust reduce'" in err
 
+    @pytest.mark.parametrize(
+        "done, command, stage, writer",
+        [
+            (0, ["vectorize"], "chunks", "keyclust ingest"),
+            (1, ["reduce"], "vocabulary", "keyclust vectorize"),
+            (2, ["cluster", "--query", "vaccine", "--k", "3"], "points", "keyclust reduce"),
+            (2, ["elbow", "--k-max", "3"], "points", "keyclust reduce"),
+            (3, ["report", "--query", "vaccine"], "model_standard",
+             "keyclust cluster --mode standard"),
+            (4, ["report", "--query", "vaccine"], "model_modified",
+             "keyclust cluster --mode modified"),
+        ],
+        ids=["vectorize", "reduce", "cluster", "elbow", "report-standard", "report-modified"],
+    )
+    def test_missing_stage_message(
+        self, corpus_dir, tmp_path, capsys, done, command, stage, writer
+    ):
+        out = tmp_path / "out"
+        steps = [
+            ["ingest", "--corpus", f"{corpus_dir}:demo"],
+            ["vectorize"],
+            ["reduce", "--pca-dim", "8"],
+            ["cluster", "--query", "vaccine", "--k", "3", "--mode", "standard"],
+        ]
+        for step in steps[:done]:
+            assert main([*step, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*command, "--out", str(out)]) == 1
+        path = out / "stages" / f"{stage}.jsonl"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: missing stage {stage!r} (stage not found: {path}) — run '{writer}' first"
+        )
+
+    @pytest.mark.parametrize("first, second", [(8, 4), (4, 8)], ids=["shrunk", "grown"])
+    def test_stale_model_stage_exits_1(self, tmp_path, capsys, first, second):
+        out = ["--out", str(tmp_path / "out")]
+        for n in (first, second):
+            write_corpus_dir(tmp_path / f"c{n}", n_articles=n, seed=0, n_sentences=20)
+        assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{first}'}:synthetic"]) == 0
+        assert main(["vectorize", *out]) == 0
+        assert main(["reduce", *out, "--pca-dim", "10"]) == 0
+        for mode in ("standard", "modified"):
+            assert main(["cluster", *out, "--query", "vaccine", "--k", "3", "--mode", mode]) == 0
+        assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{second}'}:synthetic"]) == 0
+        capsys.readouterr()
+        assert main(["report", *out, "--query", "vaccine"]) == 1
+        err = capsys.readouterr().err
+        assert "error: stale stage 'model_standard'" in err
+        assert "re-run 'keyclust cluster --mode standard'" in err
+        assert not (tmp_path / "out" / "reports" / "comparison.csv").exists()
+
+    def test_zero_batch_size_leaves_stages_unchanged(self, corpus_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        write_corpus_dir(other, n_articles=3, seed=1, n_sentences=10)
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["ingest", *out, "--corpus", f"{corpus_dir}:demo"]) == 0
+        before = tree_digest(tmp_path / "out" / "stages")
+        capsys.readouterr()
+        assert main(["ingest", *out, "--corpus", f"{other}:demo", "--batch-size", "0"]) == 1
+        assert "error: batch_size must be >= 1, got 0" in capsys.readouterr().err
+        assert tree_digest(tmp_path / "out" / "stages") == before
+
+    def test_truncated_record_line_exits_1(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        chunks = out / "stages" / "chunks.jsonl"
+        n_lines = len(chunks.read_text(encoding="utf-8").splitlines())
+        with chunks.open("a", encoding="utf-8") as fh:
+            fh.write('{"chunk_id": "x", "doc')
+        capsys.readouterr()
+        assert main(["vectorize", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: stage 'chunks' line {n_lines + 1} is not valid JSON" in err
+
+    def test_vocabulary_header_without_n_chunks_exits_1(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert main(["vectorize", "--out", str(out)]) == 0
+        vocab = out / "stages" / "vocabulary.jsonl"
+        head, rest = vocab.read_text(encoding="utf-8").split("\n", 1)
+        header = json.loads(head)
+        del header["n_chunks"]
+        vocab.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["reduce", "--out", str(out)]) == 1
+        assert "error: stage 'vocabulary' header has no 'n_chunks'" in capsys.readouterr().err
+
     def test_parse_failures_logged_but_not_fatal(self, tmp_path, caplog):
         corpus = tmp_path / "corpus"
         write_corpus_dir(corpus, n_articles=3, seed=0, n_sentences=12)

@@ -93,6 +93,10 @@ class TestBatchIter:
         with pytest.raises(InvalidBatchSize):
             list(batch_iter([1], 0))
 
+    def test_zero_batch_size_raises_at_call(self):
+        with pytest.raises(InvalidBatchSize):
+            batch_iter([1], 0)
+
     @given(st.lists(st.integers(), max_size=200), st.integers(min_value=1, max_value=60))
     def test_flatten_is_identity(self, docs, batch_size):
         batches = list(batch_iter(docs, batch_size))
@@ -141,6 +145,36 @@ class TestStageStore:
         s1.save(recs, schema="r")
         s2.save(recs, schema="r")
         assert s1.path.read_bytes() == s2.path.read_bytes()
+
+    def test_failed_save_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        store = StageStore(root_path=tmp_path, stage_name="s")
+        store.save([{"a": 1}], schema="r")
+        before = store.path.read_bytes()
+
+        def records():
+            yield {"a": 2}
+            raise ValueError("bad record")
+
+        with pytest.raises(ValueError, match="bad record"):
+            store.save(records(), schema="r")
+        assert store.path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+
+    def test_undecodable_record_line(self, tmp_path):
+        store = StageStore(root_path=tmp_path, stage_name="s")
+        store.save([{"a": 1}, {"a": 2}], schema="r")
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"a": 3, "b')
+        with pytest.raises(SchemaMismatch, match="stage 's' line 4 is not valid JSON"):
+            store.load("r")
+
+    def test_undecodable_bytes(self, tmp_path):
+        store = StageStore(root_path=tmp_path, stage_name="s")
+        store.save([{"a": 1}], schema="r")
+        with store.path.open("ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(SchemaMismatch, match="stage 's' is not valid UTF-8"):
+            store.load("r")
 
     def test_meta_round_trip(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="vocab")
