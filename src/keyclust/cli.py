@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import cluster as clustering
 from . import pca as reduction
@@ -38,7 +38,10 @@ STOPLIST_ENV = "KEYCLUST_STOPLIST"
 
 MODES = ("standard", "modified")
 
-# every stage file: name -> (record schema, the command that writes it)
+T = TypeVar("T")
+
+# every stage file: name -> (record schema, the command that writes it);
+# cluster-model-2 records keep no per-iteration distances
 STAGES = {
     "documents": ("document", "keyclust ingest"),
     "chunks": ("chunk", "keyclust ingest"),
@@ -47,7 +50,7 @@ STAGES = {
     "pca": ("pca-model", "keyclust reduce"),
     "points": ("reduced-point", "keyclust reduce"),
     "weights": ("weight", "keyclust cluster"),
-    **{f"model_{m}": ("cluster-model", f"keyclust cluster --mode {m}") for m in MODES},
+    **{f"model_{m}": ("cluster-model-2", f"keyclust cluster --mode {m}") for m in MODES},
 }
 
 
@@ -57,27 +60,42 @@ def _save(
     return StageStore(Path(out) / "stages", name).save(records, STAGES[name][0], meta)
 
 
-def _load(out: str, name: str) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+def _load(
+    out: str, name: str, decode: Callable[[list[dict[str, Any]], dict[str, Any]], T]
+) -> T:
+    """Stage ``name`` as ``decode(records, header fields)``. A record that
+    ``decode`` cannot index or convert is a SchemaMismatch naming the stage."""
     schema, writer = STAGES[name]
     try:
-        return StageStore(Path(out) / "stages", name).load_with_meta(schema)
+        records, meta = StageStore(Path(out) / "stages", name).load_with_meta(schema)
     except StageIoError as exc:
         raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
+    try:
+        return decode(records, meta)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(
+            f"stage {name!r} holds a record of the wrong shape ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _load_chunks(out: str) -> list[Chunk]:
-    return [Chunk.from_record(r) for r in _load(out, "chunks")[0]]
+    return _load(out, "chunks", lambda records, _: [Chunk.from_record(r) for r in records])
 
 
 def _load_points(out: str) -> list[reduction.ReducedPoint]:
-    return [reduction.ReducedPoint.from_record(r) for r in _load(out, "points")[0]]
+    return _load(
+        out, "points", lambda records, _: [reduction.ReducedPoint.from_record(r) for r in records]
+    )
 
 
-def _load_vocab(out: str) -> vectorization.Vocabulary:
-    records, meta = _load(out, "vocabulary")
+def _decode_vocab(records: list[dict[str, Any]], meta: dict[str, Any]) -> vectorization.Vocabulary:
     if "n_chunks" not in meta:
         raise SchemaMismatch("stage 'vocabulary' header has no 'n_chunks'")
     return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
+
+
+def _load_vocab(out: str) -> vectorization.Vocabulary:
+    return _load(out, "vocabulary", _decode_vocab)
 
 
 def _reports_dir(out: str) -> Path:
@@ -169,7 +187,10 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     vocab = _load_vocab(args.out)
-    vectors = [vectorization.TfIdfVector.from_record(r) for r in _load(args.out, "vectors")[0]]
+    vectors = _load(
+        args.out, "vectors",
+        lambda records, _: [vectorization.TfIdfVector.from_record(r) for r in records],
+    )
     matrix = vectorization.densify(vectors, len(vocab))
     cap = min(len(vocab), len(vectors) - 1)
     dim = min(args.pca_dim, cap)
@@ -237,12 +258,16 @@ def cmd_elbow(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     chunks = _load_chunks(args.out)
-    doc_labels = {r["doc_id"]: r["corpus_label"] for r in _load(args.out, "documents")[0]}
+    doc_labels = _load(
+        args.out, "documents", lambda records, _: {r["doc_id"]: r["corpus_label"] for r in records}
+    )
     point_ids = [c.chunk_id for c in chunks if c.tokens]
     models = {}
     for mode in MODES:
         name = f"model_{mode}"
-        model = clustering.ClusterModel.from_record(_load(args.out, name)[0][0])
+        model = _load(
+            args.out, name, lambda records, _: clustering.ClusterModel.from_record(records[0])
+        )
         if model.point_ids != point_ids:
             raise StageIoError(
                 f"stale stage {name!r}: its {len(model.point_ids)} points are not the "

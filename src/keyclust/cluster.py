@@ -119,13 +119,15 @@ class _AssignmentPass:
     """One assignment pass over ``point_ids``, stored as parallel arrays:
     ``primary`` and ``secondary`` cluster indices (-1 for no secondary),
     ``d1`` and ``d2`` the distances to the nearest and second-nearest
-    centroids (``d2`` is infinite when k == 1)."""
+    centroids (``d2`` is infinite when k == 1). A history snapshot decoded
+    from a model record carries no distances: its ``d1`` and ``d2`` are
+    None."""
 
     point_ids: list[str]
     primary: np.ndarray
     secondary: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    d1: Optional[np.ndarray]
+    d2: Optional[np.ndarray]
 
     @property
     def assignments(self) -> list[Assignment]:
@@ -138,24 +140,28 @@ class _AssignmentPass:
             )
         ]
 
+    def _labels_record(self) -> dict[str, list]:
+        return {"primary": self.primary.tolist(), "secondary": self.secondary.tolist()}
+
     def _arrays_record(self) -> dict[str, list]:
         return {
-            "primary": self.primary.tolist(),
-            "secondary": self.secondary.tolist(),
+            **self._labels_record(),
             "d1": self.d1.tolist(),
             "d2": [None if math.isinf(d) else d for d in self.d2.tolist()],
         }
 
 
-def _arrays_from_record(rec: Mapping[str, Any]) -> dict[str, np.ndarray]:
-    d2 = np.asarray(rec["d2"], dtype=np.float64)  # a JSON null becomes NaN
-    d2[np.isnan(d2)] = np.inf
+def _labels_from_record(rec: Mapping[str, Any]) -> dict[str, np.ndarray]:
     return {
         "primary": np.asarray(rec["primary"], dtype=np.int64),
         "secondary": np.asarray(rec["secondary"], dtype=np.int64),
-        "d1": np.asarray(rec["d1"], dtype=np.float64),
-        "d2": d2,
     }
+
+
+def _arrays_from_record(rec: Mapping[str, Any]) -> dict[str, np.ndarray]:
+    d2 = np.asarray(rec["d2"], dtype=np.float64)  # a JSON null becomes NaN
+    d2[np.isnan(d2)] = np.inf
+    return {**_labels_from_record(rec), "d1": np.asarray(rec["d1"], dtype=np.float64), "d2": d2}
 
 
 @dataclass(eq=False)
@@ -173,7 +179,12 @@ class IterationSnapshot(_AssignmentPass):
 @dataclass(eq=False)
 class ClusterModel(_AssignmentPass):
     """A fitted model: final centroids, the final assignment pass against
-    them, and the per-iteration history. Every pass shares ``point_ids``."""
+    them, and the per-iteration history. Every pass shares ``point_ids``.
+
+    The record keeps all four arrays of the final pass, but only the
+    centroids and labels of each history snapshot: per-iteration distances
+    are most of a model's size and nothing that reads a model record uses
+    them."""
 
     config: ClusterConfig
     centroids: np.ndarray
@@ -197,7 +208,7 @@ class ClusterModel(_AssignmentPass):
             "distortion": self.distortion,
             "final": self._arrays_record(),
             "history": [
-                {"centroids": snap.centroids.tolist(), **snap._arrays_record()}
+                {"centroids": snap.centroids.tolist(), **snap._labels_record()}
                 for snap in self.history
             ],
         }
@@ -215,7 +226,9 @@ class ClusterModel(_AssignmentPass):
                 IterationSnapshot(
                     centroids=np.asarray(h["centroids"], dtype=np.float64),
                     point_ids=ids,
-                    **_arrays_from_record(h),
+                    **_labels_from_record(h),
+                    d1=None,
+                    d2=None,
                 )
                 for h in rec["history"]
             ],
@@ -245,9 +258,17 @@ def _distinct_row_indices(X: np.ndarray) -> list[int]:
 
 
 def _distances_sq(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances (n, k)."""
-    diff = X[:, None, :] - centroids[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """Squared Euclidean distances (n, k), one centroid at a time through
+    one reused (n, d) buffer. Each row sum reduces the same d contiguous
+    squares as an (n, k, d) broadcast would, so the result is bitwise the
+    same without the two (n, k, d) temporaries."""
+    out = np.empty((X.shape[0], centroids.shape[0]), dtype=np.float64)
+    buf = np.empty_like(X, dtype=np.float64)
+    for j, c in enumerate(centroids):
+        np.subtract(X, c, out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.sum(buf, axis=1, out=out[:, j])
+    return out
 
 
 def _assign_arrays(

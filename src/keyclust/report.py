@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import colorsys
 import csv
+import io
 import logging
 import re
 from collections import Counter
@@ -207,18 +208,39 @@ def write_iteration_csv(
     path: str | Path, model: ClusterModel, coords_by_id: Mapping[str, np.ndarray]
 ) -> None:
     """Scatter data per iteration: the assignments recorded in history,
-    projected onto the first two reduced dimensions."""
-    points = [(cid, *map(repr, _coords_2d(coords_by_id[cid]))) for cid in model.point_ids]
+    projected onto the first two reduced dimensions.
+
+    Each point's ``chunk_id,x,y`` fields are formatted once, by the same
+    ``csv`` writer, and reused on every iteration's row for that point."""
+    buf = io.StringIO()
+    fields = csv.writer(buf, lineterminator="\n")  # the file's dialect, so quoting matches
+    prefixes = []
+    for cid in model.point_ids:
+        fields.writerow([cid, *map(repr, _coords_2d(coords_by_id[cid]))])
+        prefixes.append(buf.getvalue()[:-1])
+        buf.seek(0)
+        buf.truncate()
+    # index -1 (no secondary) selects the empty last label
+    labels = [str(i) for i in range(model.config.k)] + [""]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "chunk_id", "x", "y", "primary", "secondary"])
+        fh.write("iteration,chunk_id,x,y,primary,secondary\n")
         for it, snap in enumerate(model.history, start=1):
-            writer.writerows(
-                [it, cid, x, y, p, "" if s < 0 else s]
-                for (cid, x, y), p, s in zip(
-                    points, snap.primary.tolist(), snap.secondary.tolist()
-                )
-            )
+            fh.write("".join([
+                f"{it},{pre},{labels[p]},{labels[s]}\n"
+                for pre, p, s in zip(prefixes, snap.primary.tolist(), snap.secondary.tolist())
+            ]))
+
+
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 20.0
+
+
+def _svg_x(x, lo: float, span: float):
+    """Plot x coordinate of a float or an array of floats."""
+    return SVG_MARGIN + (x - lo) / span * (SVG_WIDTH - 2 * SVG_MARGIN)
+
+
+def _svg_y(y, lo: float, span: float):
+    return SVG_HEIGHT - SVG_MARGIN - (y - lo) / span * (SVG_HEIGHT - 2 * SVG_MARGIN)
 
 
 def _palette(k: int) -> list[str]:
@@ -227,44 +249,6 @@ def _palette(k: int) -> list[str]:
         r, g, b = colorsys.hsv_to_rgb((i * 0.6180339887498949) % 1.0, 0.65, 0.85)
         colors.append(f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}")
     return colors
-
-
-def _svg_scatter(
-    points: Sequence[tuple[float, float, str]],
-    centroids: Sequence[tuple[float, float]],
-    title: str,
-    width: int = 640,
-    height: int = 480,
-) -> str:
-    xs = [p[0] for p in points] + [c[0] for c in centroids]
-    ys = [p[1] for p in points] + [c[1] for c in centroids]
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    margin = 20.0
-
-    def px(x: float) -> str:
-        return f"{margin + (x - x_lo) / x_span * (width - 2 * margin):.2f}"
-
-    def py(y: float) -> str:
-        return f"{height - margin - (y - y_lo) / y_span * (height - 2 * margin):.2f}"
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{margin:.2f}" y="14" font-family="sans-serif" font-size="12">{title}</text>',
-    ]
-    for x, y, color in points:
-        parts.append(f'<circle cx="{px(x)}" cy="{py(y)}" r="3" fill="{color}"/>')
-    for cx, cy in centroids:
-        parts.append(
-            f'<circle cx="{px(cx)}" cy="{py(cy)}" r="6" fill="none" '
-            f'stroke="black" stroke-width="1.5"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def write_iteration_svgs(
@@ -276,24 +260,58 @@ def write_iteration_svgs(
     """One scatter SVG per iteration; dual-assigned points are drawn as a
     distinct black series over the per-cluster colors. Files of this prefix
     numbered past the last iteration, left by an earlier longer run, are
-    removed."""
+    removed.
+
+    The plot spans the points and that iteration's centroids. The points
+    never move, so their markup is formatted again only when a centroid
+    outside their hull changes the bounds (possible under
+    ``raw_denominator``); each iteration then joins in the colors and the
+    centroids."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     colors = _palette(model.config.k)
-    xy = [_coords_2d(coords_by_id[cid]) for cid in model.point_ids]
+    xy = np.array([_coords_2d(coords_by_id[cid]) for cid in model.point_ids], dtype=np.float64)
+    xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
+    hull = (min(xs), max(xs), min(ys), max(ys))
+    bounds = None
+    opened: list[str] = []  # each point's circle up to its fill color
     paths = []
     for it, snap in enumerate(model.history, start=1):
-        pts: list[tuple[float, float, str]] = []
-        dual_pts: list[tuple[float, float, str]] = []
-        for (x, y), p, s in zip(xy, snap.primary.tolist(), snap.secondary.tolist()):
-            if s >= 0:
-                dual_pts.append((x, y, "black"))
-            else:
-                pts.append((x, y, colors[p]))
         cents = [_coords_2d(c) for c in snap.centroids]
-        svg = _svg_scatter(pts + dual_pts, cents, f"iteration {it}")
+        cx, cy = [c[0] for c in cents], [c[1] for c in cents]
+        x_lo, x_hi = min(hull[0], min(cx)), max(hull[1], max(cx))
+        y_lo, y_hi = min(hull[2], min(cy)), max(hull[3], max(cy))
+        x_span = (x_hi - x_lo) or 1.0
+        y_span = (y_hi - y_lo) or 1.0
+        if (x_lo, x_span, y_lo, y_span) != bounds:
+            bounds = (x_lo, x_span, y_lo, y_span)
+            opened = [
+                f'<circle cx="{a:.2f}" cy="{b:.2f}" r="3" fill="'
+                for a, b in zip(
+                    _svg_x(xy[:, 0], x_lo, x_span).tolist(), _svg_y(xy[:, 1], y_lo, y_span).tolist()
+                )
+            ]
+        sec = snap.secondary.tolist()
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+            f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+            f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
+            f'<text x="{SVG_MARGIN:.2f}" y="14" font-family="sans-serif" font-size="12">'
+            f"iteration {it}</text>",
+        ]
+        parts += [
+            f'{head}{colors[p]}"/>'
+            for head, p, s in zip(opened, snap.primary.tolist(), sec) if s < 0
+        ]
+        parts += [f'{head}black"/>' for head, s in zip(opened, sec) if s >= 0]
+        parts += [
+            f'<circle cx="{_svg_x(a, x_lo, x_span):.2f}" cy="{_svg_y(b, y_lo, y_span):.2f}" '
+            f'r="6" fill="none" stroke="black" stroke-width="1.5"/>'
+            for a, b in cents
+        ]
+        parts.append("</svg>")
         path = out / f"{prefix}_{it:03d}.svg"
-        path.write_text(svg, encoding="utf-8")
+        path.write_text("\n".join(parts) + "\n", encoding="utf-8")
         paths.append(path)
     numbered = re.compile(re.escape(prefix) + r"_(\d{3,})\.svg")
     for stale in out.iterdir():

@@ -6,9 +6,12 @@ loops, dense eigendecomposition) and shares no code with the package.
 
 from __future__ import annotations
 
+import colorsys
+import csv
 import math
 import re
 from collections import Counter
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -108,6 +111,13 @@ def eigh_pca_oracle(X: np.ndarray, d: int):
     return mean, evecs[:, order].T.copy(), evals[order].copy()
 
 
+def distances_sq_oracle(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (n, k) as first written: one (n, k, d)
+    broadcast of the differences, squared and summed over the last axis."""
+    diff = X[:, None, :] - centroids[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
 def add_at_update_oracle(X, w, prim, sec, previous, damping_weight, raw_denominator=False):
     """Weighted, damped centroid update as first written: six unbuffered
     ``np.add.at`` accumulations (primaries, then the secondaries of
@@ -205,3 +215,91 @@ def segment_sentences_oracle(
     if tail:
         sentences.append(tail)
     return sentences
+
+
+# ---------------------------------------------------------------------------
+# iteration scatter writers as first written: every row through the csv
+# writer, every SVG formatted from scratch
+
+
+def _coords_2d(coords: np.ndarray) -> tuple[float, float]:
+    x = float(coords[0])
+    y = float(coords[1]) if coords.shape[0] > 1 else 0.0
+    return x, y
+
+
+def write_iteration_csv_oracle(path, model, coords_by_id) -> None:
+    points = [(cid, *map(repr, _coords_2d(coords_by_id[cid]))) for cid in model.point_ids]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iteration", "chunk_id", "x", "y", "primary", "secondary"])
+        for it, snap in enumerate(model.history, start=1):
+            writer.writerows(
+                [it, cid, x, y, p, "" if s < 0 else s]
+                for (cid, x, y), p, s in zip(
+                    points, snap.primary.tolist(), snap.secondary.tolist()
+                )
+            )
+
+
+def _palette(k: int) -> list[str]:
+    colors = []
+    for i in range(k):
+        r, g, b = colorsys.hsv_to_rgb((i * 0.6180339887498949) % 1.0, 0.65, 0.85)
+        colors.append(f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}")
+    return colors
+
+
+def _svg_scatter(points, centroids, title: str, width: int = 640, height: int = 480) -> str:
+    xs = [p[0] for p in points] + [c[0] for c in centroids]
+    ys = [p[1] for p in points] + [c[1] for c in centroids]
+    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
+    y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
+    margin = 20.0
+
+    def px(x: float) -> str:
+        return f"{margin + (x - x_lo) / x_span * (width - 2 * margin):.2f}"
+
+    def py(y: float) -> str:
+        return f"{height - margin - (y - y_lo) / y_span * (height - 2 * margin):.2f}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{margin:.2f}" y="14" font-family="sans-serif" font-size="12">{title}</text>',
+    ]
+    for x, y, color in points:
+        parts.append(f'<circle cx="{px(x)}" cy="{py(y)}" r="3" fill="{color}"/>')
+    for cx, cy in centroids:
+        parts.append(
+            f'<circle cx="{px(cx)}" cy="{py(cy)}" r="6" fill="none" '
+            f'stroke="black" stroke-width="1.5"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def write_iteration_svgs_oracle(out_dir, model, coords_by_id, prefix: str = "iteration"):
+    """One SVG per iteration: colored points, then the dual-assigned ones
+    in black, then the centroids, scaled to span points and centroids."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    colors = _palette(model.config.k)
+    xy = [_coords_2d(coords_by_id[cid]) for cid in model.point_ids]
+    paths = []
+    for it, snap in enumerate(model.history, start=1):
+        pts = []
+        dual_pts = []
+        for (x, y), p, s in zip(xy, snap.primary.tolist(), snap.secondary.tolist()):
+            if s >= 0:
+                dual_pts.append((x, y, "black"))
+            else:
+                pts.append((x, y, colors[p]))
+        cents = [_coords_2d(c) for c in snap.centroids]
+        path = out / f"{prefix}_{it:03d}.svg"
+        path.write_text(_svg_scatter(pts + dual_pts, cents, f"iteration {it}"), encoding="utf-8")
+        paths.append(path)
+    return paths

@@ -321,6 +321,49 @@ class TestFailureModes:
         assert main(["reduce", "--out", str(out)]) == 1
         assert "error: stage 'vocabulary' header has no 'n_chunks'" in capsys.readouterr().err
 
+    @staticmethod
+    def only_error_line(capsys) -> str:
+        lines = capsys.readouterr().err.splitlines()
+        errors = [line for line in lines if line.startswith("error:")]
+        assert len(errors) == 1 and not any("Traceback" in line for line in lines), lines
+        return errors[0]
+
+    def test_header_only_model_stage_exits_1(self, corpus_dir, tmp_path, capsys):
+        out = run_pipeline(corpus_dir, tmp_path / "out")
+        model = out / "stages" / "model_standard.jsonl"
+        model.write_text(model.read_text(encoding="utf-8").split("\n", 1)[0] + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--query", "vaccine"]) == 1
+        line = self.only_error_line(capsys)
+        assert line.startswith("error: stage 'model_standard' holds a record of the wrong shape")
+
+    def test_chunk_record_without_tokens_exits_1(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        chunks = out / "stages" / "chunks.jsonl"
+        head, first, rest = chunks.read_text(encoding="utf-8").split("\n", 2)
+        record = json.loads(first)
+        del record["tokens"]
+        chunks.write_text("\n".join([head, json.dumps(record), rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["vectorize", "--out", str(out)]) == 1
+        line = self.only_error_line(capsys)
+        assert line.startswith("error: stage 'chunks' holds a record of the wrong shape")
+        assert "'tokens'" in line
+
+    def test_old_model_schema_exits_1(self, corpus_dir, tmp_path, capsys):
+        out = run_pipeline(corpus_dir, tmp_path / "out")
+        model = out / "stages" / "model_modified.jsonl"
+        head, rest = model.read_text(encoding="utf-8").split("\n", 1)
+        header = json.loads(head)
+        header["schema"] = "cluster-model"  # the record with per-iteration distances
+        model.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--query", "vaccine"]) == 1
+        assert self.only_error_line(capsys) == (
+            "error: stage 'model_modified' holds schema 'cluster-model', expected 'cluster-model-2'"
+        )
+
     def test_parse_failures_logged_but_not_fatal(self, tmp_path, caplog):
         corpus = tmp_path / "corpus"
         write_corpus_dir(corpus, n_articles=3, seed=0, n_sentences=12)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyclust.cluster import Assignment, ClusterConfig, ClusterModel
+from keyclust.cluster import Assignment, ClusterConfig, ClusterModel, IterationSnapshot, run
 from keyclust.errors import InvalidClusterIndex
 from keyclust.report import (
     ComparisonRow,
@@ -23,9 +23,10 @@ from keyclust.report import (
     write_iteration_svgs,
     write_top_terms_csv,
 )
+from keyclust.weighting import WeightedPoint
 
 from conftest import toy_chunk
-from oracles import term_count_oracle
+from oracles import term_count_oracle, write_iteration_csv_oracle, write_iteration_svgs_oracle
 
 
 def pass_arrays(assignments):
@@ -300,3 +301,118 @@ class TestWriters:
         assert (a / "i.csv").read_bytes() == (b / "i.csv").read_bytes()
         assert (a / "iteration_001.svg").read_bytes() == (b / "iteration_001.svg").read_bytes()
         assert (a / "c.csv").read_bytes() == (b / "c.csv").read_bytes()
+
+
+def snapshot_model(ids, k, snaps):
+    """A model whose history is ``snaps``, (centroids, primary, secondary)
+    triples, decoded-style: the snapshots carry no distances."""
+    history = [
+        IterationSnapshot(
+            point_ids=list(ids),
+            primary=np.asarray(p, dtype=np.int64),
+            secondary=np.asarray(s, dtype=np.int64),
+            d1=None,
+            d2=None,
+            centroids=np.asarray(c, dtype=np.float64),
+        )
+        for c, p, s in snaps
+    ]
+    last = history[-1]
+    n = len(ids)
+    return ClusterModel(
+        point_ids=list(ids), primary=last.primary, secondary=last.secondary,
+        d1=np.zeros(n), d2=np.zeros(n), config=ClusterConfig(k=k), centroids=last.centroids,
+        iterations=len(history), history=history, distortion=0.0, converged=False,
+    )
+
+
+def _awkward_ids_case():
+    rng = np.random.default_rng(5)
+    ids = ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", ',"\n', "plain", ""]
+    coords = {cid: rng.standard_normal(3) for cid in ids}
+    snaps = [
+        (rng.standard_normal((3, 3)) * 0.1, rng.integers(0, 3, 7), [-1, 2, -1, 0, 1, -1, -1])
+        for _ in range(3)
+    ]
+    return snapshot_model(ids, 3, snaps), coords
+
+
+def _run_case(cfg, n=30, offset=0.0, weight=1.0, seed=9):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 2)) + offset
+    points = [WeightedPoint(f"p{i:02d}", X[i], weight) for i in range(n)]
+    return run(points, cfg), {p.chunk_id: p.coords for p in points}
+
+
+def _all_dual_case():
+    rng = np.random.default_rng(6)
+    ids = [f"d{i}" for i in range(12)]
+    coords = {cid: rng.standard_normal(2) for cid in ids}
+    prim = rng.integers(0, 4, 12)
+    snaps = [(rng.standard_normal((4, 2)), prim, (prim + 1) % 4) for _ in range(2)]
+    return snapshot_model(ids, 4, snaps), coords
+
+
+def _single_point_case():
+    # one 1-d point sitting on the only centroid: zero span on both axes
+    return snapshot_model(["only"], 1, [([[0.75]], [0], [-1])] * 2), {"only": np.array([0.75])}
+
+
+def _hull_exits_case():
+    # a centroid inside the points' hull, then outside on each side, then inside again
+    ids = ["a", "b", "c"]
+    coords = {"a": np.array([0.0, 0.0]), "b": np.array([1.0, 2.0]), "c": np.array([2.0, 1.0])}
+    inside = [[0.5, 0.5], [1.5, 1.5]]
+    labels = ([0, 1, 1], [-1, -1, 0])
+    snaps = [
+        (inside, *labels),
+        ([[-3.0, 0.5], [1.5, 1.5]], *labels),
+        ([[0.5, 0.5], [1.5, 7.25]], *labels),
+        (inside, *labels),
+        (inside, *labels),
+    ]
+    return snapshot_model(ids, 2, snaps), coords
+
+
+ITERATION_CASES = {
+    "awkward-chunk-ids": _awkward_ids_case,
+    "k-equals-1": lambda: _run_case(ClusterConfig(k=1, seed=2)),
+    "all-dual": _all_dual_case,
+    "single-point": _single_point_case,
+    "hull-exits": _hull_exits_case,
+    # weights 0.5 and a member-count denominator pull centroids toward the
+    # origin, outside these points' hull, by a different amount each iteration
+    "raw-denominator-run": lambda: _run_case(
+        ClusterConfig(k=3, seed=4, raw_denominator=True, max_iter=8), offset=10.0, weight=0.5
+    ),
+    "dual-assigning-run": lambda: _run_case(ClusterConfig(k=4, threshold=0.4, seed=1), n=60),
+}
+
+
+class TestIterationWritersMatchOracle:
+    @pytest.mark.parametrize("case", sorted(ITERATION_CASES))
+    def test_same_bytes_as_oracle(self, case, tmp_path):
+        model, coords = ITERATION_CASES[case]()
+        new, old = tmp_path / "new", tmp_path / "old"
+        write_iteration_csv(tmp_path / "new.csv", model, coords)
+        write_iteration_csv_oracle(tmp_path / "old.csv", model, coords)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        paths = write_iteration_svgs(new, model, coords)
+        want = write_iteration_svgs_oracle(old, model, coords)
+        assert [p.name for p in paths] == [p.name for p in want]
+        for got, ref in zip(paths, want):
+            assert got.read_bytes() == ref.read_bytes(), got.name
+
+    def test_cases_cover_moving_bounds(self):
+        """The raw-denominator run leaves the points' hull, so its plot
+        bounds move between iterations."""
+        model, coords = ITERATION_CASES["raw-denominator-run"]()
+        xy = np.array([coords[cid] for cid in model.point_ids])
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
+        outside = [bool(((s.centroids < lo) | (s.centroids > hi)).any()) for s in model.history]
+        assert any(outside)
+        bounds = {
+            (*np.minimum(lo, s.centroids.min(axis=0)), *np.maximum(hi, s.centroids.max(axis=0)))
+            for s in model.history
+        }
+        assert len(bounds) > 1
