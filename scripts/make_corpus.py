@@ -1,78 +1,20 @@
 #!/usr/bin/env python3
-"""Generate a synthetic scholarly-article corpus in the pipeline's input format.
+"""Write the seeded synthetic article corpus in the pipeline's input format.
 
 Each article is a JSON file with ``paper_id``, ``title``, and ``body_text``
-(a list of paragraph strings). Articles cycle through four topics whose
-vocabulary leans on a primary keyword (vaccine, transmission, genome,
-symptom), so queries for those words have real cluster structure to find.
+(a list of paragraph strings). The generator is the benchmark's
+(``perfbench/corpus_gen.py``), which writes the same files as the test
+suite's ``write_corpus_dir``: with the defaults this is the reference
+corpus of the acceptance tests and the benchmark.
 """
 
 import argparse
-import json
-import random
+import sys
 from pathlib import Path
 
-TOPICS = {
-    "vaccine": ["vaccine", "antibody", "immunization", "dose", "trial", "efficacy",
-                "antigen", "booster", "adjuvant", "epitope"],
-    "transmission": ["transmission", "contact", "airborne", "droplet", "spread",
-                     "exposure", "contagion", "quarantine", "outbreak", "reproduction"],
-    "genome": ["genome", "mutation", "protein", "codon", "replication", "strain",
-               "sequencing", "phylogeny", "variant", "polymerase"],
-    "symptom": ["symptom", "fever", "pneumonia", "ventilator", "mortality",
-                "comorbidity", "admission", "oxygen", "prognosis", "recovery"],
-}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-NOUNS = """patient cohort study sample hospital laboratory result analysis model
-method dataset measurement population region period infection virus pathogen
-cell tissue receptor enzyme assay response mechanism factor evidence finding
-report estimate approach protocol procedure intervention surveillance diagnosis
-treatment therapy outcome incidence prevalence severity cluster group case
-control subject participant specimen culture serum plasma biomarker indicator
-correlation distribution trend pattern variation baseline screening detection
-validation framework pipeline algorithm parameter threshold criterion metric
-score index ratio proportion interval margin uncertainty capacity resource
-facility equipment guideline policy strategy measure restriction mobility
-behavior interaction network community household workplace environment climate
-humidity temperature season geography density travel migration border""".split()
-
-VERBS = """indicates suggests demonstrates reveals confirms supports implies
-shows exhibits presents reports describes examines investigates evaluates
-assesses measures estimates predicts models characterizes identifies detects
-observes records documents compares correlates associates links connects
-relates influences affects modulates amplifies reduces increases decreases
-limits constrains governs determines drives shapes""".split()
-
-ADJECTIVES = """significant substantial considerable notable marked pronounced
-moderate modest limited partial preliminary robust consistent reliable
-reproducible comparable similar distinct divergent heterogeneous homogeneous
-widespread localized persistent transient acute chronic severe mild novel
-emerging established standard conventional alternative experimental
-observational retrospective prospective longitudinal""".split()
-
-
-def sentence(rng: random.Random, topic: str | None) -> str:
-    noun = rng.choice(NOUNS)
-    if topic and rng.random() < 0.6:
-        words = TOPICS[topic]
-        noun = words[0] if rng.random() < 0.5 else rng.choice(words[1:])
-    parts = ["The", rng.choice(ADJECTIVES), noun, rng.choice(VERBS), "the",
-             rng.choice(ADJECTIVES), rng.choice(NOUNS), "within the", rng.choice(NOUNS)]
-    if rng.random() < 0.3:
-        parts += ["and the", rng.choice(NOUNS), rng.choice(VERBS), "the", rng.choice(NOUNS)]
-    return " ".join(parts) + "."
-
-
-def article_paragraphs(rng: random.Random, topic: str, n_sentences: int) -> list[str]:
-    paragraphs, current = [], []
-    for _ in range(n_sentences):
-        current.append(sentence(rng, topic if rng.random() < 0.35 else None))
-        if len(current) >= 6:
-            paragraphs.append(" ".join(current))
-            current = []
-    if current:
-        paragraphs.append(" ".join(current))
-    return paragraphs
+from corpus_gen import write_corpus  # noqa: E402
 
 
 def main() -> int:
@@ -82,21 +24,8 @@ def main() -> int:
     parser.add_argument("--sentences", type=int, default=90, help="per article")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(args.seed)
-    topics = sorted(TOPICS)
-    for i in range(args.articles):
-        topic = topics[i % len(topics)]
-        paper_id = f"paper{i:04d}"
-        article = {
-            "paper_id": paper_id,
-            "title": f"A {topic} study {i}",
-            "body_text": article_paragraphs(rng, topic, args.sentences),
-        }
-        (out / f"{paper_id}.json").write_text(json.dumps(article), encoding="utf-8")
-    print(f"wrote {args.articles} articles to {out}")
+    write_corpus(Path(args.out), args.articles, args.sentences, args.seed)
+    print(f"wrote {args.articles} articles to {args.out}")
     return 0
 
 

@@ -78,6 +78,22 @@ def _load(
         ) from exc
 
 
+def _require_current(
+    name: str, ids: Sequence[str], chunks: Sequence[Chunk], rebuild: Sequence[str] = ()
+) -> list[Chunk]:
+    """The current chunks with tokens, which chunk-keyed stage ``name`` must
+    match id for id, in order; else a stale-stage StageIoError naming the
+    commands that write ``rebuild`` (default: ``name`` itself)."""
+    current = [c for c in chunks if c.tokens]
+    if list(ids) != [c.chunk_id for c in current]:
+        rerun = " and ".join(f"'{STAGES[s][1]}'" for s in rebuild or (name,))
+        raise StageIoError(
+            f"stale stage {name!r}: its {len(ids)} points are not the "
+            f"{len(current)} current chunks with tokens — re-run {rerun}"
+        )
+    return current
+
+
 def _load_chunks(out: str) -> list[Chunk]:
     return _load(out, "chunks", lambda records, _: [Chunk.from_record(r) for r in records])
 
@@ -208,14 +224,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _query_weights(args: argparse.Namespace, points: list[reduction.ReducedPoint]) -> dict[str, float]:
-    """Weights of ``args.query`` for the chunks behind ``points``."""
-    chunks = _load_chunks(args.out)
+    """Weights of ``args.query`` for the chunks behind ``points``, which must
+    be the current chunks with tokens."""
+    chunks = _require_current(
+        "points", [p.chunk_id for p in points], _load_chunks(args.out),
+        rebuild=("vectors", "points"),
+    )
     vocab = _load_vocab(args.out)
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
-    point_ids = {p.chunk_id for p in points}
-    return weighting.assign_weights(
-        [c for c in chunks if c.chunk_id in point_ids], query_words, vocab
-    )
+    return weighting.assign_weights(chunks, query_words, vocab)
 
 
 def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
@@ -261,19 +278,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     doc_labels = _load(
         args.out, "documents", lambda records, _: {r["doc_id"]: r["corpus_label"] for r in records}
     )
-    point_ids = [c.chunk_id for c in chunks if c.tokens]
     models = {}
     for mode in MODES:
         name = f"model_{mode}"
-        model = _load(
+        models[mode] = _load(
             args.out, name, lambda records, _: clustering.ClusterModel.from_record(records[0])
         )
-        if model.point_ids != point_ids:
-            raise StageIoError(
-                f"stale stage {name!r}: its {len(model.point_ids)} points are not the "
-                f"{len(point_ids)} current chunks with tokens — re-run '{STAGES[name][1]}'"
-            )
-        models[mode] = model
+        _require_current(name, models[mode].point_ids, chunks)
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
     rows = reporting.comparison_table(
         chunks, query_words, models["standard"], models["modified"], doc_labels

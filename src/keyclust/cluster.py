@@ -171,10 +171,6 @@ class IterationSnapshot(_AssignmentPass):
 
     centroids: np.ndarray
 
-    @property
-    def dual_ids(self) -> list[str]:
-        return [self.point_ids[i] for i in np.flatnonzero(self.secondary >= 0)]
-
 
 @dataclass(eq=False)
 class ClusterModel(_AssignmentPass):

@@ -1,8 +1,9 @@
 """Corpus loading, batching, and disk-backed stage persistence.
 
-Large corpora never need to sit fully in working memory: documents are
-processed in fixed-size batches and every pipeline phase writes its output
-to a stage file that the next phase streams back in.
+Documents are chunked in fixed-size batches, and every pipeline phase
+writes its output to a stage file that a later phase reads back. A stage is
+written record by record but read whole: ``StageStore.load_with_meta``
+returns every record at once, so a stage's records do sit in memory.
 """
 
 from __future__ import annotations
@@ -138,14 +139,10 @@ class StageStore:
 
     root_path: Path
     stage_name: str
-    record_count: int = 0
 
     @property
     def path(self) -> Path:
         return Path(self.root_path) / f"{self.stage_name}.jsonl"
-
-    def exists(self) -> bool:
-        return self.path.is_file()
 
     def save(
         self,
@@ -177,12 +174,7 @@ class StageStore:
             if isinstance(exc, OSError):
                 raise StageIoError(f"cannot write stage {self.stage_name!r}: {exc}") from exc
             raise
-        self.record_count = count
         return count
-
-    def load(self, schema: str) -> list[dict[str, Any]]:
-        records, _ = self.load_with_meta(schema)
-        return records
 
     def load_with_meta(self, schema: str) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         path = self.path
@@ -224,7 +216,6 @@ class StageStore:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaMismatch(f"stage {self.stage_name!r} is not valid UTF-8: {exc}") from exc
-        self.record_count = len(records)
         meta = {k: v for k, v in header.items() if k not in ("stage", "schema", "version")}
         return records, meta
 

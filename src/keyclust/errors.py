@@ -51,7 +51,3 @@ class NonFiniteInput(KeyclustError):
 
 class InvalidClusterIndex(KeyclustError):
     """Cluster index outside the fitted model's range."""
-
-
-class NoRelevantCluster(KeyclustError):
-    """No cluster's top terms contain the query term."""

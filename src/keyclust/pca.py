@@ -35,10 +35,6 @@ class PcaModel:
     degenerate: bool = False
 
     @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.components.shape[1]
 

@@ -132,27 +132,17 @@ class Chunk:
         )
 
 
-@dataclass(frozen=True)
-class ChunkPolicy:
-    """Greedy grouping of sentences into chunks of ``group_size``.
+def chunk_sizes(n_sentences: int) -> list[int]:
+    """Greedy grouping of ``n_sentences`` sentences into chunks of three.
 
-    With the default size 3, a remainder of one sentence would leave a
-    lonely chunk, so the last four sentences are split 2+2 instead; only a
-    single-sentence document yields a one-sentence chunk.
+    A remainder of one sentence would leave a lonely chunk, so the last
+    four sentences are split 2+2 instead; only a single-sentence document
+    yields a one-sentence chunk.
     """
-
-    group_size: int = 3
-
-    def sizes(self, n_sentences: int) -> list[int]:
-        n, g = n_sentences, self.group_size
-        if g < 2:
-            raise ValueError("group_size must be >= 2")
-        if n == 0:
-            return []
-        if g == 3 and n >= 4 and n % g == 1:
-            return [g] * ((n - 4) // g) + [2, 2]
-        full, rem = divmod(n, g)
-        return [g] * full + ([rem] if rem else [])
+    if n_sentences >= 4 and n_sentences % 3 == 1:
+        return [3] * ((n_sentences - 4) // 3) + [2, 2]
+    full, rem = divmod(n_sentences, 3)
+    return [3] * full + ([rem] if rem else [])
 
 
 @dataclass(frozen=True)
@@ -280,17 +270,15 @@ def segment_sentences(body: str) -> list[str]:
     return sentences
 
 
-def make_chunks(
-    doc_id: str, sentences: Sequence[str], policy: ChunkPolicy = ChunkPolicy()
-) -> list[Chunk]:
-    """Group sentences into chunks per ``policy``; raw text only, no tokens.
+def make_chunks(doc_id: str, sentences: Sequence[str]) -> list[Chunk]:
+    """Group sentences into chunks per ``chunk_sizes``; raw text only, no tokens.
 
     Every sentence lands in exactly one chunk, in order. Chunk ids are the
     document id plus a zero-padded ordinal.
     """
     chunks: list[Chunk] = []
     pos = 0
-    for ordinal, size in enumerate(policy.sizes(len(sentences))):
+    for ordinal, size in enumerate(chunk_sizes(len(sentences))):
         group = sentences[pos : pos + size]
         pos += size
         chunks.append(
@@ -355,9 +343,7 @@ def clean_tokens(chunk: Chunk, config: CleaningConfig) -> Chunk:
     return replace(chunk, tokens=tuple(clean_text(chunk.raw_text, config)))
 
 
-def chunk_document(
-    doc: Document, config: CleaningConfig, policy: ChunkPolicy = ChunkPolicy()
-) -> list[Chunk]:
+def chunk_document(doc: Document, config: CleaningConfig) -> list[Chunk]:
     """Segment, chunk, and clean one document."""
     sentences = segment_sentences(doc.body)
-    return [clean_tokens(c, config) for c in make_chunks(doc.doc_id, sentences, policy)]
+    return [clean_tokens(c, config) for c in make_chunks(doc.doc_id, sentences)]

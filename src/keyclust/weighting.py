@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import QueryNotInVocabulary, StageIoError
+from .errors import QueryNotInVocabulary
 from .pca import ReducedPoint
 from .preprocess import Chunk, CleaningConfig, clean_text
 from .vectorize import Vocabulary
@@ -75,14 +75,7 @@ def assign_weights(
 def weighted_points(
     points: Sequence[ReducedPoint], weights: Mapping[str, float]
 ) -> list[WeightedPoint]:
-    """Attach weights to reduced points; every point must have a weight,
-    else the points stage predates the current chunks stage."""
-    missing = [p.chunk_id for p in points if p.chunk_id not in weights]
-    if missing:
-        raise StageIoError(
-            f"stale stage 'points': no current chunk for ids {missing[:5]!r}... "
-            "— re-run 'keyclust vectorize' and 'keyclust reduce'"
-        )
+    """Attach weights to reduced points; every point must have a weight."""
     return [
         WeightedPoint(chunk_id=p.chunk_id, coords=p.coords, weight=weights[p.chunk_id])
         for p in points

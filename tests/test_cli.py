@@ -216,20 +216,42 @@ class TestFailureModes:
         "command",
         [
             ["cluster", "--query", "vaccine", "--k", "3"],
+            ["cluster", "--query", "vaccine", "--k", "3", "--mode", "standard"],
             ["elbow", "--mode", "modified", "--query", "vaccine", "--k-max", "3"],
         ],
+        ids=["cluster-modified", "cluster-standard", "elbow-modified"],
     )
-    def test_stale_points_stage_exits_1(self, tmp_path, capsys, command):
-        corpus, first_half = tmp_path / "corpus", tmp_path / "first_half"
-        write_corpus_dir(corpus, n_articles=8, seed=0, n_sentences=20)
-        write_corpus_dir(first_half, n_articles=4, seed=0, n_sentences=20)
+    @pytest.mark.parametrize("first, second", [(8, 4), (4, 8)], ids=["shrunk", "grown"])
+    def test_stale_points_stage_exits_1(self, tmp_path, capsys, first, second, command):
         out = ["--out", str(tmp_path / "out")]
-        assert main(["ingest", *out, "--corpus", f"{corpus}:synthetic"]) == 0
+        for n in (first, second):
+            write_corpus_dir(tmp_path / f"c{n}", n_articles=n, seed=0, n_sentences=20)
+        assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{first}'}:synthetic"]) == 0
         assert main(["vectorize", *out]) == 0
         assert main(["reduce", *out, "--pca-dim", "10"]) == 0
-        assert main(["ingest", *out, "--corpus", f"{first_half}:synthetic"]) == 0
+        assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{second}'}:synthetic"]) == 0
         capsys.readouterr()
         assert main([*command, *out]) == 1
+        err = capsys.readouterr().err
+        assert "error: stale stage 'points'" in err
+        assert "'keyclust vectorize' and 'keyclust reduce'" in err
+
+    def test_stale_model_remedy_on_grown_corpus_stops_at_points(self, tmp_path, capsys):
+        # report's remedy for a stale model is to re-run cluster, which must
+        # then stop at the stale points rather than fit the old subset again
+        out = ["--out", str(tmp_path / "out")]
+        for n in (4, 8):
+            write_corpus_dir(tmp_path / f"c{n}", n_articles=n, seed=0, n_sentences=20)
+        assert main(["ingest", *out, "--corpus", f"{tmp_path / 'c4'}:synthetic"]) == 0
+        assert main(["vectorize", *out]) == 0
+        assert main(["reduce", *out, "--pca-dim", "10"]) == 0
+        for mode in ("standard", "modified"):
+            assert main(["cluster", *out, "--query", "vaccine", "--k", "3", "--mode", mode]) == 0
+        assert main(["ingest", *out, "--corpus", f"{tmp_path / 'c8'}:synthetic"]) == 0
+        capsys.readouterr()
+        assert main(["report", *out, "--query", "vaccine"]) == 1
+        assert "re-run 'keyclust cluster --mode standard'" in capsys.readouterr().err
+        assert main(["cluster", *out, "--query", "vaccine", "--k", "3", "--mode", "standard"]) == 1
         err = capsys.readouterr().err
         assert "error: stale stage 'points'" in err
         assert "'keyclust reduce'" in err

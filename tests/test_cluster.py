@@ -304,7 +304,7 @@ class TestRun:
         for snap in model.history:
             assert snap.centroids.shape == (2, 2)
             dual = {a.chunk_id for a in snap.assignments if a.secondary_cluster is not None}
-            assert set(snap.dual_ids) == dual
+            assert {snap.point_ids[i] for i in np.flatnonzero(snap.secondary >= 0)} == dual
 
     def test_weights_pull_centroid(self):
         # same init: the weighted run drags the near centroid to the heavy

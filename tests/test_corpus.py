@@ -109,9 +109,8 @@ class TestStageStore:
         chunks = [toy_chunk(f"c{i}", ["alpha", "beta"]) for i in range(5)]
         store = StageStore(root_path=tmp_path, stage_name="chunks")
         assert store.save((c.to_record() for c in chunks), schema="chunk") == 5
-        loaded = [Chunk.from_record(r) for r in store.load("chunk")]
+        loaded = [Chunk.from_record(r) for r in store.load_with_meta("chunk")[0]]
         assert loaded == chunks
-        assert store.record_count == 5
 
     def test_document_round_trip(self, tmp_path):
         docs = [
@@ -120,23 +119,23 @@ class TestStageStore:
         ]
         store = StageStore(root_path=tmp_path, stage_name="documents")
         store.save([d.to_record() for d in docs], schema="document")
-        assert [Document.from_record(r) for r in store.load("document")] == docs
+        assert [Document.from_record(r) for r in store.load_with_meta("document")[0]] == docs
 
     def test_load_missing_stage(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="ghost")
         with pytest.raises(StageIoError):
-            store.load("chunk")
+            store.load_with_meta("chunk")[0]
 
     def test_schema_mismatch(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="stage")
         store.save([{"a": 1}], schema="alpha")
         with pytest.raises(SchemaMismatch):
-            store.load("beta")
+            store.load_with_meta("beta")[0]
 
     def test_empty_sequence(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="empty")
         assert store.save([], schema="chunk") == 0
-        assert store.load("chunk") == []
+        assert store.load_with_meta("chunk")[0] == []
 
     def test_save_is_byte_deterministic(self, tmp_path):
         recs = [{"b": 2.5, "a": [1, 2], "c": "x"}] * 3
@@ -166,7 +165,7 @@ class TestStageStore:
         with store.path.open("a", encoding="utf-8") as fh:
             fh.write('{"a": 3, "b')
         with pytest.raises(SchemaMismatch, match="stage 's' line 4 is not valid JSON"):
-            store.load("r")
+            store.load_with_meta("r")[0]
 
     def test_undecodable_bytes(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="s")
@@ -174,7 +173,7 @@ class TestStageStore:
         with store.path.open("ab") as fh:
             fh.write(b"\xff\n")
         with pytest.raises(SchemaMismatch, match="stage 's' is not valid UTF-8"):
-            store.load("r")
+            store.load_with_meta("r")[0]
 
     def test_meta_round_trip(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="vocab")
@@ -209,4 +208,4 @@ class TestStageStore:
             root_path=tmp_path_factory.mktemp("stage"), stage_name="prop"
         )
         store.save(records, schema="any")
-        assert store.load("any") == records
+        assert store.load_with_meta("any")[0] == records

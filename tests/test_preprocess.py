@@ -10,8 +10,8 @@ from keyclust.preprocess import (
     _TERMINAL,
     ABBREVIATIONS,
     Chunk,
-    ChunkPolicy,
     CleaningConfig,
+    chunk_sizes,
     clean_text,
     clean_tokens,
     load_cleaning_config,
@@ -123,7 +123,7 @@ class TestMakeChunks:
         ],
     )
     def test_size_policy(self, n, expected):
-        assert ChunkPolicy().sizes(n) == expected
+        assert chunk_sizes(n) == expected
 
     def test_chunks_carry_text_and_ids(self):
         sentences = [f"Sentence {i}." for i in range(7)]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyclust.errors import QueryNotInVocabulary, StageIoError
+from keyclust.errors import QueryNotInVocabulary
 from keyclust.pca import ReducedPoint
 from keyclust.vectorize import build_vocabulary
 from keyclust.weighting import (
@@ -113,11 +113,6 @@ class TestHelpers:
         got = weighted_points(points, {"a": 0.25})
         assert got[0].weight == 0.25
         assert got[0].chunk_id == "a"
-
-    def test_weighted_points_missing_id(self):
-        points = [ReducedPoint(chunk_id="a", coords=np.array([0.0]))]
-        with pytest.raises(StageIoError):
-            weighted_points(points, {})
 
     def test_unit_points(self):
         points = [ReducedPoint(chunk_id="a", coords=np.array([1.0]))]
