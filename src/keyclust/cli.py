@@ -264,9 +264,12 @@ def cmd_elbow(args: argparse.Namespace) -> int:
     else:
         wpoints = weighting.unit_points(points)
     config = _cluster_config(args, mode=args.mode, k=args.k_min)
-    results = clustering.elbow_scan(
-        wpoints, config, (args.k_min, args.k_max), restarts=args.restarts
-    )
+    try:
+        results = clustering.elbow_scan(
+            wpoints, config, (args.k_min, args.k_max), restarts=args.restarts, threads=args.threads
+        )
+    except ValueError as exc:
+        raise KeyclustError(str(exc)) from exc
     reporting.write_elbow_csv(_reports_dir(args.out) / "elbow.csv", results)
     for k, d in results:
         log.info("k=%d distortion %.6f", k, d)
@@ -356,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
         flags.add_argument("--mode", choices=("modified", "standard"), default=mode)
         flags.add_argument("--seeding", choices=("random", "partial"), default="random")
         flags.add_argument("--seed", type=int, default=0)
-        flags.add_argument("--threads", type=int, default=1, help="has no effect")
+        flags.add_argument(
+            "--threads", type=int, default=1, metavar="N",
+            help="elbow: run the independent K-means runs on up to N threads "
+            "(same output for every N); other commands ignore it",
+        )
         flags.add_argument("--raw-denominator", action="store_true")
         return flags
 

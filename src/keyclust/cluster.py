@@ -9,17 +9,19 @@ is neither erased nor frozen. Standard mode zeroes all three knobs and is
 the classical Lloyd baseline.
 
 Determinism contract: a fixed seed and fixed input produce an identical
-model, including history. Every step runs in one thread: centroid
+model, including history. Every run computes in one thread: centroid
 accumulation folds members in input (chunk) order, primaries before the
 secondaries of dual-assigned points (``np.bincount`` adds in input order),
 and the distortion sums its terms in the same order, so results are
-bit-stable.
+bit-stable. The elbow scan runs its independent runs on a thread pool,
+one run per thread at a time, so its result does not depend on the pool.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence
 
@@ -389,7 +391,12 @@ def init_centroids(points: Sequence[WeightedPoint], config: ClusterConfig) -> np
     or (partial seeding) the final centroids of a standard K-means run on a
     seeded random 20% subset (at least 2k points)."""
     ids, X, _ = _as_arrays(points)
-    distinct = _distinct_row_indices(X)
+    return _seed_centroids(ids, X, _distinct_row_indices(X), config)
+
+
+def _seed_centroids(
+    ids: Sequence[str], X: np.ndarray, distinct: Sequence[int], config: ClusterConfig
+) -> np.ndarray:
     if len(distinct) < config.k:
         raise TooFewDistinctPoints(
             f"{len(distinct)} distinct points < k={config.k}"
@@ -398,30 +405,33 @@ def init_centroids(points: Sequence[WeightedPoint], config: ClusterConfig) -> np
     if config.seeding == "random_distinct":
         pick = rng.choice(len(distinct), size=config.k, replace=False)
         return X[[distinct[i] for i in pick]].copy()
-    return _partial_seed(points, X, config, rng)
+    return _partial_seed(ids, X, config, rng)
 
 
 def _partial_seed(
-    points: Sequence[WeightedPoint],
+    ids: Sequence[str],
     X: np.ndarray,
     config: ClusterConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    n = len(points)
+    n = len(ids)
     size = min(n, max(math.ceil(PARTIAL_FRACTION * n), min(2 * config.k, n)))
     while True:
         idx = np.sort(rng.choice(n, size=size, replace=False))
-        if len(_distinct_row_indices(X[idx])) >= config.k or size >= n:
+        distinct = _distinct_row_indices(X[idx])
+        if len(distinct) >= config.k or size >= n:
             break
         size = min(n, size * 2)
-    subset = [points[int(i)] for i in idx]
     inner = replace(
         config,
         mode="standard",
         seeding="random_distinct",
         seed=int(rng.integers(2**63)),
     )
-    return run(subset, inner).centroids.copy()
+    # ``run`` on the subset's points, without rebuilding their arrays;
+    # standard mode ignores the weights
+    sub_ids = [ids[i] for i in idx.tolist()]
+    return _fit(sub_ids, X[idx], np.ones(size), distinct, inner).centroids.copy()
 
 
 def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
@@ -434,9 +444,18 @@ def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
     pass against the final centroids, and the distortion dual-counts them.
     """
     ids, X, w = _as_arrays(points)
+    return _fit(ids, X, w, _distinct_row_indices(X), config)
+
+
+def _fit(
+    ids: list[str], X: np.ndarray, w: np.ndarray, distinct: Sequence[int], config: ClusterConfig
+) -> ClusterModel:
+    """``run`` on prepared arrays: ``distinct`` holds the first index of
+    every distinct row of ``X``. Reads its arguments and writes nothing
+    shared, so independent fits may run on concurrent threads."""
     if config.mode == "standard":
-        w = np.ones(len(points), dtype=np.float64)
-    centroids = init_centroids(points, config)
+        w = np.ones(len(ids), dtype=np.float64)
+    centroids = _seed_centroids(ids, X, distinct, config)
     history: list[IterationSnapshot] = []
     converged = False
     for _ in range(config.max_iter):
@@ -461,7 +480,7 @@ def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
         distortion=0.0,
         converged=converged,
     )
-    model.distortion = distortion(model, points)
+    model.distortion = _distortion(model)
     return model
 
 
@@ -479,6 +498,10 @@ def distortion(
     if points is not None:
         if [p.chunk_id for p in points] != model.point_ids:
             raise ValueError("model assignments do not cover the given points")
+    return _distortion(model, include_secondary)
+
+
+def _distortion(model: ClusterModel, include_secondary: bool = True) -> float:
     terms = model.d1 * model.d1
     if include_secondary:
         dual_sq = np.where(model.secondary >= 0, model.d2 * model.d2, 0.0)
@@ -493,26 +516,39 @@ def elbow_scan(
     config: ClusterConfig,
     k_range: tuple[int, int],
     restarts: int = 10,
+    threads: int = 1,
 ) -> list[tuple[int, float]]:
     """Best-of-``restarts`` distortion for every k in the inclusive range.
 
     Restart seeds derive deterministically from (config.seed, k, restart),
-    so a scan is reproducible and individual runs remain independent.
+    so a scan is reproducible and individual runs remain independent. The
+    runs share one set of input arrays and go to a pool of up to
+    ``threads`` threads; each run is computed alone in one thread, so the
+    result does not depend on ``threads``.
     """
     k_min, k_max = k_range
     if k_min < 1 or k_max < k_min:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    _, X, _ = _as_arrays(points)
-    if k_max > len(_distinct_row_indices(X)):
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    ids, X, w = _as_arrays(points)
+    distinct = _distinct_row_indices(X)
+    if k_max > len(distinct):
         raise TooFewDistinctPoints(f"k_max={k_max} exceeds distinct point count")
-    out: list[tuple[int, float]] = []
-    for k in range(k_min, k_max + 1):
-        best = math.inf
-        for r in range(restarts):
-            seed = int(np.random.default_rng((config.seed, k, r)).integers(2**63))
-            cfg = replace(config, k=k, seed=seed)
-            best = min(best, run(points, cfg).distortion)
-        out.append((k, best))
-    return out
+    ks = range(k_min, k_max + 1)
+    configs = [
+        replace(config, k=k, seed=int(np.random.default_rng((config.seed, k, r)).integers(2**63)))
+        for k in ks
+        for r in range(restarts)
+    ]
+
+    # pool threads reach only private functions: the public ones may be
+    # wrapped by a caller (a profiler, a tracer) that expects one thread
+    def fit_distortion(cfg: ClusterConfig) -> float:
+        return _fit(ids, X, w, distinct, cfg).distortion
+
+    with ThreadPoolExecutor(max_workers=min(threads, len(configs))) as pool:
+        found = list(pool.map(fit_distortion, configs))
+    return [(k, min(found[i * restarts:(i + 1) * restarts])) for i, k in enumerate(ks)]

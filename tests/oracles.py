@@ -1,7 +1,9 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here is deliberately written the slow, obvious way (plain Python
-loops, dense eigendecomposition) and shares no code with the package.
+loops, dense eigendecomposition) and shares no code with the package, except
+``elbow_scan_oracle``: the scan loop as first written, around the package's
+own ``run`` (which the Lloyd oracle pins on its own).
 """
 
 from __future__ import annotations
@@ -148,6 +150,25 @@ def add_at_update_oracle(X, w, prim, sec, previous, damping_weight, raw_denomina
             den = wsum[i] + damping_weight
         new[i] = num / den
     return new, empties
+
+
+def elbow_scan_oracle(points, config, k_range, restarts):
+    """The elbow scan as first written: one ``run`` after another, each
+    building its own arrays, seeds drawn per (config.seed, k, restart), and
+    the best distortion kept per k. Returns [(k, distortion)]."""
+    from dataclasses import replace
+
+    from keyclust.cluster import run
+
+    k_min, k_max = k_range
+    out = []
+    for k in range(k_min, k_max + 1):
+        best = math.inf
+        for r in range(restarts):
+            seed = int(np.random.default_rng((config.seed, k, r)).integers(2**63))
+            best = min(best, run(points, replace(config, k=k, seed=seed)).distortion)
+        out.append((k, best))
+    return out
 
 
 def df_oracle(token_lists: Sequence[Sequence[str]]) -> dict[str, int]:

@@ -60,6 +60,12 @@ class TestPipeline:
     def test_threads_do_not_change_outputs(self, corpus_dir, tmp_path):
         one = run_pipeline(corpus_dir, tmp_path / "t1", threads=1)
         four = run_pipeline(corpus_dir, tmp_path / "t4", threads=4)
+        for out, threads in ((one, 1), (four, 4)):
+            assert main([
+                "elbow", "--out", str(out), "--k-max", "5", "--restarts", "3",
+                "--seed", "7", "--threads", str(threads),
+            ]) == 0
+        assert (one / "reports" / "elbow.csv").is_file()
         assert tree_digest(one) == tree_digest(four)
 
     def test_cluster_stage_identical_across_reruns(self, corpus_dir, tmp_path):
@@ -342,6 +348,26 @@ class TestFailureModes:
         capsys.readouterr()
         assert main(["reduce", "--out", str(out)]) == 1
         assert "error: stage 'vocabulary' header has no 'n_chunks'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--restarts", "0"], "restarts must be >= 1"),
+            (["--k-min", "3", "--k-max", "2"], "bad k range [3, 2]"),
+            (["--threads", "0"], "threads must be >= 1"),
+            (["--threads", "-2"], "threads must be >= 1"),
+        ],
+        ids=["restarts-0", "k-min-above-k-max", "threads-0", "threads-negative"],
+    )
+    def test_bad_elbow_arguments_exit_1(self, corpus_dir, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert main(["vectorize", "--out", str(out)]) == 0
+        assert main(["reduce", "--out", str(out), "--pca-dim", "8"]) == 0
+        capsys.readouterr()
+        assert main(["elbow", "--out", str(out), *flags]) == 1
+        assert self.only_error_line(capsys) == f"error: {message}"
+        assert not (out / "reports" / "elbow.csv").exists()
 
     @staticmethod
     def only_error_line(capsys) -> str:

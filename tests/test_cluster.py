@@ -1,11 +1,15 @@
 import json
+import logging
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keyclust import cluster as cluster_module
 from keyclust.cluster import (
     _distances_sq,
     _update_arrays,
@@ -22,7 +26,13 @@ from keyclust.errors import NonFiniteInput, TooFewDistinctPoints
 from keyclust.weighting import WeightedPoint
 
 from conftest import blob_points, random_points
-from oracles import add_at_update_oracle, distances_sq_oracle, lloyd_oracle, sqdist
+from oracles import (
+    add_at_update_oracle,
+    distances_sq_oracle,
+    elbow_scan_oracle,
+    lloyd_oracle,
+    sqdist,
+)
 
 
 def wp(chunk_id, coords, weight=1.0):
@@ -495,3 +505,81 @@ class TestElbowScan:
         assert elbow_scan(pts, cfg, (1, 4), restarts=3) == elbow_scan(
             pts, cfg, (1, 4), restarts=3
         )
+
+    @pytest.mark.parametrize("threads, workers", [(1, 1), (4, 4), (10_000, 6)])
+    def test_pool_capped_at_run_count(self, monkeypatch, threads, workers):
+        requested = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(cluster_module, "ThreadPoolExecutor", Recording)
+        pts = random_points(np.random.default_rng(31), 30, 2)
+        elbow_scan(pts, ClusterConfig(k=1, mode="standard", seed=1), (1, 3), restarts=2, threads=threads)
+        assert requested == [workers]
+
+
+def _weighted_random_points(seed: int, n: int, dim: int) -> list[WeightedPoint]:
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.05, 1.0, n)
+    return [wp(p.chunk_id, p.coords, float(w)) for p, w in zip(random_points(rng, n, dim), weights)]
+
+
+def _duplicated_points() -> list[WeightedPoint]:
+    base = random_points(np.random.default_rng(5), 20, 2)
+    return [wp(f"d{i:03d}", base[i % 20].coords) for i in range(200)]
+
+
+# name -> (points, config, k range, restarts)
+ELBOW_CASES = {
+    "standard": lambda: (
+        random_points(np.random.default_rng(1), 200, 5),
+        ClusterConfig(k=1, mode="standard", seed=3), (1, 7), 3,
+    ),
+    "modified-weighted": lambda: (
+        _weighted_random_points(2, 200, 4),
+        ClusterConfig(k=1, threshold=0.3, damping_weight=0.05, seed=4), (1, 6), 3,
+    ),
+    "partial-seeding": lambda: (
+        _weighted_random_points(6, 200, 3),
+        ClusterConfig(k=1, threshold=0.2, seeding="partial", seed=8), (1, 6), 3,
+    ),
+    "reseed-duplicates": lambda: (
+        _duplicated_points(), ClusterConfig(k=1, mode="standard", seed=2), (1, 12), 4,
+    ),
+}
+
+
+class TestElbowScanMatchesOracle:
+    """The pooled scan over shared arrays gives, bit for bit, the scan that
+    runs one ``run`` after another."""
+
+    @staticmethod
+    def bits(results):
+        return [(k, float(d).hex()) for k, d in results]
+
+    @pytest.mark.parametrize("case", sorted(ELBOW_CASES))
+    def test_bitwise_equal_for_one_and_three_threads(self, case, caplog):
+        pts, cfg, k_range, restarts = ELBOW_CASES[case]()
+        with caplog.at_level(logging.INFO, logger="keyclust.cluster"):
+            expected = self.bits(elbow_scan_oracle(pts, cfg, k_range, restarts))
+        if case == "reseed-duplicates":
+            assert any("reseeded empty cluster" in r.getMessage() for r in caplog.records)
+        for threads in (1, 3):
+            got = elbow_scan(pts, cfg, k_range, restarts, threads=threads)
+            assert self.bits(got) == expected, threads
+
+    def test_bitwise_equal_with_more_threads_than_cores_and_frequent_switches(self):
+        # runs share their input arrays read-only; a write to them from one
+        # thread would show as changed bits in another run's distortion
+        pts, cfg, k_range, restarts = ELBOW_CASES["modified-weighted"]()
+        expected = self.bits(elbow_scan_oracle(pts, cfg, k_range, restarts))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = elbow_scan(pts, cfg, k_range, restarts, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert self.bits(got) == expected
