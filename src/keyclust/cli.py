@@ -5,24 +5,30 @@ output directory and writes its own, so desk-scale experiments can iterate
 on clustering without re-vectorizing. ``run-all`` chains everything except
 the elbow scan. Re-running any subcommand with identical inputs and seed
 rewrites byte-identical artifacts; no subcommand touches a prior stage's
-files.
+files. ``cluster`` does not fit again a model whose stage header records
+the inputs it would fit from and outputs that are still intact.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import logging
 import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
+from . import __version__
 from . import cluster as clustering
 from . import pca as reduction
 from . import report as reporting
 from . import vectorize as vectorization
 from . import weighting
-from .corpus import DEFAULT_BATCH_SIZE, Document, StageStore, batch_iter, load_corpus
+from .corpus import (
+    DEFAULT_BATCH_SIZE, Document, StageStore, batch_iter, encode_record, file_sha256, load_corpus,
+)
 from .errors import EmptyCorpus, KeyclustError, SchemaMismatch, StageIoError
 from .preprocess import (
     Chunk,
@@ -54,10 +60,27 @@ STAGES = {
 }
 
 
+def _store(out: str, name: str) -> StageStore:
+    return StageStore(Path(out) / "stages", name)
+
+
 def _save(
-    out: str, name: str, records: Iterable[Mapping[str, Any]], meta: Mapping[str, Any] | None = None
+    out: str,
+    name: str,
+    records: Iterable[Mapping[str, Any] | str],
+    meta: Mapping[str, Any] | None = None,
 ) -> int:
-    return StageStore(Path(out) / "stages", name).save(records, STAGES[name][0], meta)
+    return _store(out, name).save(records, STAGES[name][0], meta)
+
+
+def _read(out: str, name: str, read: Callable[[StageStore], T]) -> T:
+    """``read`` of stage ``name``; a stage it cannot find or open is a
+    StageIoError naming the command that writes it."""
+    try:
+        return read(_store(out, name))
+    except StageIoError as exc:
+        writer = STAGES[name][1]
+        raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
 
 
 def _load(
@@ -65,11 +88,7 @@ def _load(
 ) -> T:
     """Stage ``name`` as ``decode(records, header fields)``. A record that
     ``decode`` cannot index or convert is a SchemaMismatch naming the stage."""
-    schema, writer = STAGES[name]
-    try:
-        records, meta = StageStore(Path(out) / "stages", name).load_with_meta(schema)
-    except StageIoError as exc:
-        raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
+    records, meta = _read(out, name, lambda store: store.load_with_meta(STAGES[name][0]))
     try:
         return decode(records, meta)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -79,23 +98,30 @@ def _load(
 
 
 def _require_current(
-    name: str, ids: Sequence[str], chunks: Sequence[Chunk], rebuild: Sequence[str] = ()
-) -> list[Chunk]:
-    """The current chunks with tokens, which chunk-keyed stage ``name`` must
-    match id for id, in order; else a stale-stage StageIoError naming the
-    commands that write ``rebuild`` (default: ``name`` itself)."""
-    current = [c for c in chunks if c.tokens]
-    if list(ids) != [c.chunk_id for c in current]:
+    name: str, ids: Sequence[str], current: Sequence[str], rebuild: Sequence[str] = ()
+) -> None:
+    """Chunk-keyed stage ``name`` must hold the ``current`` chunk ids (those
+    of the chunks with tokens), in order; else a stale-stage StageIoError
+    naming the commands that write ``rebuild`` (default: ``name`` itself)."""
+    if list(ids) != list(current):
         rerun = " and ".join(f"'{STAGES[s][1]}'" for s in rebuild or (name,))
         raise StageIoError(
             f"stale stage {name!r}: its {len(ids)} points are not the "
             f"{len(current)} current chunks with tokens — re-run {rerun}"
         )
-    return current
+
+
+def _require_current_points(ids: Sequence[str], current: Sequence[str]) -> None:
+    _require_current("points", ids, current, rebuild=("vectors", "points"))
 
 
 def _load_chunks(out: str) -> list[Chunk]:
     return _load(out, "chunks", lambda records, _: [Chunk.from_record(r) for r in records])
+
+
+def _load_current_ids(out: str) -> list[str]:
+    """Ids of the chunks with tokens, without building Chunk objects."""
+    return _load(out, "chunks", lambda records, _: [r["chunk_id"] for r in records if r["tokens"]])
 
 
 def _load_points(out: str) -> list[reduction.ReducedPoint]:
@@ -223,30 +249,89 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _query_weights(args: argparse.Namespace, points: list[reduction.ReducedPoint]) -> dict[str, float]:
-    """Weights of ``args.query`` for the chunks behind ``points``, which must
-    be the current chunks with tokens."""
-    chunks = _require_current(
-        "points", [p.chunk_id for p in points], _load_chunks(args.out),
-        rebuild=("vectors", "points"),
-    )
+def _query_weights(args: argparse.Namespace, ids: Sequence[str]) -> dict[str, float]:
+    """Weights of ``args.query`` for the points ``ids``, which must be the
+    current chunks with tokens. The chunks are freed on return."""
+    chunks = [c for c in _load_chunks(args.out) if c.tokens]
+    _require_current_points(ids, [c.chunk_id for c in chunks])
     vocab = _load_vocab(args.out)
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
     return weighting.assign_weights(chunks, query_words, vocab)
 
 
+def _iteration_digests(reports: Path, mode: str) -> dict[str, str]:
+    """sha256 of ``mode``'s iteration CSV and of each of its numbered
+    iteration SVGs, by file name."""
+    svgs = reporting.numbered_svgs(reports, f"iteration_{mode}")
+    names = [f"iterations_{mode}.csv", *sorted(path.name for path in svgs)]
+    return {name: file_sha256(reports / name) for name in names}
+
+
+def _recorded_model(
+    out: str, name: str, inputs: Mapping[str, Any]
+) -> tuple[dict[str, Any], list[str]] | None:
+    """Header fields and ``point_ids`` of model stage ``name`` if its
+    recorded inputs agree with ``inputs`` on every key ``inputs`` has and
+    its record is the bytes its header recorded; else None."""
+    try:
+        meta, body = _store(out, name).load_body(STAGES[name][0])
+        recorded = meta["inputs"]
+        if any(recorded.get(key) != value for key, value in inputs.items()):
+            return None
+        if meta["outputs"]["record"] != hashlib.sha256(body).hexdigest():
+            return None
+    except (KeyclustError, KeyError, TypeError, AttributeError):
+        return None  # no model, or one written before its header recorded inputs
+    # decode only the ids: a quote inside a JSON string is escaped, so the
+    # key's text occurs once, and it sorts last in the record
+    text, key = body.decode("utf-8"), '"point_ids":'
+    return meta, json.JSONDecoder().raw_decode(text, text.rindex(key) + len(key))[0]
+
+
+def _outputs_current(reports: Path, mode: str, recorded: Mapping[str, Any]) -> bool:
+    try:
+        return _iteration_digests(reports, mode) == recorded.get("reports")
+    except OSError:
+        return False
+
+
 def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
+    """Fit ``mode``'s model unless the model stage records the inputs this
+    call would fit from and its outputs still hash to their recorded
+    digests; the weights stage is written either way."""
     mode = mode or args.mode
-    points = _load_points(args.out)
+    name = f"model_{mode}"
+    points_digest = _read(args.out, "points", StageStore.sha256)  # a missing stage stops here
     config = _cluster_config(args, mode=mode)
-    weights = _query_weights(args, points)
+    inputs = {"points": points_digest, "config": config.to_record(), "keyclust": __version__}
+    # a model recorded from these points holds the points' ids
+    recorded, ids = _recorded_model(args.out, name, inputs) or (None, None)
+    points = _load_points(args.out) if recorded is None else None
+    weights = _query_weights(args, ids if points is None else [p.chunk_id for p in points])
     _save(args.out, "weights", weighting.export_records(weights))
-    model = clustering.run(weighting.weighted_points(points, weights), config)
-    _save(args.out, f"model_{mode}", [model.to_record()])
-    coords_by_id = {p.chunk_id: p.coords for p in points}
+    if mode == "modified":
+        inputs["weights"] = _read(args.out, "weights", StageStore.sha256)
     reports = _reports_dir(args.out)
+    if (
+        recorded is not None
+        and recorded["inputs"] == inputs
+        and _outputs_current(reports, mode, recorded["outputs"])
+    ):
+        log.info("%s model is current; reused", mode)
+        return 0
+    if points is None:
+        points = _load_points(args.out)
+    model = clustering.run(weighting.weighted_points(points, weights), config)
+    coords_by_id = {p.chunk_id: p.coords for p in points}
     reporting.write_iteration_csv(reports / f"iterations_{mode}.csv", model, coords_by_id)
     reporting.write_iteration_svgs(reports, model, coords_by_id, prefix=f"iteration_{mode}")
+    # written last: its header vouches for the reports above
+    record = encode_record(model.to_record())
+    outputs = {
+        "record": hashlib.sha256(f"{record}\n".encode("utf-8")).hexdigest(),
+        "reports": _iteration_digests(reports, mode),
+    }
+    _save(args.out, name, [record], meta={"inputs": inputs, "outputs": outputs})
     log.info(
         "%s k-means: %d iterations, converged=%s, distortion %.6f, %d dual-assigned",
         mode, model.iterations, model.converged, model.distortion,
@@ -257,11 +342,14 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
 
 def cmd_elbow(args: argparse.Namespace) -> int:
     points = _load_points(args.out)
+    # the id lists and the decoded chunks are dropped before the scan's pool starts
     if args.mode == "modified":
         if not args.query:
             raise KeyclustError("--query is required for a modified-mode elbow scan")
-        wpoints = weighting.weighted_points(points, _query_weights(args, points))
+        weights = _query_weights(args, [p.chunk_id for p in points])
+        wpoints = weighting.weighted_points(points, weights)
     else:
+        _require_current_points([p.chunk_id for p in points], _load_current_ids(args.out))
         wpoints = weighting.unit_points(points)
     config = _cluster_config(args, mode=args.mode, k=args.k_min)
     try:
@@ -281,13 +369,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     doc_labels = _load(
         args.out, "documents", lambda records, _: {r["doc_id"]: r["corpus_label"] for r in records}
     )
+    current = [c.chunk_id for c in chunks if c.tokens]
     models = {}
     for mode in MODES:
         name = f"model_{mode}"
         models[mode] = _load(
             args.out, name, lambda records, _: clustering.ClusterModel.from_record(records[0])
         )
-        _require_current(name, models[mode].point_ids, chunks)
+        _require_current(name, models[mode].point_ids, current)
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
     rows = reporting.comparison_table(
         chunks, query_words, models["standard"], models["modified"], doc_labels

@@ -8,6 +8,7 @@ returns every record at once, so a stage's records do sit in memory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -21,6 +22,7 @@ log = logging.getLogger(__name__)
 
 STAGE_FORMAT_VERSION = 1
 DEFAULT_BATCH_SIZE = 50
+HASH_BLOCK_BYTES = 1 << 20
 
 T = TypeVar("T")
 
@@ -146,10 +148,12 @@ class StageStore:
 
     def save(
         self,
-        records: Iterable[Mapping[str, Any]],
+        records: Iterable[Mapping[str, Any] | str],
         schema: str,
         meta: Mapping[str, Any] | None = None,
     ) -> int:
+        """Write the header and one line per record; a record given as a
+        ``str`` is a line already made by :func:`encode_record`."""
         path = self.path
         path.parent.mkdir(parents=True, exist_ok=True)
         header = {
@@ -163,9 +167,9 @@ class StageStore:
         count = 0
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_dumps(header) + "\n")
+                fh.write(encode_record(header) + "\n")
                 for rec in records:
-                    fh.write(_dumps(rec) + "\n")
+                    fh.write((rec if isinstance(rec, str) else encode_record(rec)) + "\n")
                     count += 1
             os.replace(tmp, path)
         except BaseException as exc:
@@ -176,32 +180,33 @@ class StageStore:
             raise
         return count
 
+    def sha256(self) -> str:
+        """Hex sha256 of the stage file's bytes."""
+        if not self.path.is_file():
+            raise StageIoError(f"stage not found: {self.path}")
+        try:
+            return file_sha256(self.path)
+        except OSError as exc:
+            raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
+
+    def load_body(self, schema: str) -> tuple[dict[str, Any], bytes]:
+        """The header fields and the undecoded bytes after the header line,
+        with the header checked as :meth:`load_with_meta` checks it."""
+        try:
+            with open(self.path, "rb") as fh:
+                header = self._check_header(fh.readline(), schema)
+                body = fh.read()
+        except OSError as exc:
+            raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
+        return _header_meta(header), body
+
     def load_with_meta(self, schema: str) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         path = self.path
         if not path.is_file():
             raise StageIoError(f"stage not found: {path}")
         try:
             with open(path, encoding="utf-8") as fh:
-                head_line = fh.readline()
-                if not head_line.strip():
-                    raise SchemaMismatch(f"stage {self.stage_name!r} has no header")
-                try:
-                    header = json.loads(head_line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaMismatch(
-                        f"stage {self.stage_name!r} header is not valid JSON"
-                    ) from exc
-                if not isinstance(header, dict) or header.get("schema") != schema:
-                    raise SchemaMismatch(
-                        f"stage {self.stage_name!r} holds schema "
-                        f"{header.get('schema') if isinstance(header, dict) else None!r}, "
-                        f"expected {schema!r}"
-                    )
-                if header.get("version") != STAGE_FORMAT_VERSION:
-                    raise SchemaMismatch(
-                        f"stage {self.stage_name!r} has format version "
-                        f"{header.get('version')!r}, expected {STAGE_FORMAT_VERSION}"
-                    )
+                header = self._check_header(fh.readline(), schema)
                 records = []
                 for lineno, line in enumerate(fh, start=2):
                     if not line.strip():
@@ -216,9 +221,43 @@ class StageStore:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaMismatch(f"stage {self.stage_name!r} is not valid UTF-8: {exc}") from exc
-        meta = {k: v for k, v in header.items() if k not in ("stage", "schema", "version")}
-        return records, meta
+        return records, _header_meta(header)
+
+    def _check_header(self, line: str | bytes, schema: str) -> dict[str, Any]:
+        if not line.strip():
+            raise SchemaMismatch(f"stage {self.stage_name!r} has no header")
+        try:
+            header = json.loads(line)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaMismatch(f"stage {self.stage_name!r} header is not valid JSON") from exc
+        if not isinstance(header, dict) or header.get("schema") != schema:
+            raise SchemaMismatch(
+                f"stage {self.stage_name!r} holds schema "
+                f"{header.get('schema') if isinstance(header, dict) else None!r}, "
+                f"expected {schema!r}"
+            )
+        if header.get("version") != STAGE_FORMAT_VERSION:
+            raise SchemaMismatch(
+                f"stage {self.stage_name!r} has format version "
+                f"{header.get('version')!r}, expected {STAGE_FORMAT_VERSION}"
+            )
+        return header
 
 
-def _dumps(obj: Mapping[str, Any]) -> str:
+def _header_meta(header: Mapping[str, Any]) -> dict[str, Any]:
+    return {k: v for k, v in header.items() if k not in ("stage", "schema", "version")}
+
+
+def encode_record(obj: Mapping[str, Any]) -> str:
+    """One stage line: sorted keys and full-precision floats, so equal
+    records encode to equal bytes."""
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes, read in blocks of ``HASH_BLOCK_BYTES``."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(HASH_BLOCK_BYTES):
+            digest.update(block)
+    return digest.hexdigest()

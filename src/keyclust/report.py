@@ -313,9 +313,18 @@ def write_iteration_svgs(
         path = out / f"{prefix}_{it:03d}.svg"
         path.write_text("\n".join(parts) + "\n", encoding="utf-8")
         paths.append(path)
-    numbered = re.compile(re.escape(prefix) + r"_(\d{3,})\.svg")
-    for stale in out.iterdir():
-        m = numbered.fullmatch(stale.name)
-        if m and int(m.group(1)) > len(model.history):
+    for stale, it in numbered_svgs(out, prefix).items():
+        if it > len(model.history):
             stale.unlink()
     return paths
+
+
+def numbered_svgs(out_dir: str | Path, prefix: str) -> dict[Path, int]:
+    """Every ``<prefix>_NNN.svg`` file in ``out_dir`` (three or more
+    digits), with its iteration number."""
+    numbered = re.compile(re.escape(prefix) + r"_(\d{3,})\.svg")
+    return {
+        path: int(m.group(1))
+        for path in Path(out_dir).iterdir()
+        if (m := numbered.fullmatch(path.name))
+    }

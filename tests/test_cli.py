@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -224,8 +225,9 @@ class TestFailureModes:
             ["cluster", "--query", "vaccine", "--k", "3"],
             ["cluster", "--query", "vaccine", "--k", "3", "--mode", "standard"],
             ["elbow", "--mode", "modified", "--query", "vaccine", "--k-max", "3"],
+            ["elbow", "--k-max", "3"],
         ],
-        ids=["cluster-modified", "cluster-standard", "elbow-modified"],
+        ids=["cluster-modified", "cluster-standard", "elbow-modified", "elbow-standard"],
     )
     @pytest.mark.parametrize("first, second", [(8, 4), (4, 8)], ids=["shrunk", "grown"])
     def test_stale_points_stage_exits_1(self, tmp_path, capsys, first, second, command):
@@ -419,6 +421,150 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert main(["ingest", "--out", str(out), "--corpus", f"{corpus}:demo"]) == 0
         assert "skipped" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(corpus_dir, tmp_path_factory):
+    return run_pipeline(corpus_dir, tmp_path_factory.mktemp("pipeline") / "out")
+
+
+def standard_outputs(out: Path) -> dict[str, str]:
+    digests = tree_digest(out)
+    return {
+        name: digest for name, digest in digests.items()
+        if name == "stages/model_standard.jsonl"
+        or (name.startswith("reports/iteration") and "_standard" in name)
+    }
+
+
+def cluster_argv(out: Path, mode: str, *flags: str, query: str = "vaccine") -> list[str]:
+    # the cluster call of run_pipeline, plus flags
+    return ["cluster", "--out", str(out), "--query", query, "--k", "4", "--mode", mode,
+            "--seed", "7", *flags]
+
+
+class TestModelReuse:
+    """A model stage whose header records this call's inputs, and whose
+    record and iteration reports still hash to their recorded digests, is
+    reused: ``cluster`` writes the weights and fits nothing."""
+
+    @pytest.fixture
+    def out(self, pipeline_out, tmp_path):
+        copy = tmp_path / "out"
+        shutil.copytree(pipeline_out, copy)
+        return copy
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        from keyclust import cluster
+
+        calls = []
+        real_run = cluster.run
+
+        def counting_run(points, config):
+            calls.append(config.mode)
+            return real_run(points, config)
+
+        monkeypatch.setattr(cluster, "run", counting_run)
+        return calls
+
+    def test_standard_model_reused_for_a_new_query(self, out, monkeypatch, caplog):
+        from keyclust import cluster
+
+        def no_fit(points, config):
+            raise AssertionError("the standard model was fitted again")
+
+        monkeypatch.setattr(cluster, "run", no_fit)
+        caplog.set_level(logging.INFO, logger="keyclust")
+        before = standard_outputs(out)
+        weights = (out / "stages" / "weights.jsonl").read_bytes()
+        assert main(cluster_argv(out, "standard", query="genome")) == 0
+        assert "standard model is current; reused" in caplog.text
+        assert standard_outputs(out) == before
+        assert len(before) > 2  # the model stage, the CSV and at least one SVG
+        assert (out / "stages" / "weights.jsonl").read_bytes() != weights
+
+    def test_modified_model_refitted_for_a_new_query(self, out, fits):
+        model = out / "stages" / "model_modified.jsonl"
+        before = model.read_bytes()
+        assert main(cluster_argv(out, "modified", query="genome")) == 0
+        assert fits == ["modified"]
+        assert model.read_bytes() != before
+
+    @pytest.mark.parametrize(
+        "mode, flags",
+        [
+            ("standard", ["--k", "3"]),
+            ("standard", ["--seed", "8"]),
+            ("standard", ["--max-iter", "2"]),
+            ("modified", ["--threshold", "0.05"]),
+            ("standard", ["--seeding", "partial"]),
+        ],
+        ids=["k", "seed", "max-iter", "threshold", "seeding"],
+    )
+    def test_changed_config_refits(self, out, fits, mode, flags):
+        assert main(cluster_argv(out, mode, *flags)) == 0
+        assert fits == [mode]
+        header = json.loads((out / "stages" / f"model_{mode}.jsonl").read_text().split("\n", 1)[0])
+        flag, value = flags
+        assert str(header["inputs"]["config"][flag[2:].replace("-", "_")]) == value
+
+    def test_new_points_refit(self, out, fits):
+        assert main(["reduce", "--out", str(out), "--pca-dim", "6"]) == 0
+        assert main(cluster_argv(out, "standard")) == 0
+        assert fits == ["standard"]
+
+    def test_standard_threshold_is_not_an_input(self, out, fits):
+        # standard mode forces threshold and damping to zero
+        before = standard_outputs(out)
+        assert main(cluster_argv(out, "standard", "--threshold", "0.05", "--damping", "0.2")) == 0
+        assert fits == []
+        assert standard_outputs(out) == before
+
+    @staticmethod
+    def _edit_line(path: Path, index: int, edit) -> None:
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[index] = edit(lines[index])
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+    DAMAGE = {
+        "svg-deleted": lambda r, s: (r / "iteration_standard_001.svg").unlink(),
+        "svg-edited": lambda r, s: (r / "iteration_standard_001.svg").write_text("<svg/>\n"),
+        "csv-deleted": lambda r, s: (r / "iterations_standard.csv").unlink(),
+        "csv-edited": lambda r, s: (r / "iterations_standard.csv").write_text("iteration\n"),
+        "extra-svg": lambda r, s: (r / "iteration_standard_099.svg").write_text("<svg/>\n"),
+        "record-edited": lambda r, s: TestModelReuse._edit_line(
+            s, 1, lambda line: line.replace('"converged":', '"converged": ', 1)
+        ),
+        "header-only": lambda r, s: s.write_text(s.read_text().split("\n", 1)[0] + "\n"),
+        "truncated": lambda r, s: s.write_bytes(s.read_bytes()[:-100]),
+        "previous-format": lambda r, s: TestModelReuse._edit_line(
+            s, 0, lambda line: json.dumps(
+                {k: v for k, v in json.loads(line).items() if k not in ("inputs", "outputs")}
+            )
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
+    def test_damaged_outputs_refit_to_a_fresh_tree(self, out, pipeline_out, fits, damage):
+        self.DAMAGE[damage](out / "reports", out / "stages" / "model_standard.jsonl")
+        assert main(cluster_argv(out, "standard")) == 0
+        assert fits == ["standard"]
+        assert tree_digest(out) == tree_digest(pipeline_out)
+
+    def test_reused_run_equals_fresh_run(self, corpus_dir, pipeline_out, tmp_path, fits, caplog):
+        out = tmp_path / "twice"
+        argv = ["run-all", "--out", str(out), "--corpus", f"{corpus_dir}:demo",
+                "--query", "vaccine", "--k", "4", "--seed", "7", "--pca-dim", "8"]
+        assert main(argv) == 0
+        assert fits == ["standard", "modified"]
+        caplog.set_level(logging.INFO, logger="keyclust")
+        caplog.clear()
+        assert main(argv) == 0
+        assert fits == ["standard", "modified"]  # no fit on the second run
+        assert "standard model is current; reused" in caplog.text
+        assert "modified model is current; reused" in caplog.text
+        assert tree_digest(out) == tree_digest(run_pipeline(corpus_dir, tmp_path / "fresh"))
 
 
 class TestEnvOverride:
