@@ -378,15 +378,22 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         _require_current(name, models[mode].point_ids, current)
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
+    # every term's count, once per model: the table's top-10 relevance test
+    # and the top --top-n CSV both read prefixes of these sorted counts
+    chunks_by_id = {c.chunk_id: c for c in chunks}
+    cluster_reps = {
+        mode: reporting.cluster_reports(model, chunks_by_id, n=None)
+        for mode, model in models.items()
+    }
     rows = reporting.comparison_table(
-        chunks, query_words, models["standard"], models["modified"], doc_labels
+        chunks, query_words, models["standard"], models["modified"], doc_labels, cluster_reps
     )
     reports = _reports_dir(args.out)
     reporting.write_comparison_csv(reports / "comparison.csv", rows)
-    chunks_by_id = {c.chunk_id: c for c in chunks}
     for mode, model in models.items():
-        cluster_reps = reporting.cluster_reports(model, chunks_by_id, n=args.top_n)
-        reporting.write_top_terms_csv(reports / f"top_terms_{mode}.csv", cluster_reps)
+        reporting.write_top_terms_csv(
+            reports / f"top_terms_{mode}.csv", cluster_reps[mode], args.top_n
+        )
         reporting.write_extracts(reports / "extracts" / mode, model, chunks)
     for row in rows:
         log.info(

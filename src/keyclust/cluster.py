@@ -11,10 +11,14 @@ the classical Lloyd baseline.
 Determinism contract: a fixed seed and fixed input produce an identical
 model, including history. Every run computes in one thread: centroid
 accumulation folds members in input (chunk) order, primaries before the
-secondaries of dual-assigned points (``np.bincount`` adds in input order),
-and the distortion sums its terms in the same order, so results are
-bit-stable. The elbow scan runs its independent runs on a thread pool,
-one run per thread at a time, so its result does not depend on the pool.
+secondaries of dual-assigned points (one axis-0 sum per cluster over its
+members' rows, which adds whole rows in order), and the distortion sums
+its terms in the same order, so results are bit-stable. Every distance
+is an exact per-row sum of squared differences; a matrix product only
+picks which of those sums to compute, with a margin that covers its
+rounding, so results do not depend on BLAS or its threads. The elbow scan
+runs its independent runs on a thread pool, one run per thread at a time,
+so its result does not depend on the pool.
 """
 
 from __future__ import annotations
@@ -269,6 +273,23 @@ def _distances_sq(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _two_nearest(d2all: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest and second-nearest centroid of every row of a full squared
+    distance table, ties to the lowest index, with their squared distances
+    (the second is infinite when k == 1)."""
+    rows = np.arange(d2all.shape[0])
+    prim = np.argmin(d2all, axis=1)
+    masked = d2all.copy()
+    masked[rows, prim] = np.inf
+    second = np.argmin(masked, axis=1)
+    return prim, second, d2all[rows, prim], masked[rows, second]
+
+
+# Below this k a full exact pass is cheaper than screening (measured at
+# n=3000, d=50: the screen first wins at k=4).
+SCREEN_MIN_K = 4
+
+
 def _assign_arrays(
     X: np.ndarray, centroids: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -278,18 +299,85 @@ def _assign_arrays(
     minimum). Secondary assignment requires a strict gap below threshold,
     so threshold 0 never dual-assigns. With k == 1 every second distance
     is infinite, so no point is dual-assigned.
+
+    Every returned distance is an exact ``_distances_sq`` row sum, and the
+    labels follow from those sums alone. From ``SCREEN_MIN_K`` centroids on,
+    one matrix product first screens each point's candidates for its two
+    nearest centroids, and only the candidates' exact distances are
+    computed; a point whose screen is inconclusive gets a full exact row.
     """
-    d2all = _distances_sq(X, centroids)
-    prim = np.argmin(d2all, axis=1)
-    rows = np.arange(X.shape[0])
-    d1 = np.sqrt(d2all[rows, prim])
-    masked = d2all.copy()
-    masked[rows, prim] = np.inf
-    second = np.argmin(masked, axis=1)
-    d2 = np.sqrt(masked[rows, second])
+    k = centroids.shape[0]
+    if k < SCREEN_MIN_K:
+        prim, second, d1sq, d2sq = _two_nearest(_distances_sq(X, centroids))
+    else:
+        prim, second, d1sq, d2sq = _screened_two_nearest(X, centroids)
+    d1 = np.sqrt(d1sq)
+    d2 = np.sqrt(d2sq)
     dual = (d2 - d1) < threshold
     sec = np.where(dual, second, -1)
     return prim, sec.astype(np.int64), d1, d2
+
+
+def _screened_two_nearest(
+    X: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_two_nearest(_distances_sq(X, centroids))``, bit for bit, with
+    exact sums for two centroids per point instead of k.
+
+    One matrix product screens each point's candidates; only the exact
+    sums decide labels and distances. A point whose screen leaves more
+    than two candidates, or is not finite, gets a full exact row.
+    """
+    rows = np.arange(X.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = np.einsum("ij,ij->i", X, X)
+        cc = np.einsum("ij,ij->i", centroids, centroids)
+        # the screen a = |x|^2 - 2 x.c + |c|^2, rounded however BLAS sums
+        a = X @ centroids.T
+        a *= -2.0
+        a += xx[:, None]
+        a += cc
+        # The margin. Let t be a true squared distance, e its exact row sum,
+        # u = 2^-53 and R = |x| + max |c|. Rounding bounds |a - t| by
+        # (d + 2) u R^2 for any order of the dot product's d terms, and
+        # |e - t| by (d + 2) u t <= (d + 2) u R^2. B = (d + 4) (u R^2 + tiny)
+        # bounds both, with room for rounding B and s2 + 4B; tiny, the
+        # smallest normal number, covers products that underflow. Let s2 be
+        # a row's second-smallest screen value. A centroid with a > s2 + 4B
+        # has e >= a - 2B > s2 + 2B >= the e of both centroids screened
+        # nearest, so it is neither nearest nor second, nor tied with either.
+        radius = np.sqrt(xx) + np.sqrt(cc.max())
+        bound = (X.shape[1] + 4) * (2.0**-53 * radius * radius + np.finfo(np.float64).tiny)
+        full = ~(np.isfinite(a).all(axis=1) & np.isfinite(bound))
+        p = np.argmin(a, axis=1)
+        a[rows, p] = np.inf
+        q = np.argmin(a, axis=1)
+        # besides p, only q may lie within s2 + 4B
+        full |= np.count_nonzero(a <= (a[rows, q] + 4.0 * bound)[:, None], axis=1) != 1
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    e_lo = _paired_distances_sq(X, centroids, lo)
+    e_hi = _paired_distances_sq(X, centroids, hi)
+    hi_nearer = e_hi < e_lo  # a tie goes to the lower index
+    prim = np.where(hi_nearer, hi, lo)
+    second = np.where(hi_nearer, lo, hi)
+    d1sq = np.where(hi_nearer, e_hi, e_lo)
+    d2sq = np.where(hi_nearer, e_lo, e_hi)
+    if full.any():
+        redo = np.flatnonzero(full)
+        prim[redo], second[redo], d1sq[redo], d2sq[redo] = _two_nearest(
+            _distances_sq(X[redo], centroids)
+        )
+    return prim, second, d1sq, d2sq
+
+
+def _paired_distances_sq(X: np.ndarray, centroids: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of ``X`` to its own centroid
+    ``centroids[pick[i]]``, by the same subtract, square and row sum as
+    ``_distances_sq``, so each value is bitwise that table's entry."""
+    buf = np.take(centroids, pick, axis=0)
+    np.subtract(X, buf, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return np.sum(buf, axis=1)
 
 
 def _update_arrays(
@@ -311,13 +399,29 @@ def _update_arrays(
     """
     k, dim = previous.shape
     dual = sec >= 0
+    # every membership in accumulation order: primaries, then the
+    # secondaries of dual-assigned points, each in input order
     labels = np.concatenate([prim, sec[dual]])
-    wx = X * w[:, None]
-    wx = np.concatenate([wx, wx[dual]])
-    flat = (labels[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(flat, weights=wx.ravel(), minlength=k * dim).reshape(k, dim)
-    wsum = np.bincount(labels, weights=np.concatenate([w, w[dual]]), minlength=k)
+    src = np.concatenate([np.arange(prim.shape[0]), np.flatnonzero(dual)])
     counts = np.bincount(labels, minlength=k)
+    wsum = np.bincount(labels, weights=w[src], minlength=k)
+    if dim == 1:
+        # one column is numpy's fast axis, which it sums pairwise
+        sums = np.bincount(labels, weights=X[src, 0] * w[src], minlength=k)[:, None]
+    else:
+        # a stable sort keeps accumulation order within each cluster, and an
+        # axis-0 sum of a C-contiguous block adds whole rows in order, as
+        # bincount does. Where numpy starts that sum from the first row
+        # rather than from +0.0, an all-(-0.0) column sums to -0.0: add 0.0
+        src = src[np.argsort(labels, kind="stable")]
+        wx = X[src]
+        wx *= w[src, None]
+        sums = np.empty((k, dim), dtype=np.float64)
+        end = 0
+        for c, m in enumerate(counts.tolist()):
+            np.sum(wx[end:end + m], axis=0, out=sums[c])
+            end += m
+        sums += 0.0
     if raw_denominator:
         den = counts + (1.0 if damping_weight > 0.0 else 0.0)
     else:

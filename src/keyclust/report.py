@@ -47,9 +47,11 @@ class ComparisonRow:
     modified_kmeans_count: int
 
 
-def top_terms(members: Sequence[Chunk], n: int = TOP_TERMS_DEFAULT) -> list[tuple[str, int]]:
-    """The n most frequent tokens across member chunks, counts descending,
-    ties broken lexicographically."""
+def top_terms(
+    members: Sequence[Chunk], n: int | None = TOP_TERMS_DEFAULT
+) -> list[tuple[str, int]]:
+    """The n most frequent tokens across member chunks (all of them when n
+    is None), counts descending, ties broken lexicographically."""
     counts: Counter[str] = Counter()
     for chunk in members:
         counts.update(chunk.tokens)
@@ -63,8 +65,10 @@ def keyword_search_count(chunks: Sequence[Chunk], query: str | Sequence[str]) ->
 
 
 def cluster_reports(
-    model: ClusterModel, chunks_by_id: Mapping[str, Chunk], n: int = TOP_TERMS_DEFAULT
+    model: ClusterModel, chunks_by_id: Mapping[str, Chunk], n: int | None = TOP_TERMS_DEFAULT
 ) -> list[ClusterReport]:
+    """One report per cluster, in cluster order; ``n=None`` keeps every
+    term, so any top-n list is a prefix of its ``top_terms``."""
     out = []
     for ci in range(model.config.k):
         ids = model.member_ids(ci)
@@ -85,14 +89,16 @@ def relevant_clusters(
     chunks_by_id: Mapping[str, Chunk],
     query: str | Sequence[str],
     n: int = TOP_TERMS_DEFAULT,
+    reports: Sequence[ClusterReport] | None = None,
 ) -> list[int]:
-    """Clusters whose top-n term list contains a query word."""
+    """Clusters whose top-n term list contains a query word. ``reports``,
+    when given, are the model's ``cluster_reports`` with at least n terms."""
     words = {query} if isinstance(query, str) else set(query)
-    hits = []
-    for rep in cluster_reports(model, chunks_by_id, n):
-        if words & {term for term, _ in rep.top_terms}:
-            hits.append(rep.cluster_index)
-    return hits
+    if reports is None:
+        reports = cluster_reports(model, chunks_by_id, n)
+    return [
+        rep.cluster_index for rep in reports if words & {term for term, _ in rep.top_terms[:n]}
+    ]
 
 
 def comparison_table(
@@ -101,12 +107,15 @@ def comparison_table(
     standard_model: ClusterModel,
     modified_model: ClusterModel,
     doc_labels: Mapping[str, str] | None = None,
+    reports: Mapping[str, Sequence[ClusterReport]] | None = None,
 ) -> list[ComparisonRow]:
     """Per-corpus counts: keyword search vs each model's query-relevant clusters.
 
     A model's count is the number of member chunks (primary or secondary,
     counted once) across clusters whose top-10 terms include the query.
     When no cluster qualifies the count is 0 and a warning is logged.
+    ``reports`` may hold each model's ``cluster_reports`` (with at least
+    10 terms) under "standard" and "modified", so they are not recomputed.
     """
     chunks_by_id = {c.chunk_id: c for c in chunks}
     label_of = (
@@ -114,12 +123,13 @@ def comparison_table(
     )
     member_sets: dict[str, set[str]] = {}
     for name, model in (("standard", standard_model), ("modified", modified_model)):
-        hits = relevant_clusters(model, chunks_by_id, query)
+        reps = reports[name] if reports else cluster_reports(model, chunks_by_id)
+        hits = relevant_clusters(model, chunks_by_id, query, reports=reps)
         if not hits:
             log.warning("no %s-model cluster has the query in its top terms", name)
         ids: set[str] = set()
         for ci in hits:
-            ids.update(model.member_ids(ci))
+            ids.update(reps[ci].member_chunk_ids)
         member_sets[name] = ids
     rows = []
     for label in sorted({label_of(c) for c in chunks}):
@@ -175,18 +185,23 @@ def write_elbow_csv(path: str | Path, results: Sequence[tuple[int, float]]) -> N
             writer.writerow([k, repr(d)])
 
 
-def write_top_terms_csv(path: str | Path, reports: Sequence[ClusterReport]) -> None:
+def write_top_terms_csv(
+    path: str | Path, reports: Sequence[ClusterReport], n: int | None = None
+) -> None:
+    """Each cluster's top terms, the first ``n`` of them when n is given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cluster", "member_count", "rank", "term", "count"])
         for rep in reports:
-            for rank, (term, count) in enumerate(rep.top_terms, start=1):
+            for rank, (term, count) in enumerate(rep.top_terms[:n], start=1):
                 writer.writerow([rep.cluster_index, rep.member_count, rank, term, count])
 
 
 def write_extracts(
     out_dir: str | Path, model: ClusterModel, chunks: Sequence[Chunk]
 ) -> list[Path]:
+    """One ``cluster_NN.txt`` per cluster; the files of clusters NN >= k
+    left by an earlier model with more clusters are removed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -195,6 +210,9 @@ def write_extracts(
         path = out / f"cluster_{ci:02d}.txt"
         path.write_text("\n\n".join(texts) + ("\n" if texts else ""), encoding="utf-8")
         paths.append(path)
+    for stale, ci in _numbered(out, r"cluster_(\d{2,})\.txt").items():
+        if ci >= model.config.k:
+            stale.unlink()
     return paths
 
 
@@ -322,7 +340,13 @@ def write_iteration_svgs(
 def numbered_svgs(out_dir: str | Path, prefix: str) -> dict[Path, int]:
     """Every ``<prefix>_NNN.svg`` file in ``out_dir`` (three or more
     digits), with its iteration number."""
-    numbered = re.compile(re.escape(prefix) + r"_(\d{3,})\.svg")
+    return _numbered(out_dir, re.escape(prefix) + r"_(\d{3,})\.svg")
+
+
+def _numbered(out_dir: str | Path, pattern: str) -> dict[Path, int]:
+    """Every file in ``out_dir`` whose name matches ``pattern``, with the
+    number its one group captures."""
+    numbered = re.compile(pattern)
     return {
         path: int(m.group(1))
         for path in Path(out_dir).iterdir()

@@ -120,6 +120,23 @@ def distances_sq_oracle(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=2)
 
 
+def assign_arrays_oracle(X: np.ndarray, centroids: np.ndarray, threshold: float):
+    """Primary/secondary labels and distances as first written: the full
+    distance table, argmin (ties to the lowest index), then argmin again
+    with the primary masked out. Returns (primary, secondary, d1, d2)."""
+    d2all = distances_sq_oracle(X, centroids)
+    prim = np.argmin(d2all, axis=1)
+    rows = np.arange(X.shape[0])
+    d1 = np.sqrt(d2all[rows, prim])
+    masked = d2all.copy()
+    masked[rows, prim] = np.inf
+    second = np.argmin(masked, axis=1)
+    d2 = np.sqrt(masked[rows, second])
+    dual = (d2 - d1) < threshold
+    sec = np.where(dual, second, -1)
+    return prim, sec.astype(np.int64), d1, d2
+
+
 def add_at_update_oracle(X, w, prim, sec, previous, damping_weight, raw_denominator=False):
     """Weighted, damped centroid update as first written: six unbuffered
     ``np.add.at`` accumulations (primaries, then the secondaries of

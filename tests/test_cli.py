@@ -126,6 +126,26 @@ class TestPipeline:
             assert main([*cluster, "--mode", mode, "--out", str(fresh), "--max-iter", "3"]) == 0
         assert tree_digest(out / "reports") == tree_digest(fresh / "reports")
 
+    def test_smaller_k_rerun_removes_stale_extracts(self, corpus_dir, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        flags = ["--corpus", f"{corpus_dir}:demo", "--query", "vaccine", "--pca-dim", "8",
+                 "--seed", "7", "--max-iter", "5"]
+        assert main(["run-all", "--out", str(out), *flags, "--k", "6"]) == 0
+        assert (out / "reports" / "extracts" / "modified" / "cluster_05.txt").is_file()
+        assert main(["run-all", "--out", str(out), *flags, "--k", "3"]) == 0
+        assert main(["run-all", "--out", str(fresh), *flags, "--k", "3"]) == 0
+        assert tree_digest(out) == tree_digest(fresh)
+
+    def test_report_counts_each_clusters_terms_once(self, corpus_dir, tmp_path, monkeypatch):
+        from keyclust import report
+
+        out = run_pipeline(corpus_dir, tmp_path / "out", k=4)
+        calls = []
+        top_terms = report.top_terms
+        monkeypatch.setattr(report, "top_terms", lambda *a, **kw: calls.append(1) or top_terms(*a, **kw))
+        assert main(["report", "--out", str(out), "--query", "vaccine", "--top-n", "3"]) == 0
+        assert len(calls) == 2 * 4
+
     def test_later_stages_never_mutate_earlier_ones(self, corpus_dir, tmp_path):
         out = tmp_path / "out"
         base = ["--out", str(out)]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from keyclust import cluster as cluster_module
 from keyclust.cluster import (
+    _assign_arrays,
     _distances_sq,
     _update_arrays,
     ClusterConfig,
@@ -28,6 +29,7 @@ from keyclust.weighting import WeightedPoint
 from conftest import blob_points, random_points
 from oracles import (
     add_at_update_oracle,
+    assign_arrays_oracle,
     distances_sq_oracle,
     elbow_scan_oracle,
     lloyd_oracle,
@@ -37,6 +39,15 @@ from oracles import (
 
 def wp(chunk_id, coords, weight=1.0):
     return WeightedPoint(chunk_id=chunk_id, coords=np.asarray(coords, float), weight=weight)
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays, bit for bit: dtype, shape and every byte (so -0.0 is
+    not +0.0)."""
+    return all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
 
 
 def models_equal(a: ClusterModel, b: ClusterModel) -> bool:
@@ -151,6 +162,74 @@ class TestDistancesSq:
             assert np.array_equal(_distances_sq(X, C), distances_sq_oracle(X, C)), (n, d, k)
 
 
+class TestAssignArrays:
+    """The screened assignment returns the full table's bits: labels,
+    secondaries and both distances, whatever the screen's rounding."""
+
+    THRESHOLDS = (0.0, 0.01, 1.0)
+
+    def assert_matches_oracle(self, X, C):
+        for threshold in self.THRESHOLDS:
+            got = _assign_arrays(X, C, threshold)
+            want = assign_arrays_oracle(X, C, threshold)
+            assert same_bits(got, want), (X.shape, C.shape, threshold)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_shapes(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            n, d, k = int(rng.integers(1, 401)), int(rng.integers(1, 81)), int(rng.integers(1, 13))
+            X = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3)
+            self.assert_matches_oracle(X, rng.standard_normal((k, d)) * rng.uniform(1e-3, 1e3))
+
+    def test_centroids_symmetric_about_the_points(self):
+        # pairs of centroids mirrored through a point are (near-)tied for
+        # it, and with several pairs a third centroid ties the screened two
+        rng = np.random.default_rng(1)
+        for d in (1, 2, 3, 8, 50):
+            X = rng.standard_normal((200, d))
+            for pairs in (2, 3, 6):
+                center = X[rng.integers(0, 200)]
+                offsets = rng.standard_normal((pairs, d))
+                offsets *= 0.5 / np.linalg.norm(offsets, axis=1)[:, None]
+                C = np.concatenate([center + offsets, center - offsets])
+                near = center + rng.standard_normal((50, d)) * 1e-9
+                self.assert_matches_oracle(np.concatenate([X, near, center[None]]), C)
+
+    def test_duplicated_centroids(self):
+        rng = np.random.default_rng(2)
+        for k, copies in ((4, 2), (6, 3), (12, 4)):
+            X = rng.standard_normal((300, 7))
+            C = np.repeat(rng.standard_normal((k // copies, 7)), copies, axis=0)
+            self.assert_matches_oracle(X, C)
+            self.assert_matches_oracle(X, np.concatenate([C, rng.standard_normal((3, 7))]))
+
+    def test_centroids_equal_to_points(self):
+        rng = np.random.default_rng(3)
+        for n, d, k in ((50, 3, 4), (300, 50, 10), (12, 1, 12)):
+            X = rng.standard_normal((n, d))
+            self.assert_matches_oracle(X, X[rng.choice(n, k, replace=False)].copy())
+
+    def test_common_large_offset(self):
+        # the screen's cancellation error dwarfs the distances it ranks
+        rng = np.random.default_rng(4)
+        for d, k in ((2, 4), (10, 8), (50, 12)):
+            X = 1e6 + rng.standard_normal((300, d)) * 1e-2
+            C = 1e6 + rng.standard_normal((k, d)) * 1e-2
+            self.assert_matches_oracle(X, C)
+
+    @pytest.mark.parametrize("scale", [1e153, 1e-158])
+    def test_coordinates_at_the_float_range_ends(self, scale):
+        # near 1e153 the screen overflows; near 1e-158 its products underflow
+        rng = np.random.default_rng(5)
+        for d, k in ((4, 5), (40, 10), (80, 12)):
+            X = rng.standard_normal((200, d)) * scale
+            C = rng.standard_normal((k, d)) * scale
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                self.assert_matches_oracle(X, C)
+                self.assert_matches_oracle(X, X[:k].copy())
+
+
 class TestUpdateCentroids:
     def test_single_member_damped_formula(self):
         prev = np.array([[3.0, -1.0]])
@@ -204,19 +283,27 @@ class TestUpdateCentroids:
 
 
     def test_bincount_accumulation_matches_add_at_bitwise(self):
+        # d = 1 (numpy's fast axis, summed pairwise), clusters of more than
+        # 128 members (numpy's pairwise block), all-(-0.0) columns and
+        # passes where every point is dual-assigned; compared bit for bit
         rng = np.random.default_rng(17)
-        for trial in range(200):
-            n, k, dim = int(rng.integers(1, 60)), int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        for trial in range(400):
+            n = int(rng.integers(1, 60)) if rng.random() < 0.5 else int(rng.integers(900, 1200))
+            k = int(rng.integers(1, 8))
+            dim = 1 if rng.random() < 0.4 else int(rng.integers(2, 6))
             X = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4)
+            if rng.random() < 0.3:
+                X[:, rng.integers(0, dim)] = -0.0
             w = rng.uniform(0.01, 1.0, n)
             prim = rng.integers(0, k, n)
-            sec = np.where(rng.random(n) < 0.4, rng.integers(0, k, n), -1)
+            dual_share = 1.0 if rng.random() < 0.3 else 0.4
+            sec = np.where(rng.random(n) < dual_share, rng.integers(0, k, n), -1)
             prev = rng.standard_normal((k, dim))
-            damping = (0.0, 0.01)[trial % 2]
-            raw = trial % 3 == 0
+            damping = 0.0 if rng.random() < 0.5 else 0.01
+            raw = rng.random() < 0.3
             got, got_empty = _update_arrays(X, w, prim, sec, prev, damping, raw)
             want, want_empty = add_at_update_oracle(X, w, prim, sec, prev, damping, raw)
-            assert np.array_equal(got, want)
+            assert same_bits([got], [want]), trial
             assert got_empty == want_empty
 
 

@@ -125,6 +125,26 @@ class TestClusterMembership:
         assert reps[0].top_terms[0] == ("vaccine", 2)
         assert relevant_clusters(model, chunks, "vaccine") == [0]
 
+    def test_precomputed_full_reports_give_the_same_table_and_csv(self, tmp_path):
+        chunks = [
+            toy_chunk("c1", ["vaccine", "trial", "dose"], doc_id="d1"),
+            toy_chunk("c2", ["vaccine", "dose", "dose"], doc_id="d2"),
+            toy_chunk("c3", ["economy", "market", "vaccine"], doc_id="d2"),
+        ]
+        by_id = {c.chunk_id: c for c in chunks}
+        standard = make_model([asg("c1", 0), asg("c2", 0), asg("c3", 1)])
+        modified = make_model([asg("c1", 1), asg("c2", 0, secondary=1), asg("c3", 1)])
+        labels = {"d1": "a", "d2": "b"}
+        full = {name: cluster_reports(m, by_id, n=None)
+                for name, m in (("standard", standard), ("modified", modified))}
+        for query in ("vaccine", "dose", ["market", "absent"]):
+            assert comparison_table(chunks, query, standard, modified, labels, full) == \
+                comparison_table(chunks, query, standard, modified, labels)
+        for n in (1, 2, 10):
+            write_top_terms_csv(tmp_path / "full.csv", full["modified"], n)
+            write_top_terms_csv(tmp_path / "top.csv", cluster_reports(modified, by_id, n))
+            assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "top.csv").read_bytes()
+
     def test_extract_in_corpus_order(self):
         chunks = [toy_chunk("c1", ["x"]), toy_chunk("c2", ["y"]), toy_chunk("c3", ["z"])]
         model = make_model([asg("c1", 0), asg("c2", 1), asg("c3", 0)])
@@ -260,6 +280,15 @@ class TestWriters:
         paths = write_extracts(tmp_path, model, chunks)
         assert [p.name for p in paths] == ["cluster_00.txt", "cluster_01.txt"]
         assert paths[0].read_text().strip() == chunks[0].raw_text
+
+    def test_extracts_of_clusters_beyond_k_are_removed(self, tmp_path):
+        for name in ("cluster_02.txt", "cluster_07.txt", "cluster_123.txt", "notes.txt"):
+            (tmp_path / name).write_text("old\n")
+        chunks = [toy_chunk("c1", ["x"]), toy_chunk("c2", ["y"])]
+        write_extracts(tmp_path, make_model([asg("c1", 0), asg("c2", 1)]), chunks)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cluster_00.txt", "cluster_01.txt", "notes.txt"
+        ]
 
     def _history_model(self):
         from keyclust.cluster import IterationSnapshot
