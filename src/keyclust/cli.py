@@ -5,18 +5,20 @@ output directory and writes its own, so desk-scale experiments can iterate
 on clustering without re-vectorizing. ``run-all`` chains everything except
 the elbow scan. Re-running any subcommand with identical inputs and seed
 rewrites byte-identical artifacts; no subcommand touches a prior stage's
-files. ``cluster`` does not fit again a model whose stage header records
-the inputs it would fit from and outputs that are still intact.
+files. Every stage header records the sha256 of the stage files it was
+computed from; a stage is read only while those digests still hold, back
+to the chunks, and ``cluster`` does not fit again a model whose header
+records the inputs it would record and outputs that are still intact.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -46,87 +48,103 @@ MODES = ("standard", "modified")
 
 T = TypeVar("T")
 
-# every stage file: name -> (record schema, the command that writes it);
-# cluster-model-2 records keep no per-iteration distances
+# every stage file: name -> (record schema, the command that writes it, the stages
+# it is computed from); cluster-model-2 records keep no per-iteration distances
 STAGES = {
-    "documents": ("document", "keyclust ingest"),
-    "chunks": ("chunk", "keyclust ingest"),
-    "vocabulary": ("vocab-term", "keyclust vectorize"),
-    "vectors": ("tfidf", "keyclust vectorize"),
-    "pca": ("pca-model", "keyclust reduce"),
-    "points": ("reduced-point", "keyclust reduce"),
-    "weights": ("weight", "keyclust cluster"),
-    **{f"model_{m}": ("cluster-model-2", f"keyclust cluster --mode {m}") for m in MODES},
+    "documents": ("document", "keyclust ingest", ()),
+    "chunks": ("chunk", "keyclust ingest", ()),
+    "vocabulary": ("vocab-term", "keyclust vectorize", ("chunks",)),
+    "vectors": ("tfidf", "keyclust vectorize", ("chunks", "vocabulary")),
+    "pca": ("pca-model", "keyclust reduce", ("vectors",)),
+    "points": ("reduced-point", "keyclust reduce", ("vectors", "pca")),
+    "weights": ("weight", "keyclust cluster --mode modified", ("chunks", "vocabulary")),
+    "model_standard": ("cluster-model-2", "keyclust cluster --mode standard", ("points",)),
+    "model_modified": ("cluster-model-2", "keyclust cluster --mode modified", ("points", "weights")),
 }
 
 
-def _store(out: str, name: str) -> StageStore:
-    return StageStore(Path(out) / "stages", name)
+@dataclass
+class _Stages:
+    """The stage files under ``--out`` for one command, which hashes each file
+    at most once and forgets the digest of a file it rewrites. Each command
+    makes its own, as ``run-all`` rewrites stages between its commands."""
+
+    out: str
+    digests: dict[str, str] = field(default_factory=dict)
+
+    def store(self, name: str) -> StageStore:
+        return StageStore(Path(self.out) / "stages", name)
+
+    def read(self, name: str, read: Callable[[StageStore], T]) -> T:
+        """``read`` of stage ``name``; a stage it cannot find or open is a
+        StageIoError naming the command that writes it."""
+        try:
+            return read(self.store(name))
+        except StageIoError as exc:
+            writer = STAGES[name][1]
+            raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
+
+    def digest(self, name: str) -> str:
+        if name not in self.digests:
+            self.digests[name] = self.read(name, StageStore.sha256)
+        return self.digests[name]
+
+    def inputs(self, name: str, **config: Any) -> dict[str, Any]:
+        """What stage ``name`` is computed from: the sha256 of each upstream
+        stage file, the package version and, for a model, ``config``."""
+        return {**{up: self.digest(up) for up in STAGES[name][2]}, "keyclust": __version__, **config}
+
+    def save(self, name: str, records: Iterable[Mapping[str, Any] | str], **meta: Any) -> int:
+        """Write stage ``name`` with ``meta`` and its ``inputs`` in the header;
+        a model brings its own inputs, which hold its config."""
+        count = self.store(name).save(records, STAGES[name][0], {"inputs": self.inputs(name), **meta})
+        self.digests.pop(name, None)
+        return count
+
+    def stale(self, name: str) -> set[str]:
+        """The stale stages among ``name`` and its upstreams: those whose header records
+        no inputs, a digest other than an upstream file's, or a stale upstream."""
+        inputs = self.read(name, lambda s: s.load_body(STAGES[name][0], 0)[0]).get("inputs")
+        if not isinstance(inputs, dict):
+            return {name}
+        stale = set().union(*(self.stale(up) for up in STAGES[name][2]))
+        if stale or any(inputs.get(up) != self.digest(up) for up in STAGES[name][2]):
+            stale.add(name)
+        return stale
+
+    def check(self, name: str) -> None:
+        """Stage ``name`` must be computed from the current upstream stage
+        files, back to the chunks; else a stale-stage StageIoError naming, in
+        pipeline order, the commands that rewrite the stale stages."""
+        stale = [s for s in STAGES if s in self.stale(name)]
+        if stale:
+            writers = list(dict.fromkeys(STAGES[s][1] for s in stale[:-1]))
+            rerun = " and ".join(f"'{w}'" for w in writers)
+            if STAGES[name][1] not in writers:
+                rerun = f"{rerun}, then re-run '{STAGES[name][1]}'" if rerun else f"'{STAGES[name][1]}'"
+            cause = f"{stale[0]!r} does not record the current digests of its inputs"
+            raise StageIoError(f"stale stage {name!r}: {cause} — re-run {rerun}")
+
+    def load(self, name: str, decode: Callable[[list[dict[str, Any]], dict[str, Any]], T]) -> T:
+        """Stage ``name``, provenance checked, as ``decode(records, header fields)``. A
+        record that ``decode`` cannot index or convert is a SchemaMismatch naming it."""
+        self.check(name)
+        records, meta = self.read(name, lambda store: store.load_with_meta(STAGES[name][0]))
+        try:
+            return decode(records, meta)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise SchemaMismatch(
+                f"stage {name!r} holds a record of the wrong shape ({type(exc).__name__}: {exc})"
+            ) from exc
 
 
-def _save(
-    out: str,
-    name: str,
-    records: Iterable[Mapping[str, Any] | str],
-    meta: Mapping[str, Any] | None = None,
-) -> int:
-    return _store(out, name).save(records, STAGES[name][0], meta)
+def _load_chunks(stages: _Stages) -> list[Chunk]:
+    return stages.load("chunks", lambda records, _: [Chunk.from_record(r) for r in records])
 
 
-def _read(out: str, name: str, read: Callable[[StageStore], T]) -> T:
-    """``read`` of stage ``name``; a stage it cannot find or open is a
-    StageIoError naming the command that writes it."""
-    try:
-        return read(_store(out, name))
-    except StageIoError as exc:
-        writer = STAGES[name][1]
-        raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
-
-
-def _load(
-    out: str, name: str, decode: Callable[[list[dict[str, Any]], dict[str, Any]], T]
-) -> T:
-    """Stage ``name`` as ``decode(records, header fields)``. A record that
-    ``decode`` cannot index or convert is a SchemaMismatch naming the stage."""
-    records, meta = _read(out, name, lambda store: store.load_with_meta(STAGES[name][0]))
-    try:
-        return decode(records, meta)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise SchemaMismatch(
-            f"stage {name!r} holds a record of the wrong shape ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def _require_current(
-    name: str, ids: Sequence[str], current: Sequence[str], rebuild: Sequence[str] = ()
-) -> None:
-    """Chunk-keyed stage ``name`` must hold the ``current`` chunk ids (those
-    of the chunks with tokens), in order; else a stale-stage StageIoError
-    naming the commands that write ``rebuild`` (default: ``name`` itself)."""
-    if list(ids) != list(current):
-        rerun = " and ".join(f"'{STAGES[s][1]}'" for s in rebuild or (name,))
-        raise StageIoError(
-            f"stale stage {name!r}: its {len(ids)} points are not the "
-            f"{len(current)} current chunks with tokens — re-run {rerun}"
-        )
-
-
-def _require_current_points(ids: Sequence[str], current: Sequence[str]) -> None:
-    _require_current("points", ids, current, rebuild=("vectors", "points"))
-
-
-def _load_chunks(out: str) -> list[Chunk]:
-    return _load(out, "chunks", lambda records, _: [Chunk.from_record(r) for r in records])
-
-
-def _load_current_ids(out: str) -> list[str]:
-    """Ids of the chunks with tokens, without building Chunk objects."""
-    return _load(out, "chunks", lambda records, _: [r["chunk_id"] for r in records if r["tokens"]])
-
-
-def _load_points(out: str) -> list[reduction.ReducedPoint]:
-    return _load(
-        out, "points", lambda records, _: [reduction.ReducedPoint.from_record(r) for r in records]
+def _load_points(stages: _Stages) -> list[reduction.ReducedPoint]:
+    return stages.load(
+        "points", lambda records, _: [reduction.ReducedPoint.from_record(r) for r in records]
     )
 
 
@@ -136,8 +154,8 @@ def _decode_vocab(records: list[dict[str, Any]], meta: dict[str, Any]) -> vector
     return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
 
 
-def _load_vocab(out: str) -> vectorization.Vocabulary:
-    return _load(out, "vocabulary", _decode_vocab)
+def _load_vocab(stages: _Stages) -> vectorization.Vocabulary:
+    return stages.load("vocabulary", _decode_vocab)
 
 
 def _reports_dir(out: str) -> Path:
@@ -203,34 +221,37 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise EmptyCorpus("no documents loaded from any corpus")
     batches = batch_iter(documents, args.batch_size)  # raises before any stage is written
     chunks = (c.to_record() for batch in batches for doc in batch for c in chunk_document(doc, config))
-    n_docs = _save(args.out, "documents", (d.to_record() for d in documents))
-    n_chunks = _save(args.out, "chunks", chunks)
+    stages = _Stages(args.out)
+    n_docs = stages.save("documents", (d.to_record() for d in documents))
+    n_chunks = stages.save("chunks", chunks)
     log.info("ingested %d documents into %d chunks (%d files failed)", n_docs, n_chunks, failures)
     return 0
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
-    chunks = _load_chunks(args.out)
+    stages = _Stages(args.out)
+    chunks = _load_chunks(stages)
     nonempty = [c for c in chunks if c.tokens]
     if not nonempty:
         raise EmptyCorpus("every chunk has an empty token list")
     vocab = vectorization.build_vocabulary(
         nonempty, min_df=args.min_df, max_df_ratio=args.max_df_ratio
     )
-    _save(args.out, "vocabulary", vocab.to_records(), meta={"n_chunks": vocab.n_chunks})
+    stages.save("vocabulary", vocab.to_records(), n_chunks=vocab.n_chunks)
     vectors = [vectorization.tfidf_vector(c, vocab) for c in nonempty]
     empty_vectors = sum(1 for v in vectors if v.is_empty)
     if empty_vectors:
         log.warning("%d chunks have no in-vocabulary token (zero vectors)", empty_vectors)
-    _save(args.out, "vectors", (v.to_record() for v in vectors))
+    stages.save("vectors", (v.to_record() for v in vectors))
     log.info("vocabulary %d terms over %d chunks", len(vocab), vocab.n_chunks)
     return 0
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    vocab = _load_vocab(args.out)
-    vectors = _load(
-        args.out, "vectors",
+    stages = _Stages(args.out)
+    vocab = _load_vocab(stages)
+    vectors = stages.load(
+        "vectors",
         lambda records, _: [vectorization.TfIdfVector.from_record(r) for r in records],
     )
     matrix = vectorization.densify(vectors, len(vocab))
@@ -239,9 +260,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if dim < args.pca_dim:
         log.warning("pca-dim %d capped to %d by the data", args.pca_dim, dim)
     model = reduction.fit_pca(matrix, dim)
-    _save(args.out, "pca", [model.to_record()])
+    stages.save("pca", [model.to_record()])
     points = reduction.reduce_points([v.chunk_id for v in vectors], matrix, model)
-    _save(args.out, "points", (p.to_record() for p in points))
+    stages.save("points", (p.to_record() for p in points))
     log.info(
         "reduced %d vectors to %d dimensions (top variance %.6f)",
         len(points), dim, float(model.explained_variance[0]),
@@ -249,12 +270,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _query_weights(args: argparse.Namespace, ids: Sequence[str]) -> dict[str, float]:
-    """Weights of ``args.query`` for the points ``ids``, which must be the
-    current chunks with tokens. The chunks are freed on return."""
-    chunks = [c for c in _load_chunks(args.out) if c.tokens]
-    _require_current_points(ids, [c.chunk_id for c in chunks])
-    vocab = _load_vocab(args.out)
+def _query_weights(args: argparse.Namespace, stages: _Stages) -> dict[str, float]:
+    """Weights of ``args.query`` for the chunks with tokens, which are the
+    points of a current points stage. The chunks are freed on return."""
+    chunks = [c for c in _load_chunks(stages) if c.tokens]
+    vocab = _load_vocab(stages)
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
     return weighting.assign_weights(chunks, query_words, vocab)
 
@@ -267,61 +287,41 @@ def _iteration_digests(reports: Path, mode: str) -> dict[str, str]:
     return {name: file_sha256(reports / name) for name in names}
 
 
-def _recorded_model(
-    out: str, name: str, inputs: Mapping[str, Any]
-) -> tuple[dict[str, Any], list[str]] | None:
-    """Header fields and ``point_ids`` of model stage ``name`` if its
-    recorded inputs agree with ``inputs`` on every key ``inputs`` has and
-    its record is the bytes its header recorded; else None."""
+def _model_current(stages: _Stages, mode: str, inputs: Mapping[str, Any], reports: Path) -> bool:
+    """Whether ``mode``'s model stage records ``inputs`` and its record and
+    iteration reports still hash to their recorded digests."""
+    name = f"model_{mode}"
     try:
-        meta, body = _store(out, name).load_body(STAGES[name][0])
-        recorded = meta["inputs"]
-        if any(recorded.get(key) != value for key, value in inputs.items()):
-            return None
-        if meta["outputs"]["record"] != hashlib.sha256(body).hexdigest():
-            return None
-    except (KeyclustError, KeyError, TypeError, AttributeError):
-        return None  # no model, or one written before its header recorded inputs
-    # decode only the ids: a quote inside a JSON string is escaped, so the
-    # key's text occurs once, and it sorts last in the record
-    text, key = body.decode("utf-8"), '"point_ids":'
-    return meta, json.JSONDecoder().raw_decode(text, text.rindex(key) + len(key))[0]
-
-
-def _outputs_current(reports: Path, mode: str, recorded: Mapping[str, Any]) -> bool:
-    try:
-        return _iteration_digests(reports, mode) == recorded.get("reports")
-    except OSError:
-        return False
+        meta, body = stages.store(name).load_body(STAGES[name][0])
+        return (
+            meta["inputs"] == inputs
+            and meta["outputs"]["record"] == hashlib.sha256(body).hexdigest()
+            and meta["outputs"]["reports"] == _iteration_digests(reports, mode)
+        )
+    except (KeyclustError, KeyError, TypeError, OSError):
+        return False  # no model, or one without a usable header or reports
 
 
 def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
-    """Fit ``mode``'s model unless the model stage records the inputs this
-    call would fit from and its outputs still hash to their recorded
-    digests; the weights stage is written either way."""
+    """Fit ``mode``'s model unless its stage records the inputs this call would
+    record and outputs that still hash to their digests. Only modified mode
+    reads the chunks and writes the weights stage; standard weights are 1."""
     mode = mode or args.mode
     name = f"model_{mode}"
-    points_digest = _read(args.out, "points", StageStore.sha256)  # a missing stage stops here
+    stages = _Stages(args.out)
+    stages.check("points")  # a missing or stale points stage stops here
     config = _cluster_config(args, mode=mode)
-    inputs = {"points": points_digest, "config": config.to_record(), "keyclust": __version__}
-    # a model recorded from these points holds the points' ids
-    recorded, ids = _recorded_model(args.out, name, inputs) or (None, None)
-    points = _load_points(args.out) if recorded is None else None
-    weights = _query_weights(args, ids if points is None else [p.chunk_id for p in points])
-    _save(args.out, "weights", weighting.export_records(weights))
-    if mode == "modified":
-        inputs["weights"] = _read(args.out, "weights", StageStore.sha256)
+    weights = _query_weights(args, stages) if mode == "modified" else None
+    if weights:
+        stages.save("weights", weighting.export_records(weights))
+    inputs = stages.inputs(name, config=config.to_record())
     reports = _reports_dir(args.out)
-    if (
-        recorded is not None
-        and recorded["inputs"] == inputs
-        and _outputs_current(reports, mode, recorded["outputs"])
-    ):
+    if _model_current(stages, mode, inputs, reports):
         log.info("%s model is current; reused", mode)
         return 0
-    if points is None:
-        points = _load_points(args.out)
-    model = clustering.run(weighting.weighted_points(points, weights), config)
+    points = _load_points(stages)
+    wpoints = weighting.weighted_points(points, weights) if weights else weighting.unit_points(points)
+    model = clustering.run(wpoints, config)
     coords_by_id = {p.chunk_id: p.coords for p in points}
     reporting.write_iteration_csv(reports / f"iterations_{mode}.csv", model, coords_by_id)
     reporting.write_iteration_svgs(reports, model, coords_by_id, prefix=f"iteration_{mode}")
@@ -331,7 +331,7 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
         "record": hashlib.sha256(f"{record}\n".encode("utf-8")).hexdigest(),
         "reports": _iteration_digests(reports, mode),
     }
-    _save(args.out, name, [record], meta={"inputs": inputs, "outputs": outputs})
+    stages.save(name, [record], inputs=inputs, outputs=outputs)
     log.info(
         "%s k-means: %d iterations, converged=%s, distortion %.6f, %d dual-assigned",
         mode, model.iterations, model.converged, model.distortion,
@@ -341,15 +341,14 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
 
 
 def cmd_elbow(args: argparse.Namespace) -> int:
-    points = _load_points(args.out)
-    # the id lists and the decoded chunks are dropped before the scan's pool starts
+    stages = _Stages(args.out)
+    points = _load_points(stages)
+    # the decoded chunks are dropped before the scan's pool starts
     if args.mode == "modified":
         if not args.query:
             raise KeyclustError("--query is required for a modified-mode elbow scan")
-        weights = _query_weights(args, [p.chunk_id for p in points])
-        wpoints = weighting.weighted_points(points, weights)
+        wpoints = weighting.weighted_points(points, _query_weights(args, stages))
     else:
-        _require_current_points([p.chunk_id for p in points], _load_current_ids(args.out))
         wpoints = weighting.unit_points(points)
     config = _cluster_config(args, mode=args.mode, k=args.k_min)
     try:
@@ -365,18 +364,16 @@ def cmd_elbow(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    chunks = _load_chunks(args.out)
-    doc_labels = _load(
-        args.out, "documents", lambda records, _: {r["doc_id"]: r["corpus_label"] for r in records}
+    stages = _Stages(args.out)
+    chunks = _load_chunks(stages)
+    doc_labels = stages.load(
+        "documents", lambda records, _: {r["doc_id"]: r["corpus_label"] for r in records}
     )
-    current = [c.chunk_id for c in chunks if c.tokens]
     models = {}
     for mode in MODES:
-        name = f"model_{mode}"
-        models[mode] = _load(
-            args.out, name, lambda records, _: clustering.ClusterModel.from_record(records[0])
+        models[mode] = stages.load(
+            f"model_{mode}", lambda records, _: clustering.ClusterModel.from_record(records[0])
         )
-        _require_current(name, models[mode].point_ids, current)
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
     # every term's count, once per model: the table's top-10 relevance test
     # and the top --top-n CSV both read prefixes of these sorted counts

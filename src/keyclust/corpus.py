@@ -20,7 +20,7 @@ from .errors import InvalidBatchSize, MissingPath, SchemaMismatch, StageIoError
 
 log = logging.getLogger(__name__)
 
-STAGE_FORMAT_VERSION = 1
+STAGE_FORMAT_VERSION = 2
 DEFAULT_BATCH_SIZE = 50
 HASH_BLOCK_BYTES = 1 << 20
 
@@ -133,10 +133,10 @@ class StageStore:
     """Line-delimited JSON persistence for one named pipeline stage.
 
     The first line is a header carrying the stage name, the record schema,
-    and the format version; each following line is one record. Records are
-    written with sorted keys and full-precision floats, so a save/load
-    round trip is bit-exact and re-saving identical records is
-    byte-identical.
+    the format version and the fields of ``meta``; each following line is
+    one record. Records are written with sorted keys and full-precision
+    floats, so a save/load round trip is bit-exact and re-saving identical
+    records is byte-identical.
     """
 
     root_path: Path
@@ -189,13 +189,15 @@ class StageStore:
         except OSError as exc:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
 
-    def load_body(self, schema: str) -> tuple[dict[str, Any], bytes]:
-        """The header fields and the undecoded bytes after the header line,
-        with the header checked as :meth:`load_with_meta` checks it."""
+    def load_body(self, schema: str, size: int = -1) -> tuple[dict[str, Any], bytes]:
+        """The header fields, checked as :meth:`load_with_meta` checks them,
+        and the first ``size`` bytes after the header line (default: all)."""
+        if not self.path.is_file():
+            raise StageIoError(f"stage not found: {self.path}")
         try:
             with open(self.path, "rb") as fh:
                 header = self._check_header(fh.readline(), schema)
-                body = fh.read()
+                body = fh.read(size)
         except OSError as exc:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
         return _header_meta(header), body

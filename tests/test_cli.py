@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from keyclust.cli import build_parser, main
+from keyclust.preprocess import default_stoplist
 
 from conftest import write_corpus_dir
 
@@ -19,11 +20,56 @@ def tree_digest(root: Path) -> dict[str, str]:
     return out
 
 
+def edit_header(path: Path, **fields) -> None:
+    """Set a stage's header fields; a field set to None is dropped."""
+    head, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    header = {k: v for k, v in {**json.loads(head), **fields}.items() if v is not None}
+    path.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus")
     write_corpus_dir(path, n_articles=12, seed=3, n_sentences=45)
     return path
+
+
+# stale-stage cases: articles ingested first, articles re-ingested, and the
+# words added to the default stoplist for the re-ingest
+STALE_CASES = {
+    "shrunk": (8, 4, ()),
+    "grown": (4, 8, ()),
+    "retokenized": (4, 4, ("antibody", "booster", "dose")),
+}
+
+
+CLUSTER_BOTH = [["cluster", "--query", "vaccine", "--k", "3", "--mode", m] for m in ("standard", "modified")]
+
+
+def reingest(tmp_path, monkeypatch, case, *between):
+    """Ingest, vectorize and reduce the first corpus of ``case``, run the
+    ``between`` steps, then ingest its second corpus over the same --out."""
+    first, second, extra = STALE_CASES[case]
+    out = ["--out", str(tmp_path / "out")]
+    for n in (first, second):
+        write_corpus_dir(tmp_path / f"c{n}", n_articles=n, seed=0, n_sentences=20)
+    assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{first}'}:synthetic"]) == 0
+    assert main(["vectorize", *out]) == 0
+    assert main(["reduce", *out, "--pca-dim", "10"]) == 0
+    for step in between:
+        assert main([*step, *out]) == 0
+    chunks = tmp_path / "out" / "stages" / "chunks.jsonl"
+    before = chunks.read_text(encoding="utf-8").splitlines()[1:]
+    if extra:
+        stop = tmp_path / "stop.txt"
+        stop.write_text("\n".join([*sorted(default_stoplist()), *extra]) + "\n", encoding="utf-8")
+        monkeypatch.setenv("KEYCLUST_STOPLIST", str(stop))
+    assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{second}'}:synthetic"]) == 0
+    if extra:  # the same chunk ids with other tokens
+        after = chunks.read_text(encoding="utf-8").splitlines()[1:]
+        ids = [[json.loads(line)["chunk_id"] for line in lines] for lines in (before, after)]
+        assert ids[0] == ids[1] and before != after
+    return out
 
 
 def run_pipeline(corpus, out, seed=7, threads=1, k=4):
@@ -54,8 +100,10 @@ class TestPipeline:
         assert (reports / "extracts" / "modified" / "cluster_00.txt").is_file()
 
     def test_rerun_is_byte_identical(self, corpus_dir, tmp_path):
+        # no stage header may record where the corpus or --out lives
+        moved = shutil.copytree(corpus_dir, tmp_path / "elsewhere" / "corpus")
         first = run_pipeline(corpus_dir, tmp_path / "one")
-        second = run_pipeline(corpus_dir, tmp_path / "two")
+        second = run_pipeline(moved, tmp_path / "two")
         assert tree_digest(first) == tree_digest(second)
 
     def test_threads_do_not_change_outputs(self, corpus_dir, tmp_path):
@@ -249,33 +297,19 @@ class TestFailureModes:
         ],
         ids=["cluster-modified", "cluster-standard", "elbow-modified", "elbow-standard"],
     )
-    @pytest.mark.parametrize("first, second", [(8, 4), (4, 8)], ids=["shrunk", "grown"])
-    def test_stale_points_stage_exits_1(self, tmp_path, capsys, first, second, command):
-        out = ["--out", str(tmp_path / "out")]
-        for n in (first, second):
-            write_corpus_dir(tmp_path / f"c{n}", n_articles=n, seed=0, n_sentences=20)
-        assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{first}'}:synthetic"]) == 0
-        assert main(["vectorize", *out]) == 0
-        assert main(["reduce", *out, "--pca-dim", "10"]) == 0
-        assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{second}'}:synthetic"]) == 0
+    @pytest.mark.parametrize("case", list(STALE_CASES))
+    def test_stale_points_stage_exits_1(self, tmp_path, monkeypatch, capsys, case, command):
+        out = reingest(tmp_path, monkeypatch, case)
         capsys.readouterr()
         assert main([*command, *out]) == 1
-        err = capsys.readouterr().err
+        err = self.only_error_line(capsys)
         assert "error: stale stage 'points'" in err
         assert "'keyclust vectorize' and 'keyclust reduce'" in err
 
-    def test_stale_model_remedy_on_grown_corpus_stops_at_points(self, tmp_path, capsys):
+    def test_stale_model_remedy_on_grown_corpus_stops_at_points(self, tmp_path, monkeypatch, capsys):
         # report's remedy for a stale model is to re-run cluster, which must
         # then stop at the stale points rather than fit the old subset again
-        out = ["--out", str(tmp_path / "out")]
-        for n in (4, 8):
-            write_corpus_dir(tmp_path / f"c{n}", n_articles=n, seed=0, n_sentences=20)
-        assert main(["ingest", *out, "--corpus", f"{tmp_path / 'c4'}:synthetic"]) == 0
-        assert main(["vectorize", *out]) == 0
-        assert main(["reduce", *out, "--pca-dim", "10"]) == 0
-        for mode in ("standard", "modified"):
-            assert main(["cluster", *out, "--query", "vaccine", "--k", "3", "--mode", mode]) == 0
-        assert main(["ingest", *out, "--corpus", f"{tmp_path / 'c8'}:synthetic"]) == 0
+        out = reingest(tmp_path, monkeypatch, "grown", *CLUSTER_BOTH)
         capsys.readouterr()
         assert main(["report", *out, "--query", "vaccine"]) == 1
         assert "re-run 'keyclust cluster --mode standard'" in capsys.readouterr().err
@@ -317,20 +351,12 @@ class TestFailureModes:
             f"error: missing stage {stage!r} (stage not found: {path}) — run '{writer}' first"
         )
 
-    @pytest.mark.parametrize("first, second", [(8, 4), (4, 8)], ids=["shrunk", "grown"])
-    def test_stale_model_stage_exits_1(self, tmp_path, capsys, first, second):
-        out = ["--out", str(tmp_path / "out")]
-        for n in (first, second):
-            write_corpus_dir(tmp_path / f"c{n}", n_articles=n, seed=0, n_sentences=20)
-        assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{first}'}:synthetic"]) == 0
-        assert main(["vectorize", *out]) == 0
-        assert main(["reduce", *out, "--pca-dim", "10"]) == 0
-        for mode in ("standard", "modified"):
-            assert main(["cluster", *out, "--query", "vaccine", "--k", "3", "--mode", mode]) == 0
-        assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{second}'}:synthetic"]) == 0
+    @pytest.mark.parametrize("case", list(STALE_CASES))
+    def test_stale_model_stage_exits_1(self, tmp_path, monkeypatch, capsys, case):
+        out = reingest(tmp_path, monkeypatch, case, *CLUSTER_BOTH)
         capsys.readouterr()
         assert main(["report", *out, "--query", "vaccine"]) == 1
-        err = capsys.readouterr().err
+        err = self.only_error_line(capsys)
         assert "error: stale stage 'model_standard'" in err
         assert "re-run 'keyclust cluster --mode standard'" in err
         assert not (tmp_path / "out" / "reports" / "comparison.csv").exists()
@@ -397,6 +423,38 @@ class TestFailureModes:
         errors = [line for line in lines if line.startswith("error:")]
         assert len(errors) == 1 and not any("Traceback" in line for line in lines), lines
         return errors[0]
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda out: main(["vectorize", "--out", str(out), "--min-df", "3"]),
+                "stale stage 'points': 'pca' does not record the current digests of its inputs"
+                " — re-run 'keyclust reduce'",
+            ),
+            (
+                lambda out: edit_header(out / "stages" / "points.jsonl", inputs=None),
+                "stale stage 'points': 'points' does not record the current digests of its inputs"
+                " — re-run 'keyclust reduce'",
+            ),
+            (
+                lambda out: edit_header(out / "stages" / "points.jsonl", inputs=[]),
+                "stale stage 'points': 'points' does not record the current digests of its inputs"
+                " — re-run 'keyclust reduce'",
+            ),
+            (
+                lambda out: edit_header(out / "stages" / "chunks.jsonl", version=1),
+                "stage 'chunks' has format version 1, expected 2",
+            ),
+        ],
+        ids=["upstream-rewritten", "inputs-missing", "inputs-not-object", "version-1"],
+    )
+    def test_damaged_provenance_exits_1(self, pipeline_out, tmp_path, capsys, damage, message):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        assert damage(out) in (0, None)
+        capsys.readouterr()
+        assert main(cluster_argv(out, "standard")) == 1
+        assert self.only_error_line(capsys) == f"error: {message}"
 
     def test_header_only_model_stage_exits_1(self, corpus_dir, tmp_path, capsys):
         out = run_pipeline(corpus_dir, tmp_path / "out")
@@ -466,7 +524,7 @@ def cluster_argv(out: Path, mode: str, *flags: str, query: str = "vaccine") -> l
 class TestModelReuse:
     """A model stage whose header records this call's inputs, and whose
     record and iteration reports still hash to their recorded digests, is
-    reused: ``cluster`` writes the weights and fits nothing."""
+    reused: ``cluster`` fits nothing (modified mode still writes the weights)."""
 
     @pytest.fixture
     def out(self, pipeline_out, tmp_path):
@@ -502,7 +560,7 @@ class TestModelReuse:
         assert "standard model is current; reused" in caplog.text
         assert standard_outputs(out) == before
         assert len(before) > 2  # the model stage, the CSV and at least one SVG
-        assert (out / "stages" / "weights.jsonl").read_bytes() != weights
+        assert (out / "stages" / "weights.jsonl").read_bytes() == weights  # standard reads no query
 
     def test_modified_model_refitted_for_a_new_query(self, out, fits):
         model = out / "stages" / "model_modified.jsonl"
