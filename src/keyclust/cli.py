@@ -5,9 +5,9 @@ output directory and writes its own, so desk-scale experiments can iterate
 on clustering without re-vectorizing. ``run-all`` chains everything except
 the elbow scan. Re-running any subcommand with identical inputs and seed
 rewrites byte-identical artifacts; no subcommand touches a prior stage's
-files. Every stage header records the sha256 of the stage files it was
-computed from; a stage is read only while those digests still hold, back
-to the chunks, and ``cluster`` does not fit again a model whose header
+files. Every stage header records the sha256 of the records of the stages
+it was computed from; a stage is read only while those digests still hold,
+back to the chunks, and ``cluster`` does not fit again a model whose header
 records the inputs it would record and outputs that are still intact.
 """
 
@@ -65,12 +65,13 @@ STAGES = {
 
 @dataclass
 class _Stages:
-    """The stage files under ``--out`` for one command, which hashes each file
-    at most once and forgets the digest of a file it rewrites. Each command
+    """The stage files under ``--out`` for one command, which scans each file
+    at most once and forgets the scan of a file it rewrites. Each command
     makes its own, as ``run-all`` rewrites stages between its commands."""
 
     out: str
-    digests: dict[str, str] = field(default_factory=dict)
+    scans: dict[str, tuple[dict[str, Any], str]] = field(default_factory=dict)
+    stales: dict[str, set[str]] = field(default_factory=dict)
 
     def store(self, name: str) -> StageStore:
         return StageStore(Path(self.out) / "stages", name)
@@ -84,33 +85,37 @@ class _Stages:
             writer = STAGES[name][1]
             raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
 
-    def digest(self, name: str) -> str:
-        if name not in self.digests:
-            self.digests[name] = self.read(name, StageStore.sha256)
-        return self.digests[name]
+    def scan(self, name: str) -> tuple[dict[str, Any], str]:
+        """Stage ``name``'s header fields and the sha256 of its records."""
+        if name not in self.scans:
+            self.scans[name] = self.read(name, lambda store: store.scan(STAGES[name][0]))
+        return self.scans[name]
 
     def inputs(self, name: str, **config: Any) -> dict[str, Any]:
-        """What stage ``name`` is computed from: the sha256 of each upstream
-        stage file, the package version and, for a model, ``config``."""
-        return {**{up: self.digest(up) for up in STAGES[name][2]}, "keyclust": __version__, **config}
+        """What stage ``name`` is computed from: the records digest of each
+        upstream stage, the package version and, for a model, ``config``."""
+        return {**{up: self.scan(up)[1] for up in STAGES[name][2]}, "keyclust": __version__, **config}
 
     def save(self, name: str, records: Iterable[Mapping[str, Any] | str], **meta: Any) -> int:
         """Write stage ``name`` with ``meta`` and its ``inputs`` in the header;
         a model brings its own inputs, which hold its config."""
         count = self.store(name).save(records, STAGES[name][0], {"inputs": self.inputs(name), **meta})
-        self.digests.pop(name, None)
+        self.scans.pop(name, None)
+        self.stales.clear()
         return count
 
     def stale(self, name: str) -> set[str]:
         """The stale stages among ``name`` and its upstreams: those whose header records
-        no inputs, a digest other than an upstream file's, or a stale upstream."""
-        inputs = self.read(name, lambda s: s.load_body(STAGES[name][0], 0)[0]).get("inputs")
-        if not isinstance(inputs, dict):
-            return {name}
-        stale = set().union(*(self.stale(up) for up in STAGES[name][2]))
-        if stale or any(inputs.get(up) != self.digest(up) for up in STAGES[name][2]):
-            stale.add(name)
-        return stale
+        no inputs, a digest other than an upstream's records digest, or a stale upstream."""
+        if name not in self.stales:
+            inputs, ups = self.scan(name)[0].get("inputs"), STAGES[name][2]
+            stale = {name}
+            if isinstance(inputs, dict):
+                stale = set().union(*(self.stale(up) for up in ups))
+                if stale or any(inputs.get(up) != self.scan(up)[1] for up in ups):
+                    stale.add(name)
+            self.stales[name] = stale
+        return self.stales[name]
 
     def check(self, name: str) -> None:
         """Stage ``name`` must be computed from the current upstream stage
@@ -270,13 +275,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _query_weights(args: argparse.Namespace, stages: _Stages) -> dict[str, float]:
-    """Weights of ``args.query`` for the chunks with tokens, which are the
-    points of a current points stage. The chunks are freed on return."""
+def _query_weights(args: argparse.Namespace, stages: _Stages) -> tuple[list[str], dict[str, float]]:
+    """The words of ``args.query`` and their weights for the chunks with tokens,
+    which are the points of a current points stage. The chunks are freed on return."""
     chunks = [c for c in _load_chunks(stages) if c.tokens]
     vocab = _load_vocab(stages)
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
-    return weighting.assign_weights(chunks, query_words, vocab)
+    return query_words, weighting.assign_weights(chunks, query_words, vocab)
 
 
 def _iteration_digests(reports: Path, mode: str) -> dict[str, str]:
@@ -290,12 +295,11 @@ def _iteration_digests(reports: Path, mode: str) -> dict[str, str]:
 def _model_current(stages: _Stages, mode: str, inputs: Mapping[str, Any], reports: Path) -> bool:
     """Whether ``mode``'s model stage records ``inputs`` and its record and
     iteration reports still hash to their recorded digests."""
-    name = f"model_{mode}"
     try:
-        meta, body = stages.store(name).load_body(STAGES[name][0])
+        meta, record = stages.scan(f"model_{mode}")
         return (
             meta["inputs"] == inputs
-            and meta["outputs"]["record"] == hashlib.sha256(body).hexdigest()
+            and meta["outputs"]["record"] == record
             and meta["outputs"]["reports"] == _iteration_digests(reports, mode)
         )
     except (KeyclustError, KeyError, TypeError, OSError):
@@ -311,9 +315,9 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
     stages = _Stages(args.out)
     stages.check("points")  # a missing or stale points stage stops here
     config = _cluster_config(args, mode=mode)
-    weights = _query_weights(args, stages) if mode == "modified" else None
+    query_words, weights = _query_weights(args, stages) if mode == "modified" else (None, None)
     if weights:
-        stages.save("weights", weighting.export_records(weights))
+        stages.save("weights", weighting.export_records(weights), query=query_words)
     inputs = stages.inputs(name, config=config.to_record())
     reports = _reports_dir(args.out)
     if _model_current(stages, mode, inputs, reports):
@@ -347,7 +351,7 @@ def cmd_elbow(args: argparse.Namespace) -> int:
     if args.mode == "modified":
         if not args.query:
             raise KeyclustError("--query is required for a modified-mode elbow scan")
-        wpoints = weighting.weighted_points(points, _query_weights(args, stages))
+        wpoints = weighting.weighted_points(points, _query_weights(args, stages)[1])
     else:
         wpoints = weighting.unit_points(points)
     config = _cluster_config(args, mode=args.mode, k=args.k_min)
@@ -375,6 +379,12 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"model_{mode}", lambda records, _: clustering.ClusterModel.from_record(records[0])
         )
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
+    weighted_for = stages.scan("weights")[0].get("query")
+    if weighted_for != query_words:
+        raise KeyclustError(
+            f"the modified model was weighted for the query words {weighted_for}, not "
+            f"{query_words} — re-run 'keyclust cluster --mode modified' with this --query"
+        )
     # every term's count, once per model: the table's top-10 relevance test
     # and the top --top-n CSV both read prefixes of these sorted counts
     chunks_by_id = {c.chunk_id: c for c in chunks}

@@ -138,6 +138,8 @@ class _AssignmentPass:
     @property
     def assignments(self) -> list[Assignment]:
         """A per-point view of the arrays, built on every access."""
+        if self.d1 is None or self.d2 is None:
+            raise ValueError("a history snapshot read from a model record holds no distances")
         return [
             Assignment(cid, p, None if s < 0 else s, a, b)
             for cid, p, s, a, b in zip(

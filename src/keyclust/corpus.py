@@ -14,13 +14,13 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InvalidBatchSize, MissingPath, SchemaMismatch, StageIoError
 
 log = logging.getLogger(__name__)
 
-STAGE_FORMAT_VERSION = 2
+STAGE_FORMAT_VERSION = 3
 DEFAULT_BATCH_SIZE = 50
 HASH_BLOCK_BYTES = 1 << 20
 
@@ -180,27 +180,16 @@ class StageStore:
             raise
         return count
 
-    def sha256(self) -> str:
-        """Hex sha256 of the stage file's bytes."""
-        if not self.path.is_file():
-            raise StageIoError(f"stage not found: {self.path}")
-        try:
-            return file_sha256(self.path)
-        except OSError as exc:
-            raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
-
-    def load_body(self, schema: str, size: int = -1) -> tuple[dict[str, Any], bytes]:
+    def scan(self, schema: str) -> tuple[dict[str, Any], str]:
         """The header fields, checked as :meth:`load_with_meta` checks them,
-        and the first ``size`` bytes after the header line (default: all)."""
+        and the hex sha256 of the bytes after the header line (the records)."""
         if not self.path.is_file():
             raise StageIoError(f"stage not found: {self.path}")
         try:
             with open(self.path, "rb") as fh:
-                header = self._check_header(fh.readline(), schema)
-                body = fh.read(size)
+                return _header_meta(self._check_header(fh.readline(), schema)), _sha256(fh)
         except OSError as exc:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
-        return _header_meta(header), body
 
     def load_with_meta(self, schema: str) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         path = self.path
@@ -257,9 +246,14 @@ def encode_record(obj: Mapping[str, Any]) -> str:
 
 
 def file_sha256(path: str | Path) -> str:
-    """Hex sha256 of a file's bytes, read in blocks of ``HASH_BLOCK_BYTES``."""
-    digest = hashlib.sha256()
+    """Hex sha256 of a file's bytes."""
     with open(path, "rb") as fh:
-        while block := fh.read(HASH_BLOCK_BYTES):
-            digest.update(block)
+        return _sha256(fh)
+
+
+def _sha256(fh: BinaryIO) -> str:
+    """Hex sha256 of the rest of ``fh``, read in blocks of ``HASH_BLOCK_BYTES``."""
+    digest = hashlib.sha256()
+    while block := fh.read(HASH_BLOCK_BYTES):
+        digest.update(block)
     return digest.hexdigest()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from keyclust.cli import build_parser, main
+from keyclust.corpus import StageStore
 from keyclust.preprocess import default_stoplist
 
 from conftest import write_corpus_dir
@@ -361,6 +362,20 @@ class TestFailureModes:
         assert "re-run 'keyclust cluster --mode standard'" in err
         assert not (tmp_path / "out" / "reports" / "comparison.csv").exists()
 
+    def test_report_query_other_than_the_weights_query_exits_1(self, pipeline_out, tmp_path, capsys):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        comparison = out / "reports" / "comparison.csv"
+        comparison.unlink()
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--query", "genome"]) == 1
+        assert self.only_error_line(capsys) == (
+            "error: the modified model was weighted for the query words ['vaccine'], not ['genome']"
+            " — re-run 'keyclust cluster --mode modified' with this --query"
+        )
+        assert not comparison.exists()
+        assert main(["report", "--out", str(out), "--query", "Vaccine"]) == 0  # the same words
+        assert comparison.is_file()
+
     def test_zero_batch_size_leaves_stages_unchanged(self, corpus_dir, tmp_path, capsys):
         other = tmp_path / "other"
         write_corpus_dir(other, n_articles=3, seed=1, n_sentences=10)
@@ -444,7 +459,7 @@ class TestFailureModes:
             ),
             (
                 lambda out: edit_header(out / "stages" / "chunks.jsonl", version=1),
-                "stage 'chunks' has format version 1, expected 2",
+                "stage 'chunks' has format version 1, expected 3",
             ),
         ],
         ids=["upstream-rewritten", "inputs-missing", "inputs-not-object", "version-1"],
@@ -630,6 +645,27 @@ class TestModelReuse:
         assert fits == ["standard"]
         assert tree_digest(out) == tree_digest(pipeline_out)
 
+    @staticmethod
+    def resave_chunks(out: Path, edit) -> None:
+        store = StageStore(out / "stages", "chunks")
+        records, meta = store.load_with_meta("chunk")
+        edit(records)
+        store.save(records, "chunk", {**meta, "note": "re-saved"})
+
+    def test_header_only_rewrite_keeps_downstream_current(self, out, fits, capsys):
+        chunks = out / "stages" / "chunks.jsonl"
+        before = chunks.read_bytes()
+        self.resave_chunks(out, lambda records: None)
+        assert chunks.read_bytes() != before
+        assert chunks.read_bytes().split(b"\n", 1)[1] == before.split(b"\n", 1)[1]
+        capsys.readouterr()
+        assert main(cluster_argv(out, "standard")) == 0
+        assert fits == []  # the points and the model are still current
+        assert main(["report", "--out", str(out), "--query", "vaccine"]) == 0
+        self.resave_chunks(out, lambda records: records[0].update(raw_text="edited"))
+        assert main(cluster_argv(out, "standard")) == 1
+        assert "error: stale stage 'points': 'vocabulary' does not record" in capsys.readouterr().err
+
     def test_reused_run_equals_fresh_run(self, corpus_dir, pipeline_out, tmp_path, fits, caplog):
         out = tmp_path / "twice"
         argv = ["run-all", "--out", str(out), "--corpus", f"{corpus_dir}:demo",
@@ -643,6 +679,35 @@ class TestModelReuse:
         assert "standard model is current; reused" in caplog.text
         assert "modified model is current; reused" in caplog.text
         assert tree_digest(out) == tree_digest(run_pipeline(corpus_dir, tmp_path / "fresh"))
+
+
+class TestStageScans:
+    """Each stage file is scanned (header checked, records hashed) at most
+    once per command."""
+
+    @pytest.fixture
+    def out(self, pipeline_out, tmp_path):
+        return shutil.copytree(pipeline_out, tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda out: cluster_argv(out, "standard"),
+            lambda out: cluster_argv(out, "standard", "--k", "3"),
+            lambda out: cluster_argv(out, "modified"),
+            lambda out: cluster_argv(out, "modified", "--threshold", "0.05"),
+            lambda out: ["report", "--out", str(out), "--query", "vaccine"],
+        ],
+        ids=["standard-reused", "standard-refit", "modified-reused", "modified-refit", "report"],
+    )
+    def test_each_stage_scanned_at_most_once(self, out, monkeypatch, argv):
+        scans = []
+        real_scan = StageStore.scan
+        monkeypatch.setattr(
+            StageStore, "scan", lambda store, schema: scans.append(store.stage_name) or real_scan(store, schema)
+        )
+        assert main(argv(out)) == 0
+        assert scans and len(scans) == len(set(scans)), scans
 
 
 class TestEnvOverride:

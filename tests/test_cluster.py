@@ -471,6 +471,8 @@ class TestRun:
                 assert np.array_equal(hb.primary, hm.primary)
                 assert np.array_equal(hb.secondary, hm.secondary)
                 assert hb.d1 is None and hb.d2 is None
+                with pytest.raises(ValueError, match="holds no distances"):
+                    hb.assignments
             assert json.dumps(back.to_record()) == json.dumps(rec)
             if cfg.k == 1:
                 assert rec["final"]["d2"] == [None] * 30
