@@ -48,18 +48,38 @@ MODES = ("standard", "modified")
 
 T = TypeVar("T")
 
+
+def _decode_vocab(records: list[dict[str, Any]], meta: dict[str, Any]) -> vectorization.Vocabulary:
+    if "n_chunks" not in meta:
+        raise SchemaMismatch("stage 'vocabulary' header has no 'n_chunks'")
+    return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
+
+
+def _decode_model(records: list[dict[str, Any]], _: dict[str, Any]) -> clustering.ClusterModel:
+    return clustering.ClusterModel.from_record(records[0])
+
+
 # every stage file: name -> (record schema, the command that writes it, the stages
-# it is computed from); cluster-model-2 records keep no per-iteration distances
+# it is computed from, the decoder from its records and header fields to what
+# commands use, None where no command decodes it); cluster-model-2 records keep no
+# per-iteration distances. A decoder looks a class up when it is called, so a
+# method wrapped later (by a profiler or tracer) is the one that runs.
 STAGES = {
-    "documents": ("document", "keyclust ingest", ()),
-    "chunks": ("chunk", "keyclust ingest", ()),
-    "vocabulary": ("vocab-term", "keyclust vectorize", ("chunks",)),
-    "vectors": ("tfidf", "keyclust vectorize", ("chunks", "vocabulary")),
-    "pca": ("pca-model", "keyclust reduce", ("vectors",)),
-    "points": ("reduced-point", "keyclust reduce", ("vectors", "pca")),
-    "weights": ("weight", "keyclust cluster --mode modified", ("chunks", "vocabulary")),
-    "model_standard": ("cluster-model-2", "keyclust cluster --mode standard", ("points",)),
-    "model_modified": ("cluster-model-2", "keyclust cluster --mode modified", ("points", "weights")),
+    "documents": ("document", "keyclust ingest", (), lambda rs, _: {r["doc_id"]: r["corpus_label"] for r in rs}),
+    "chunks": ("chunk", "keyclust ingest", (), lambda rs, _: [Chunk.from_record(r) for r in rs]),
+    "vocabulary": ("vocab-term", "keyclust vectorize", ("chunks",), _decode_vocab),
+    "vectors": (
+        "tfidf", "keyclust vectorize", ("chunks", "vocabulary"),
+        lambda rs, _: [vectorization.TfIdfVector.from_record(r) for r in rs],
+    ),
+    "pca": ("pca-model", "keyclust reduce", ("vectors",), None),
+    "points": (
+        "reduced-point", "keyclust reduce", ("vectors", "pca"),
+        lambda rs, _: [reduction.ReducedPoint.from_record(r) for r in rs],
+    ),
+    "weights": ("weight", "keyclust cluster --mode modified", ("chunks", "vocabulary"), None),
+    "model_standard": ("cluster-model-2", "keyclust cluster --mode standard", ("points",), _decode_model),
+    "model_modified": ("cluster-model-2", "keyclust cluster --mode modified", ("points", "weights"), _decode_model),
 }
 
 
@@ -71,7 +91,6 @@ class _Stages:
 
     out: str
     scans: dict[str, tuple[dict[str, Any], str]] = field(default_factory=dict)
-    stales: dict[str, set[str]] = field(default_factory=dict)
 
     def store(self, name: str) -> StageStore:
         return StageStore(Path(self.out) / "stages", name)
@@ -101,66 +120,45 @@ class _Stages:
         a model brings its own inputs, which hold its config."""
         count = self.store(name).save(records, STAGES[name][0], {"inputs": self.inputs(name), **meta})
         self.scans.pop(name, None)
-        self.stales.clear()
         return count
-
-    def stale(self, name: str) -> set[str]:
-        """The stale stages among ``name`` and its upstreams: those whose header records
-        no inputs, a digest other than an upstream's records digest, or a stale upstream."""
-        if name not in self.stales:
-            inputs, ups = self.scan(name)[0].get("inputs"), STAGES[name][2]
-            stale = {name}
-            if isinstance(inputs, dict):
-                stale = set().union(*(self.stale(up) for up in ups))
-                if stale or any(inputs.get(up) != self.scan(up)[1] for up in ups):
-                    stale.add(name)
-            self.stales[name] = stale
-        return self.stales[name]
 
     def check(self, name: str) -> None:
         """Stage ``name`` must be computed from the current upstream stage
         files, back to the chunks; else a stale-stage StageIoError naming, in
-        pipeline order, the commands that rewrite the stale stages."""
-        stale = [s for s in STAGES if s in self.stale(name)]
-        if stale:
-            writers = list(dict.fromkeys(STAGES[s][1] for s in stale[:-1]))
+        pipeline order, the commands that rewrite the stale stages. A stage is
+        stale if its header records no inputs, a digest other than an
+        upstream's records digest, or a stale upstream."""
+        stale: set[str] = set()
+
+        def walk(s: str) -> bool:
+            inputs, ups = self.scan(s)[0].get("inputs"), STAGES[s][2]
+            # a list, not a generator: every upstream is walked
+            if not isinstance(inputs, dict) or any([walk(up) for up in ups]) or any(
+                inputs.get(up) != self.scan(up)[1] for up in ups
+            ):
+                stale.add(s)
+            return s in stale
+
+        if walk(name):
+            ordered = [s for s in STAGES if s in stale]
+            writers = list(dict.fromkeys(STAGES[s][1] for s in ordered[:-1]))
             rerun = " and ".join(f"'{w}'" for w in writers)
             if STAGES[name][1] not in writers:
                 rerun = f"{rerun}, then re-run '{STAGES[name][1]}'" if rerun else f"'{STAGES[name][1]}'"
-            cause = f"{stale[0]!r} does not record the current digests of its inputs"
+            cause = f"{ordered[0]!r} does not record the current digests of its inputs"
             raise StageIoError(f"stale stage {name!r}: {cause} — re-run {rerun}")
 
-    def load(self, name: str, decode: Callable[[list[dict[str, Any]], dict[str, Any]], T]) -> T:
-        """Stage ``name``, provenance checked, as ``decode(records, header fields)``. A
-        record that ``decode`` cannot index or convert is a SchemaMismatch naming it."""
+    def load(self, name: str) -> Any:
+        """Stage ``name``, provenance checked, as its ``STAGES`` decoder returns it. A
+        record the decoder cannot index or convert is a SchemaMismatch naming it."""
         self.check(name)
         records, meta = self.read(name, lambda store: store.load_with_meta(STAGES[name][0]))
         try:
-            return decode(records, meta)
+            return STAGES[name][3](records, meta)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise SchemaMismatch(
                 f"stage {name!r} holds a record of the wrong shape ({type(exc).__name__}: {exc})"
             ) from exc
-
-
-def _load_chunks(stages: _Stages) -> list[Chunk]:
-    return stages.load("chunks", lambda records, _: [Chunk.from_record(r) for r in records])
-
-
-def _load_points(stages: _Stages) -> list[reduction.ReducedPoint]:
-    return stages.load(
-        "points", lambda records, _: [reduction.ReducedPoint.from_record(r) for r in records]
-    )
-
-
-def _decode_vocab(records: list[dict[str, Any]], meta: dict[str, Any]) -> vectorization.Vocabulary:
-    if "n_chunks" not in meta:
-        raise SchemaMismatch("stage 'vocabulary' header has no 'n_chunks'")
-    return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
-
-
-def _load_vocab(stages: _Stages) -> vectorization.Vocabulary:
-    return stages.load("vocabulary", _decode_vocab)
 
 
 def _reports_dir(out: str) -> Path:
@@ -215,8 +213,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     corpora = _parse_corpus_args(args.corpus)
     documents: list[Document] = []
     failures = 0
+    seen: set[str] = set()  # two corpora under one label share their ids
     for path, label in corpora:
-        rep = load_corpus(path, label)
+        rep = load_corpus(path, label, seen)
         for err in rep.errors:
             log.warning("skipped %s: %s", err.path, err.message)
         failures += len(rep.errors)
@@ -235,7 +234,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
     stages = _Stages(args.out)
-    chunks = _load_chunks(stages)
+    chunks = stages.load("chunks")
     nonempty = [c for c in chunks if c.tokens]
     if not nonempty:
         raise EmptyCorpus("every chunk has an empty token list")
@@ -254,11 +253,8 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     stages = _Stages(args.out)
-    vocab = _load_vocab(stages)
-    vectors = stages.load(
-        "vectors",
-        lambda records, _: [vectorization.TfIdfVector.from_record(r) for r in records],
-    )
+    vocab = stages.load("vocabulary")
+    vectors = stages.load("vectors")
     matrix = vectorization.densify(vectors, len(vocab))
     cap = min(len(vocab), len(vectors) - 1)
     dim = min(args.pca_dim, cap)
@@ -278,8 +274,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def _query_weights(args: argparse.Namespace, stages: _Stages) -> tuple[list[str], dict[str, float]]:
     """The words of ``args.query`` and their weights for the chunks with tokens,
     which are the points of a current points stage. The chunks are freed on return."""
-    chunks = [c for c in _load_chunks(stages) if c.tokens]
-    vocab = _load_vocab(stages)
+    chunks = [c for c in stages.load("chunks") if c.tokens]
+    vocab = stages.load("vocabulary")
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
     return query_words, weighting.assign_weights(chunks, query_words, vocab)
 
@@ -323,7 +319,7 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
     if _model_current(stages, mode, inputs, reports):
         log.info("%s model is current; reused", mode)
         return 0
-    points = _load_points(stages)
+    points = stages.load("points")
     wpoints = weighting.weighted_points(points, weights) if weights else weighting.unit_points(points)
     model = clustering.run(wpoints, config)
     coords_by_id = {p.chunk_id: p.coords for p in points}
@@ -346,7 +342,7 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
 
 def cmd_elbow(args: argparse.Namespace) -> int:
     stages = _Stages(args.out)
-    points = _load_points(stages)
+    points = stages.load("points")
     # the decoded chunks are dropped before the scan's pool starts
     if args.mode == "modified":
         if not args.query:
@@ -367,20 +363,22 @@ def cmd_elbow(args: argparse.Namespace) -> int:
     return 0
 
 
+def _top_n(args: argparse.Namespace) -> int:
+    if args.top_n < 1:
+        raise KeyclustError(f"--top-n must be >= 1, got {args.top_n}")
+    return args.top_n
+
+
 def cmd_report(args: argparse.Namespace) -> int:
+    top_n = _top_n(args)
     stages = _Stages(args.out)
-    chunks = _load_chunks(stages)
-    doc_labels = stages.load(
-        "documents", lambda records, _: {r["doc_id"]: r["corpus_label"] for r in records}
-    )
-    models = {}
-    for mode in MODES:
-        models[mode] = stages.load(
-            f"model_{mode}", lambda records, _: clustering.ClusterModel.from_record(records[0])
-        )
+    chunks = stages.load("chunks")
+    doc_labels = stages.load("documents")
+    models = {mode: stages.load(f"model_{mode}") for mode in MODES}
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
+    # the weights take a maximum over the words, so only the set of words counts
     weighted_for = stages.scan("weights")[0].get("query")
-    if weighted_for != query_words:
+    if not isinstance(weighted_for, list) or set(weighted_for) != set(query_words):
         raise KeyclustError(
             f"the modified model was weighted for the query words {weighted_for}, not "
             f"{query_words} — re-run 'keyclust cluster --mode modified' with this --query"
@@ -399,7 +397,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     reporting.write_comparison_csv(reports / "comparison.csv", rows)
     for mode, model in models.items():
         reporting.write_top_terms_csv(
-            reports / f"top_terms_{mode}.csv", cluster_reps[mode], args.top_n
+            reports / f"top_terms_{mode}.csv", cluster_reps[mode], top_n
         )
         reporting.write_extracts(reports / "extracts" / mode, model, chunks)
     for row in rows:
@@ -412,6 +410,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_run_all(args: argparse.Namespace) -> int:
+    # the flags of the later commands are checked before the first one writes
+    _top_n(args)
+    for mode in MODES:
+        _cluster_config(args, mode=mode)
     cmd_ingest(args)
     cmd_vectorize(args)
     cmd_reduce(args)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -74,6 +74,9 @@ class ClusterConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seeding not in SEEDINGS:
             raise ValueError(f"seeding must be one of {SEEDINGS}, got {self.seeding!r}")
+        for name in ("threshold", "damping_weight", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.threshold < 0.0:
             raise ValueError("threshold must be >= 0")
         if self.damping_weight < 0.0:
@@ -87,17 +90,8 @@ class ClusterConfig:
             object.__setattr__(self, "damping_weight", 0.0)
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "threshold": self.threshold,
-            "damping_weight": self.damping_weight,
-            "epsilon": self.epsilon,
-            "max_iter": self.max_iter,
-            "mode": self.mode,
-            "seeding": self.seeding,
-            "seed": self.seed,
-            "raw_denominator": self.raw_denominator,
-        }
+        """Every field: the model-reuse key, so a new field is part of it."""
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "ClusterConfig":

@@ -69,7 +69,7 @@ class LoadReport:
     errors: list[ParseFailure] = field(default_factory=list)
 
 
-def load_corpus(path: str | Path, label: str) -> LoadReport:
+def load_corpus(path: str | Path, label: str, seen: set[str] | None = None) -> LoadReport:
     """Load every ``*.json`` article file under ``path``.
 
     Files are read in lexicographic filename order. Each file must hold one
@@ -77,12 +77,14 @@ def load_corpus(path: str | Path, label: str) -> LoadReport:
     ``body_text`` list of paragraph strings; paragraphs are joined with
     blank lines to form the document body. Malformed files, duplicate ids,
     and empty bodies are collected as :class:`ParseFailure` entries.
+    ``seen`` holds the ids of documents already loaded, from other corpora;
+    they are duplicates too, and the ids loaded here are added to it.
     """
     root = Path(path)
     if not root.is_dir():
         raise MissingPath(f"corpus directory not found: {root}")
     report = LoadReport()
-    seen: set[str] = set()
+    seen = set() if seen is None else seen
     for fp in sorted(root.glob("*.json")):
         try:
             doc = _parse_article(fp, label)

@@ -376,6 +376,84 @@ class TestFailureModes:
         assert main(["report", "--out", str(out), "--query", "Vaccine"]) == 0  # the same words
         assert comparison.is_file()
 
+    def test_report_query_compares_the_set_of_words(self, pipeline_out, tmp_path, capsys):
+        # the weights take a maximum over the words, so their order and
+        # repeats do not change the weights stage
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        assert main(cluster_argv(out, "modified", query="vaccine dose")) == 0
+        weights = (out / "stages" / "weights.jsonl").read_bytes()
+        for query in ("dose vaccine", "vaccine dose dose"):
+            assert main(["report", "--out", str(out), "--query", query]) == 0
+            assert main(cluster_argv(out, "modified", query=query)) == 0
+            assert (out / "stages" / "weights.jsonl").read_bytes().split(b"\n", 1)[1] == (
+                weights.split(b"\n", 1)[1]
+            )
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--query", "vaccine"]) == 1
+        assert self.only_error_line(capsys).startswith(
+            "error: the modified model was weighted for the query words ['vaccine', 'dose', 'dose'], "
+            "not ['vaccine']"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--damping", "nan", "damping_weight must be finite, got nan"),
+            ("--damping", "inf", "damping_weight must be finite, got inf"),
+            ("--epsilon", "nan", "epsilon must be finite, got nan"),
+            ("--threshold", "nan", "threshold must be finite, got nan"),
+        ],
+        ids=["damping-nan", "damping-inf", "epsilon-nan", "threshold-nan"],
+    )
+    def test_non_finite_cluster_flag_exits_1(self, pipeline_out, tmp_path, capsys, flag, value, message):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main(cluster_argv(out, "modified", flag, value)) == 1
+        assert self.only_error_line(capsys) == f"error: {message}"
+        assert tree_digest(out) == before
+
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_top_n_below_1_exits_1(self, pipeline_out, tmp_path, capsys, top_n):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        for path in (out / "reports").glob("top_terms_*.csv"):
+            path.unlink()
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--query", "vaccine", "--top-n", top_n]) == 1
+        assert self.only_error_line(capsys) == f"error: --top-n must be >= 1, got {top_n}"
+        assert not list((out / "reports").glob("top_terms_*.csv"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--top-n", "0"], "--top-n must be >= 1, got 0"),
+            (["--damping", "nan"], "damping_weight must be finite, got nan"),
+            (["--k", "0"], "k must be >= 1, got 0"),
+        ],
+        ids=["top-n-0", "damping-nan", "k-0"],
+    )
+    def test_run_all_checks_later_flags_before_it_writes(self, corpus_dir, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        argv = ["run-all", "--out", str(out), "--corpus", f"{corpus_dir}:demo", "--query", "vaccine", *flags]
+        assert main(argv) == 1
+        assert self.only_error_line(capsys) == f"error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("", "stage 'chunks' has no header"), ("{not json", "stage 'chunks' header is not valid JSON")],
+        ids=["empty", "not-json"],
+    )
+    def test_damaged_header_line_exits_1(self, corpus_dir, tmp_path, capsys, header, message):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        chunks = out / "stages" / "chunks.jsonl"
+        rest = chunks.read_text(encoding="utf-8").split("\n", 1)[1]
+        chunks.write_text(f"{header}\n{rest}", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["vectorize", "--out", str(out)]) == 1
+        assert self.only_error_line(capsys) == f"error: {message}"
+
     def test_zero_batch_size_leaves_stages_unchanged(self, corpus_dir, tmp_path, capsys):
         other = tmp_path / "other"
         write_corpus_dir(other, n_articles=3, seed=1, n_sentences=10)
@@ -514,6 +592,24 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert main(["ingest", "--out", str(out), "--corpus", f"{corpus}:demo"]) == 0
         assert "skipped" in caplog.text
+
+    def test_one_label_for_two_corpora_loads_each_id_once(self, tmp_path, caplog):
+        # both corpora hold paper0000..paper0003, so under one label they share ids
+        caplog.set_level(logging.INFO)
+        corpora = [f"{tmp_path / f'c{seed}'}:x" for seed in (0, 1)]
+        for seed in (0, 1):
+            write_corpus_dir(tmp_path / f"c{seed}", n_articles=4, seed=seed, n_sentences=12)
+        out, first = tmp_path / "out", tmp_path / "first"
+        assert main(["ingest", "--out", str(out), "--corpus", corpora[0], "--corpus", corpora[1]]) == 0
+        for stage, key in (("documents", "doc_id"), ("chunks", "chunk_id")):
+            lines = (out / "stages" / f"{stage}.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+            ids = [json.loads(line)[key] for line in lines]
+            assert ids and len(ids) == len(set(ids)), stage
+        assert caplog.text.count("duplicate paper_id 'x/paper") == 4
+        assert "(4 files failed)" in caplog.text
+        # the first corpus's documents are kept
+        assert main(["ingest", "--out", str(first), "--corpus", corpora[0]]) == 0
+        assert tree_digest(out) == tree_digest(first)
 
 
 @pytest.fixture(scope="module")
@@ -711,6 +807,24 @@ class TestStageScans:
 
 
 class TestEnvOverride:
+    def test_cleaning_config_flag_resolves_its_stoplist_path(self, corpus_dir, tmp_path, monkeypatch):
+        config_dir = tmp_path / "config"
+        config_dir.mkdir()
+        stoplist = sorted(default_stoplist() | {"vaccine"})
+        (config_dir / "stop.txt").write_text("\n".join(stoplist) + "\n", encoding="utf-8")
+        (config_dir / "cleaning.json").write_text('{"stoplist_path": "stop.txt"}', encoding="utf-8")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)  # a relative path resolves against the config's directory
+        out = tmp_path / "out"
+        assert main([
+            "ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo",
+            "--cleaning-config", str(config_dir / "cleaning.json"),
+        ]) == 0
+        chunks = (out / "stages" / "chunks.jsonl").read_text().splitlines()[1:]
+        tokens = {t for line in chunks for t in json.loads(line)["tokens"]}
+        assert "vaccine" not in tokens and "antibody" in tokens
+
     def test_stoplist_env_var(self, corpus_dir, tmp_path, monkeypatch):
         stop = tmp_path / "stop.txt"
         # an empty stoplist keeps determiners out via POS tagging but admits

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -85,6 +86,13 @@ class TestClusterConfig:
             {"k": 2, "damping_weight": -1.0},
             {"k": 2, "epsilon": 0.0},
             {"k": 2, "max_iter": 0},
+            {"k": 2, "threshold": math.nan},
+            {"k": 2, "threshold": math.inf},
+            {"k": 2, "damping_weight": math.nan},
+            {"k": 2, "damping_weight": math.inf},
+            {"k": 2, "epsilon": math.nan},
+            {"k": 2, "epsilon": math.inf},
+            {"k": 2, "mode": "standard", "damping_weight": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -94,6 +102,24 @@ class TestClusterConfig:
     def test_record_round_trip(self):
         cfg = ClusterConfig(k=4, threshold=0.02, seed=9, seeding="partial")
         assert ClusterConfig.from_record(cfg.to_record()) == cfg
+
+    def test_record_holds_every_field(self):
+        # the record is the model-reuse key: a field missing from it would let
+        # cluster reuse a model fitted with another value of that field
+        changed = {
+            "k": 4, "threshold": 0.02, "damping_weight": 0.3, "epsilon": 1e-3, "max_iter": 7,
+            "mode": "standard", "seeding": "partial", "seed": 9, "raw_denominator": True,
+        }
+        names = [f.name for f in dataclasses.fields(ClusterConfig)]
+        assert sorted(changed) == sorted(names), "give a new field a value here"
+        base = ClusterConfig(k=3)
+        assert list(base.to_record()) == names
+        for name in names:
+            cfg = dataclasses.replace(base, **{name: changed[name]})
+            rec = cfg.to_record()
+            assert ClusterConfig.from_record(rec) == cfg
+            assert getattr(ClusterConfig.from_record(rec), name) == getattr(cfg, name)
+            assert rec != base.to_record(), name
 
 
 class TestAssignPoint:
@@ -347,6 +373,20 @@ class TestInitCentroids:
             [p.coords for p in pts], cents, epsilon=cfg.epsilon
         )
         assert np.array_equal(model.centroids, np.asarray(oracle_cents))
+
+    def test_partial_seeding_grows_a_subset_with_too_few_distinct_rows(self, monkeypatch):
+        # 3 distinct rows among 20: a 20% subset (6 rows) almost never holds all three
+        coords = [(0.0, 0.0)] * 18 + [(1.0, 0.0), (0.0, 1.0)]
+        pts = [wp(f"p{i}", c) for i, c in enumerate(coords)]
+        sizes = []
+        distinct = cluster_module._distinct_row_indices
+        monkeypatch.setattr(
+            cluster_module, "_distinct_row_indices", lambda X: sizes.append(len(X)) or distinct(X)
+        )
+        cents = init_centroids(pts, ClusterConfig(k=3, seed=0, seeding="partial"))
+        assert sizes[0] == 20 and sizes[1] == 6  # all points, then the first subset
+        assert sizes[2:] and sizes[1:] == sorted(set(sizes[1:]))  # grown, never shrunk
+        assert sorted(map(tuple, cents.tolist())) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
 
 
 class TestRun:
