@@ -18,9 +18,18 @@ import hashlib
 import logging
 import os
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import __version__
 from . import cluster as clustering
@@ -49,38 +58,73 @@ MODES = ("standard", "modified")
 T = TypeVar("T")
 
 
-def _decode_vocab(records: list[dict[str, Any]], meta: dict[str, Any]) -> vectorization.Vocabulary:
+def _decode_vocab(records: Iterator[dict[str, Any]], meta: dict[str, Any]) -> vectorization.Vocabulary:
     if "n_chunks" not in meta:
         raise SchemaMismatch("stage 'vocabulary' header has no 'n_chunks'")
     return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
 
 
-def _decode_model(records: list[dict[str, Any]], _: dict[str, Any]) -> clustering.ClusterModel:
-    return clustering.ClusterModel.from_record(records[0])
+def _decode_vectors(records: Iterator[dict[str, Any]], _: dict[str, Any]) -> list[vectorization.SparseRow]:
+    """One (chunk_id, column indices, values) row per record; the indices are
+    checked against the vocabulary where the rows are scattered."""
+    rows = []
+    for r in records:
+        entries, _norm = r["entries"], r["norm"]  # a record without its norm is malformed
+        rows.append((
+            r["chunk_id"],
+            np.array([int(i) for i, _w in entries], dtype=np.intp),
+            np.array([float(w) for _i, w in entries], dtype=np.float64),
+        ))
+    return rows
+
+
+def _decode_points(records: Iterator[dict[str, Any]], _: dict[str, Any]) -> list[reduction.ReducedPoint]:
+    """Every point's coordinates are one row of the first point's length."""
+    points: list[reduction.ReducedPoint] = []
+    for r in records:
+        point = reduction.ReducedPoint.from_record(r)
+        width = len(points[0].coords) if points else point.coords.size
+        if point.coords.shape != (width,):
+            raise ValueError(
+                f"point {point.chunk_id!r} has coordinates of shape {point.coords.shape}, not ({width},)"
+            )
+        points.append(point)
+    return points
+
+
+def _decode_model(records: Iterator[dict[str, Any]], _: dict[str, Any]) -> clustering.ClusterModel:
+    return clustering.ClusterModel.from_record(list(records)[0])
 
 
 # every stage file: name -> (record schema, the command that writes it, the stages
-# it is computed from, the decoder from its records and header fields to what
-# commands use, None where no command decodes it); cluster-model-2 records keep no
-# per-iteration distances. A decoder looks a class up when it is called, so a
-# method wrapped later (by a profiler or tracer) is the one that runs.
+# it is computed from, the decoder from its records, parsed one at a time, and
+# header fields to what commands use, None where no command decodes it);
+# cluster-model-2 records keep no per-iteration distances. A decoder looks a class
+# up when it is called, so a method wrapped later (by a profiler or tracer) is the
+# one that runs.
 STAGES = {
     "documents": ("document", "keyclust ingest", (), lambda rs, _: {r["doc_id"]: r["corpus_label"] for r in rs}),
     "chunks": ("chunk", "keyclust ingest", (), lambda rs, _: [Chunk.from_record(r) for r in rs]),
     "vocabulary": ("vocab-term", "keyclust vectorize", ("chunks",), _decode_vocab),
-    "vectors": (
-        "tfidf", "keyclust vectorize", ("chunks", "vocabulary"),
-        lambda rs, _: [vectorization.TfIdfVector.from_record(r) for r in rs],
-    ),
+    "vectors": ("tfidf", "keyclust vectorize", ("chunks", "vocabulary"), _decode_vectors),
     "pca": ("pca-model", "keyclust reduce", ("vectors",), None),
-    "points": (
-        "reduced-point", "keyclust reduce", ("vectors", "pca"),
-        lambda rs, _: [reduction.ReducedPoint.from_record(r) for r in rs],
-    ),
+    "points": ("reduced-point", "keyclust reduce", ("vectors", "pca"), _decode_points),
     "weights": ("weight", "keyclust cluster --mode modified", ("chunks", "vocabulary"), None),
     "model_standard": ("cluster-model-2", "keyclust cluster --mode standard", ("points",), _decode_model),
     "model_modified": ("cluster-model-2", "keyclust cluster --mode modified", ("points", "weights"), _decode_model),
 }
+
+
+@contextmanager
+def _record_shape(name: str) -> Iterator[None]:
+    """A record of stage ``name`` that cannot be indexed or converted is a
+    SchemaMismatch naming the stage."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(
+            f"stage {name!r} holds a record of the wrong shape ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 @dataclass
@@ -152,13 +196,9 @@ class _Stages:
         """Stage ``name``, provenance checked, as its ``STAGES`` decoder returns it. A
         record the decoder cannot index or convert is a SchemaMismatch naming it."""
         self.check(name)
-        records, meta = self.read(name, lambda store: store.load_with_meta(STAGES[name][0]))
-        try:
-            return STAGES[name][3](records, meta)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise SchemaMismatch(
-                f"stage {name!r} holds a record of the wrong shape ({type(exc).__name__}: {exc})"
-            ) from exc
+        schema, decode = STAGES[name][0], STAGES[name][3]
+        with _record_shape(name):
+            return self.read(name, lambda store: store.load_with_meta(schema, decode))[0]
 
 
 def _reports_dir(out: str) -> Path:
@@ -253,20 +293,29 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     stages = _Stages(args.out)
-    vocab = stages.load("vocabulary")
-    vectors = stages.load("vectors")
-    matrix = vectorization.densify(vectors, len(vocab))
-    cap = min(len(vocab), len(vectors) - 1)
+    vocab_size = len(stages.load("vocabulary"))
+    rows = stages.load("vectors")
+    with _record_shape("vectors"):
+        matrix = vectorization.scatter_rows(rows, vocab_size)
+    chunk_ids = [chunk_id for chunk_id, _, _ in rows]
+    del rows
+    cap = min(vocab_size, len(chunk_ids) - 1)
     dim = min(args.pca_dim, cap)
     if dim < args.pca_dim:
         log.warning("pca-dim %d capped to %d by the data", args.pca_dim, dim)
-    model = reduction.fit_pca(matrix, dim)
+    # the matrix is centred in place and projected as it stands: bitwise
+    # pca_transform of the uncentred matrix, without a second (n, V) array
+    model = reduction.fit_pca(matrix, dim, in_place=True)
     stages.save("pca", [model.to_record()])
-    points = reduction.reduce_points([v.chunk_id for v in vectors], matrix, model)
-    stages.save("points", (p.to_record() for p in points))
+    coords = matrix @ model.components.T
+    del matrix
+    stages.save(
+        "points",
+        (reduction.ReducedPoint(chunk_id=cid, coords=row).to_record() for cid, row in zip(chunk_ids, coords)),
+    )
     log.info(
         "reduced %d vectors to %d dimensions (top variance %.6f)",
-        len(points), dim, float(model.explained_variance[0]),
+        len(chunk_ids), dim, float(model.explained_variance[0]),
     )
     return 0
 
@@ -515,17 +564,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB, None where it is unknown."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6  # bytes, else KiB
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
         return args.func(args)
     except KeyclustError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        peak = _peak_rss_mb()
+        log.info(
+            "%s took %.3f s%s", args.command, time.perf_counter() - start,
+            "" if peak is None else f", peak RSS {peak:.1f} MB",
+        )
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 Documents are chunked in fixed-size batches, and every pipeline phase
 writes its output to a stage file that a later phase reads back. A stage is
-written record by record but read whole: ``StageStore.load_with_meta``
-returns every record at once, so a stage's records do sit in memory.
+written record by record and decoded record by record:
+``StageStore.load_with_meta`` hands a decoder the records one parsed line at
+a time, so a stage's raw JSON records never sit in memory together, only
+what the decoder keeps of each.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InvalidBatchSize, MissingPath, SchemaMismatch, StageIoError
 
@@ -193,28 +195,40 @@ class StageStore:
         except OSError as exc:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
 
-    def load_with_meta(self, schema: str) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    def load_with_meta(
+        self,
+        schema: str,
+        decode: Callable[[Iterator[dict[str, Any]], dict[str, Any]], T] | None = None,
+    ) -> tuple[list[dict[str, Any]] | T, dict[str, Any]]:
+        """The records and the header fields. With ``decode``, the records are
+        ``decode(records, meta)`` instead of a list, where ``records`` parses
+        one line each time it is advanced: each raw record can be freed once
+        ``decode`` has taken what it keeps of it."""
         path = self.path
         if not path.is_file():
             raise StageIoError(f"stage not found: {path}")
         try:
             with open(path, encoding="utf-8") as fh:
-                header = self._check_header(fh.readline(), schema)
-                records = []
-                for lineno, line in enumerate(fh, start=2):
-                    if not line.strip():
-                        continue
-                    try:
-                        records.append(json.loads(line))
-                    except json.JSONDecodeError as exc:
-                        raise SchemaMismatch(
-                            f"stage {self.stage_name!r} line {lineno} is not valid JSON: {exc}"
-                        ) from exc
+                meta = _header_meta(self._check_header(fh.readline(), schema))
+                records = self._parse(fh)
+                return (list(records) if decode is None else decode(records, meta)), meta
         except OSError as exc:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaMismatch(f"stage {self.stage_name!r} is not valid UTF-8: {exc}") from exc
-        return records, _header_meta(header)
+
+    def _parse(self, fh: Iterable[str]) -> Iterator[dict[str, Any]]:
+        """The record lines after the header of ``fh``, parsed one at a time."""
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaMismatch(
+                    f"stage {self.stage_name!r} line {lineno} is not valid JSON: {exc}"
+                ) from exc
+            yield record
 
     def _check_header(self, line: str | bytes, schema: str) -> dict[str, Any]:
         if not line.strip():

@@ -69,7 +69,7 @@ class ReducedPoint:
         return cls(chunk_id=rec["chunk_id"], coords=np.asarray(rec["coords"], dtype=np.float64))
 
 
-def fit_pca(vectors: np.ndarray, d: int) -> PcaModel:
+def fit_pca(vectors: np.ndarray, d: int, *, in_place: bool = False) -> PcaModel:
     """Extract the top ``d`` principal components of ``vectors`` (n, V).
 
     Components are eigenvectors of the sample covariance of the mean-centered
@@ -77,8 +77,15 @@ def fit_pca(vectors: np.ndarray, d: int) -> PcaModel:
     symmetric eigendecomposition of the V-by-V covariance when V <= n, a thin
     SVD of the centered data otherwise. Variances are clipped at zero. The
     sign convention makes each component's largest-magnitude entry positive.
+
+    ``in_place`` centres ``vectors`` itself, which must then be a C-contiguous
+    float64 array, instead of a copy: it is left holding ``vectors - mean``,
+    whose product with ``components.T`` is bitwise :func:`pca_transform` of
+    the original rows.
     """
     X = np.ascontiguousarray(vectors, dtype=np.float64)
+    if in_place and X is not vectors:
+        raise TypeError("in-place centring needs a C-contiguous float64 array")
     if X.ndim != 2:
         raise LengthMismatch(f"expected a 2-D matrix, got shape {X.shape}")
     n, v = X.shape
@@ -88,9 +95,13 @@ def fit_pca(vectors: np.ndarray, d: int) -> PcaModel:
             f"d={d} outside [1, {limit}] for {n} vectors of dimension {v}"
         )
     mean = X.mean(axis=0)
-    resid = X - mean
-    total_var = float(np.sum(resid * resid)) / (n - 1)
-    scale = max(1.0, float(np.sum(X * X)) / n)
+    scale = max(1.0, _sum_squares(X) / n)
+    if in_place:
+        X -= mean
+        resid = X
+    else:
+        resid = X - mean
+    total_var = _sum_squares(resid) / (n - 1)
     degenerate = total_var <= 1e-24 * scale
     if degenerate:
         log.warning("degenerate input: zero covariance, components carry no variance")
@@ -106,6 +117,12 @@ def fit_pca(vectors: np.ndarray, d: int) -> PcaModel:
     return PcaModel(
         mean=mean, components=comps, explained_variance=np.maximum(eig, 0.0), degenerate=degenerate
     )
+
+
+def _sum_squares(X: np.ndarray) -> float:
+    """Sum of the squared entries of a C-contiguous array, without an array of squares."""
+    flat = X.reshape(-1)
+    return float(np.dot(flat, flat))
 
 
 def pca_transform(vector: np.ndarray, model: PcaModel) -> np.ndarray:

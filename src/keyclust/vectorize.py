@@ -124,10 +124,35 @@ def tfidf_vector(chunk: Chunk, vocab: Vocabulary) -> TfIdfVector:
     return TfIdfVector(chunk_id=chunk.chunk_id, entries=entries, norm=norm)
 
 
+# a tf-idf vector as a stage row: its chunk id, column indices and weights
+SparseRow = tuple[str, np.ndarray, np.ndarray]
+
+
 def densify(vectors: Sequence[TfIdfVector], vocab_size: int) -> np.ndarray:
     """Stack sparse vectors into a dense (n, V) float64 matrix."""
     out = np.zeros((len(vectors), vocab_size), dtype=np.float64)
     for row, vec in enumerate(vectors):
         for idx, w in vec.entries.items():
             out[row, idx] = w
+    return out
+
+
+def scatter_rows(rows: Sequence[SparseRow], vocab_size: int) -> np.ndarray:
+    """Stack sparse rows into a dense (n, V) float64 matrix, as :func:`densify`
+    stacks vectors. A column index outside [0, V) is an IndexError naming the
+    chunk, never a write to another column."""
+
+    def outside(indices: np.ndarray) -> bool:
+        return bool(indices.size) and not (0 <= indices.min() and indices.max() < vocab_size)
+
+    # one check over every index, before the matrix exists; a row at a time only to name one
+    if rows and outside(np.concatenate([indices for _, indices, _ in rows])):
+        chunk_id, indices, _ = next(row for row in rows if outside(row[1]))
+        raise IndexError(
+            f"chunk {chunk_id!r} has a column index outside [0, {vocab_size}): "
+            f"{indices.min()} .. {indices.max()}"
+        )
+    out = np.zeros((len(rows), vocab_size), dtype=np.float64)
+    for row, (_, indices, values) in enumerate(rows):
+        out[row, indices] = values
     return out

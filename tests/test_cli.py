@@ -1,11 +1,13 @@
 import hashlib
 import json
 import logging
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from keyclust import cli
 from keyclust.cli import build_parser, main
 from keyclust.corpus import StageStore
 from keyclust.preprocess import default_stoplist
@@ -572,6 +574,44 @@ class TestFailureModes:
         assert line.startswith("error: stage 'chunks' holds a record of the wrong shape")
         assert "'tokens'" in line
 
+    @pytest.mark.parametrize("index", [9999, -1], ids=["past-vocabulary", "negative"])
+    def test_vector_column_index_outside_vocabulary_exits_1(self, corpus_dir, tmp_path, capsys, index):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert main(["vectorize", "--out", str(out)]) == 0
+        vectors = out / "stages" / "vectors.jsonl"
+        head, first, rest = vectors.read_text(encoding="utf-8").split("\n", 2)
+        record = json.loads(first)
+        record["entries"][0][0] = index
+        vectors.write_text("\n".join([head, json.dumps(record), rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["reduce", "--out", str(out), "--pca-dim", "8"]) == 1
+        line = self.only_error_line(capsys)
+        assert line.startswith("error: stage 'vectors' holds a record of the wrong shape")
+        assert record["chunk_id"] in line
+        assert not (out / "stages" / "points.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster", "--query", "vaccine", "--k", "3", "--mode", "standard"], ["elbow", "--k-max", "3"]],
+        ids=["cluster", "elbow"],
+    )
+    def test_ragged_point_record_exits_1(self, corpus_dir, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert main(["vectorize", "--out", str(out)]) == 0
+        assert main(["reduce", "--out", str(out), "--pca-dim", "8"]) == 0
+        points = out / "stages" / "points.jsonl"
+        head, first, second, rest = points.read_text(encoding="utf-8").split("\n", 3)
+        record = json.loads(second)
+        record["coords"].pop()
+        points.write_text("\n".join([head, first, json.dumps(record), rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        line = self.only_error_line(capsys)
+        assert line.startswith("error: stage 'points' holds a record of the wrong shape")
+        assert record["chunk_id"] in line
+
     def test_old_model_schema_exits_1(self, corpus_dir, tmp_path, capsys):
         out = run_pipeline(corpus_dir, tmp_path / "out")
         model = out / "stages" / "model_modified.jsonl"
@@ -775,6 +815,42 @@ class TestModelReuse:
         assert "standard model is current; reused" in caplog.text
         assert "modified model is current; reused" in caplog.text
         assert tree_digest(out) == tree_digest(run_pipeline(corpus_dir, tmp_path / "fresh"))
+
+
+class TestCommandLog:
+    """Each command logs one line with its name, wall time and the process's
+    peak resident memory, and writes nothing for it under --out."""
+
+    @staticmethod
+    def timing_lines(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.name == "keyclust" and " took " in r.getMessage()]
+
+    def test_one_line_per_command(self, corpus_dir, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="keyclust")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert main(["vectorize", "--out", str(out)]) == 0
+        lines = self.timing_lines(caplog)
+        assert len(lines) == 2, lines
+        for line, command in zip(lines, ("ingest", "vectorize")):
+            assert re.fullmatch(rf"{command} took \d+\.\d{{3}} s, peak RSS \d+\.\d MB", line), line
+            assert float(line.rsplit(" ", 2)[1]) > 0
+        assert sorted(p.name for p in out.rglob("*")) == [
+            "chunks.jsonl", "documents.jsonl", "stages", "vectors.jsonl", "vocabulary.jsonl",
+        ]
+
+    def test_failed_and_chained_commands(self, corpus_dir, tmp_path, caplog, monkeypatch):
+        caplog.set_level(logging.INFO, logger="keyclust")
+        assert main(["reduce", "--out", str(tmp_path / "empty")]) == 1
+        monkeypatch.setattr(cli, "resource", None)  # as on a platform without it
+        assert main([
+            "run-all", "--out", str(tmp_path / "out"), "--corpus", f"{corpus_dir}:demo",
+            "--query", "vaccine", "--k", "3", "--pca-dim", "8",
+        ]) == 0
+        lines = self.timing_lines(caplog)
+        assert len(lines) == 2, lines
+        assert re.fullmatch(r"reduce took \d+\.\d{3} s, peak RSS \d+\.\d MB", lines[0]), lines[0]
+        assert re.fullmatch(r"run-all took \d+\.\d{3} s", lines[1]), lines[1]
 
 
 class TestStageScans:

@@ -175,6 +175,25 @@ class TestStageStore:
         with pytest.raises(SchemaMismatch, match="stage 's' is not valid UTF-8"):
             store.load_with_meta("r")[0]
 
+    def test_decoder_takes_records_one_line_at_a_time(self, tmp_path):
+        store = StageStore(root_path=tmp_path, stage_name="s")
+        store.save([{"a": 1}, {"a": 2}], schema="r", meta={"n": 2})
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"a": 3, "b')
+        seen = []
+
+        def decode(records, meta):
+            assert meta == {"n": 2}
+            for record in records:
+                seen.append(record["a"])
+            return seen
+
+        with pytest.raises(SchemaMismatch, match="stage 's' line 4 is not valid JSON"):
+            store.load_with_meta("r", decode)
+        assert seen == [1, 2]  # decoded before the bad line was parsed
+        store.save([{"a": 1}, {"a": 2}], schema="r", meta={"n": 2})
+        assert store.load_with_meta("r", lambda rs, meta: sum(r["a"] for r in rs) * meta["n"]) == (6, {"n": 2})
+
     def test_meta_round_trip(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="vocab")
         store.save([{"term": "x"}], schema="vocab-term", meta={"n_chunks": 7})

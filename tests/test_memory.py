@@ -1,0 +1,60 @@
+"""Memory that stage decoding and ``reduce`` hold at their peak.
+
+Peaks are counted with ``tracemalloc``, which sees every Python object and
+every NumPy buffer allocated while it runs, so a peak repeats from run to
+run, where a resident-set figure would move with the allocator and with
+whatever the test process held before.
+"""
+
+import tracemalloc
+
+import pytest
+
+from keyclust.cli import _Stages, main
+
+from conftest import write_corpus_dir
+
+
+@pytest.fixture(scope="module")
+def outs(tmp_path_factory):
+    """Stages through ``points`` for the first 20 and 100 articles of the
+    reference corpus: 600 and 3000 chunks."""
+    outs = {}
+    for articles in (20, 100):
+        root = tmp_path_factory.mktemp(f"memory{articles}")
+        write_corpus_dir(root / "corpus", n_articles=articles, seed=0, n_sentences=90)
+        out = outs[30 * articles] = root / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{root / 'corpus'}:synthetic"]) == 0
+        assert main(["vectorize", "--out", str(out)]) == 0
+        assert main(["reduce", "--out", str(out), "--pca-dim", "50"]) == 0
+    return outs
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("chunks", [600, 3000])
+def test_points_decode_holds_little_beside_the_coordinates(outs, chunks):
+    stages = _Stages(str(outs[chunks]))
+    # scanned first, so that the peak is the decode's and not the hash's
+    # fixed-size read block (HASH_BLOCK_BYTES)
+    stages.check("points")
+    points, peak = traced_peak(lambda: stages.load("points"))
+    assert len(points) == chunks
+    coordinate_bytes = sum(p.coords.nbytes for p in points)
+    assert peak <= 3 * coordinate_bytes, (peak, coordinate_bytes)
+
+
+def test_reduce_holds_little_beside_the_dense_matrix(outs):
+    stages = _Stages(str(outs[3000]))
+    matrix_bytes = 8 * len(stages.load("vocabulary")) * len(stages.load("points"))
+    rc, peak = traced_peak(lambda: main(["reduce", "--out", str(outs[3000]), "--pca-dim", "50"]))
+    assert rc == 0
+    # about 1.4x; a second (n, V) array, such as a centred copy, makes it 2.3x
+    assert peak <= 2 * matrix_bytes, (peak, matrix_bytes)

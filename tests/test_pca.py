@@ -43,6 +43,26 @@ def align_sign(a, b):
 
 
 class TestFitPca:
+    @pytest.mark.parametrize("n, v", [(20, 5), (6, 9)], ids=["tall", "wide"])
+    def test_in_place_fit_is_the_same_fit_and_projects_bitwise(self, n, v):
+        X = random_matrix(11, n=n, v=v) + 2.0
+        want = fit_pca(X, 4)
+        Y = X.copy()
+        got = fit_pca(Y, 4, in_place=True)
+        for field in ("mean", "components", "explained_variance"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.degenerate == want.degenerate
+        assert np.array_equal(Y, X - want.mean)
+        assert np.array_equal(Y @ got.components.T, pca_transform(X, want))
+
+    @pytest.mark.parametrize(
+        "matrix", [np.asfortranarray(random_matrix(1)), random_matrix(1).astype(np.float32), [[0.0, 1.0]] * 3],
+        ids=["fortran-order", "float32", "list"],
+    )
+    def test_in_place_fit_needs_a_c_contiguous_float64_array(self, matrix):
+        with pytest.raises(TypeError, match="in-place centring"):
+            fit_pca(matrix, 1, in_place=True)
+
     def test_collinear_data(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         model = fit_pca(X, 2)

@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyclust.errors import EmptyCorpus
-from keyclust.vectorize import TfIdfVector, Vocabulary, build_vocabulary, densify, tfidf_vector
+from keyclust.vectorize import (
+    TfIdfVector, Vocabulary, build_vocabulary, densify, scatter_rows, tfidf_vector,
+)
 
 from conftest import toy_chunk
 from oracles import df_oracle, tfidf_oracle
@@ -153,3 +156,21 @@ class TestTfIdfVector:
         assert m.shape == (2, 4)
         assert m[0].tolist() == [1.0, 0.0, 0.0, 0.0]
         assert m[1].tolist() == [0.0, 0.8, 0.6, 0.0]
+
+    def test_scatter_rows_matches_densify(self):
+        rng = random.Random(5)
+        vecs = [
+            TfIdfVector(chunk_id=f"c{r}", entries={i: rng.random() for i in rng.sample(range(9), rng.randrange(5))})
+            for r in range(12)
+        ]
+        rows = [
+            (v.chunk_id, np.array(list(v.entries), dtype=np.intp), np.array(list(v.entries.values())))
+            for v in vecs
+        ]
+        assert np.array_equal(scatter_rows(rows, 9), densify(vecs, 9))
+
+    @pytest.mark.parametrize("index", [4, -1, -4], ids=["past-end", "negative", "negative-in-range"])
+    def test_scatter_rows_rejects_a_column_outside_the_vocabulary(self, index):
+        rows = [("a", np.array([0]), np.array([1.0])), ("b", np.array([1, index]), np.array([0.6, 0.8]))]
+        with pytest.raises(IndexError, match=r"chunk 'b' has a column index outside \[0, 4\)"):
+            scatter_rows(rows, 4)
