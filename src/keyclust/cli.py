@@ -22,9 +22,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
-
-import numpy as np
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 try:
     import resource
@@ -55,27 +53,11 @@ STOPLIST_ENV = "KEYCLUST_STOPLIST"
 
 MODES = ("standard", "modified")
 
-T = TypeVar("T")
-
 
 def _decode_vocab(records: Iterator[dict[str, Any]], meta: dict[str, Any]) -> vectorization.Vocabulary:
     if "n_chunks" not in meta:
         raise SchemaMismatch("stage 'vocabulary' header has no 'n_chunks'")
     return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
-
-
-def _decode_vectors(records: Iterator[dict[str, Any]], _: dict[str, Any]) -> list[vectorization.SparseRow]:
-    """One (chunk_id, column indices, values) row per record; the indices are
-    checked against the vocabulary where the rows are scattered."""
-    rows = []
-    for r in records:
-        entries, _norm = r["entries"], r["norm"]  # a record without its norm is malformed
-        rows.append((
-            r["chunk_id"],
-            np.array([int(i) for i, _w in entries], dtype=np.intp),
-            np.array([float(w) for _i, w in entries], dtype=np.float64),
-        ))
-    return rows
 
 
 def _decode_points(records: Iterator[dict[str, Any]], _: dict[str, Any]) -> list[reduction.ReducedPoint]:
@@ -103,10 +85,16 @@ def _decode_model(records: Iterator[dict[str, Any]], _: dict[str, Any]) -> clust
 # up when it is called, so a method wrapped later (by a profiler or tracer) is the
 # one that runs.
 STAGES = {
-    "documents": ("document", "keyclust ingest", (), lambda rs, _: {r["doc_id"]: r["corpus_label"] for r in rs}),
+    "documents": (
+        "document", "keyclust ingest", (),
+        lambda rs, _: {d.doc_id: d.corpus_label for d in map(Document.from_record, rs)},
+    ),
     "chunks": ("chunk", "keyclust ingest", (), lambda rs, _: [Chunk.from_record(r) for r in rs]),
     "vocabulary": ("vocab-term", "keyclust vectorize", ("chunks",), _decode_vocab),
-    "vectors": ("tfidf", "keyclust vectorize", ("chunks", "vocabulary"), _decode_vectors),
+    "vectors": (
+        "tfidf", "keyclust vectorize", ("chunks", "vocabulary"),
+        lambda rs, _: [vectorization.row_from_record(r) for r in rs],
+    ),
     "pca": ("pca-model", "keyclust reduce", ("vectors",), None),
     "points": ("reduced-point", "keyclust reduce", ("vectors", "pca"), _decode_points),
     "weights": ("weight", "keyclust cluster --mode modified", ("chunks", "vocabulary"), None),
@@ -139,19 +127,15 @@ class _Stages:
     def store(self, name: str) -> StageStore:
         return StageStore(Path(self.out) / "stages", name)
 
-    def read(self, name: str, read: Callable[[StageStore], T]) -> T:
-        """``read`` of stage ``name``; a stage it cannot find or open is a
-        StageIoError naming the command that writes it."""
-        try:
-            return read(self.store(name))
-        except StageIoError as exc:
-            writer = STAGES[name][1]
-            raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
-
     def scan(self, name: str) -> tuple[dict[str, Any], str]:
-        """Stage ``name``'s header fields and the sha256 of its records."""
+        """Stage ``name``'s header fields and the sha256 of its records; a stage
+        it cannot find or open is a StageIoError naming the command that writes it."""
         if name not in self.scans:
-            self.scans[name] = self.read(name, lambda store: store.scan(STAGES[name][0]))
+            try:
+                self.scans[name] = self.store(name).scan(STAGES[name][0])
+            except StageIoError as exc:
+                writer = STAGES[name][1]
+                raise StageIoError(f"missing stage {name!r} ({exc}) — run '{writer}' first") from exc
         return self.scans[name]
 
     def inputs(self, name: str, **config: Any) -> dict[str, Any]:
@@ -195,10 +179,9 @@ class _Stages:
     def load(self, name: str) -> Any:
         """Stage ``name``, provenance checked, as its ``STAGES`` decoder returns it. A
         record the decoder cannot index or convert is a SchemaMismatch naming it."""
-        self.check(name)
-        schema, decode = STAGES[name][0], STAGES[name][3]
+        self.check(name)  # scans the stage, so a missing one stops here
         with _record_shape(name):
-            return self.read(name, lambda store: store.load_with_meta(schema, decode))[0]
+            return self.store(name).load_with_meta(STAGES[name][0], STAGES[name][3])[0]
 
 
 def _reports_dir(out: str) -> Path:
@@ -226,7 +209,7 @@ def _parse_corpus_args(values: Sequence[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _cluster_config(args: argparse.Namespace, mode: str | None = None, k: int | None = None) -> clustering.ClusterConfig:
+def _cluster_config(args: argparse.Namespace, mode: str, k: int | None = None) -> clustering.ClusterConfig:
     seeding = {"random": "random_distinct", "partial": "partial"}[args.seeding]
     try:
         return clustering.ClusterConfig(
@@ -235,7 +218,7 @@ def _cluster_config(args: argparse.Namespace, mode: str | None = None, k: int | 
             damping_weight=args.damping,
             epsilon=args.epsilon,
             max_iter=args.max_iter,
-            mode=mode if mode is not None else args.mode,
+            mode=mode,
             seeding=seeding,
             seed=args.seed,
             raw_denominator=args.raw_denominator,
@@ -282,11 +265,18 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         nonempty, min_df=args.min_df, max_df_ratio=args.max_df_ratio
     )
     stages.save("vocabulary", vocab.to_records(), n_chunks=vocab.n_chunks)
-    vectors = [vectorization.tfidf_vector(c, vocab) for c in nonempty]
-    empty_vectors = sum(1 for v in vectors if v.is_empty)
+    empty_vectors = 0
+
+    def records() -> Iterator[dict[str, Any]]:
+        nonlocal empty_vectors
+        for c in nonempty:
+            vector = vectorization.tfidf_vector(c, vocab)
+            empty_vectors += vector.is_empty
+            yield vector.to_record()
+
+    stages.save("vectors", records())
     if empty_vectors:
         log.warning("%d chunks have no in-vocabulary token (zero vectors)", empty_vectors)
-    stages.save("vectors", (v.to_record() for v in vectors))
     log.info("vocabulary %d terms over %d chunks", len(vocab), vocab.n_chunks)
     return 0
 
@@ -501,25 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_flags = argparse.ArgumentParser(add_help=False)
     reduce_flags.add_argument("--pca-dim", type=int, default=50)
 
-    def cluster_flags(mode: str) -> argparse.ArgumentParser:
-        # a fresh parent per default: set_defaults on a subparser would
-        # rewrite the --mode action that every user of a shared parent holds
-        flags = argparse.ArgumentParser(add_help=False)
-        flags.add_argument("--k", type=int, default=5)
-        flags.add_argument("--threshold", type=float, default=clustering.DEFAULT_THRESHOLD)
-        flags.add_argument("--damping", type=float, default=clustering.DEFAULT_DAMPING)
-        flags.add_argument("--epsilon", type=float, default=clustering.DEFAULT_EPSILON)
-        flags.add_argument("--max-iter", type=int, default=clustering.DEFAULT_MAX_ITER)
-        flags.add_argument("--mode", choices=("modified", "standard"), default=mode)
-        flags.add_argument("--seeding", choices=("random", "partial"), default="random")
-        flags.add_argument("--seed", type=int, default=0)
-        flags.add_argument(
-            "--threads", type=int, default=1, metavar="N",
-            help="elbow: run the independent K-means runs on up to N threads "
-            "(same output for every N); other commands ignore it",
-        )
-        flags.add_argument("--raw-denominator", action="store_true")
-        return flags
+    cluster_flags = argparse.ArgumentParser(add_help=False)
+    cluster_flags.add_argument("--threshold", type=float, default=clustering.DEFAULT_THRESHOLD)
+    cluster_flags.add_argument("--damping", type=float, default=clustering.DEFAULT_DAMPING)
+    cluster_flags.add_argument("--epsilon", type=float, default=clustering.DEFAULT_EPSILON)
+    cluster_flags.add_argument("--max-iter", type=int, default=clustering.DEFAULT_MAX_ITER)
+    cluster_flags.add_argument("--seeding", choices=("random", "partial"), default="random")
+    cluster_flags.add_argument("--seed", type=int, default=0)
+    cluster_flags.add_argument(
+        "--threads", type=int, default=1, metavar="N",
+        help="elbow: run the independent K-means runs on up to N threads "
+        "(same output for every N); other commands ignore it",
+    )
+    cluster_flags.add_argument("--raw-denominator", action="store_true")
 
     p = sub.add_parser("ingest", parents=[common, ingest_flags],
                        help="load corpora and write document + chunk stages")
@@ -533,14 +517,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit PCA and write the reduced-point stage")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("cluster", parents=[common, cluster_flags("modified")],
+    p = sub.add_parser("cluster", parents=[common, cluster_flags],
                        help="weight points by query and fit a cluster model")
     p.add_argument("--query", required=True)
+    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--mode", choices=("modified", "standard"), default="modified")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("elbow", parents=[common, cluster_flags("standard")],
+    p = sub.add_parser("elbow", parents=[common, cluster_flags],
                        help="distortion-vs-k scan (best of N restarts)")
     p.add_argument("--query", default=None)
+    p.add_argument("--mode", choices=("modified", "standard"), default="standard")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--restarts", type=int, default=10)
@@ -554,10 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run-all",
-        parents=[common, ingest_flags, vec_flags, reduce_flags, cluster_flags("modified")],
+        parents=[common, ingest_flags, vec_flags, reduce_flags, cluster_flags],
         help="chain ingest, vectorize, reduce, both cluster modes, and report",
     )
     p.add_argument("--query", required=True)
+    p.add_argument("--k", type=int, default=5)
     p.add_argument("--top-n", type=int, default=10)
     p.set_defaults(func=cmd_run_all)
 

@@ -14,9 +14,10 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InvalidBatchSize, MissingPath, SchemaMismatch, StageIoError
 
@@ -40,21 +41,17 @@ class Document:
     corpus_label: str
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "doc_id": self.doc_id,
-            "title": self.title,
-            "body": self.body,
-            "corpus_label": self.corpus_label,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "Document":
-        return cls(
-            doc_id=rec["doc_id"],
-            title=rec["title"],
-            body=rec["body"],
-            corpus_label=rec["corpus_label"],
-        )
+        return cls(**record_fields(cls, rec))
+
+
+def record_fields(cls: type, rec: Mapping[str, Any]) -> dict[str, Any]:
+    """``rec``'s value of each field of dataclass ``cls``, read by name: a
+    missing field is a KeyError naming it, and other keys are ignored."""
+    return {f.name: rec[f.name] for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -187,13 +184,8 @@ class StageStore:
     def scan(self, schema: str) -> tuple[dict[str, Any], str]:
         """The header fields, checked as :meth:`load_with_meta` checks them,
         and the hex sha256 of the bytes after the header line (the records)."""
-        if not self.path.is_file():
-            raise StageIoError(f"stage not found: {self.path}")
-        try:
-            with open(self.path, "rb") as fh:
-                return _header_meta(self._check_header(fh.readline(), schema)), _sha256(fh)
-        except OSError as exc:
-            raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
+        with self._open(schema, binary=True) as (fh, meta):
+            return meta, _sha256(fh)
 
     def load_with_meta(
         self,
@@ -204,14 +196,20 @@ class StageStore:
         ``decode(records, meta)`` instead of a list, where ``records`` parses
         one line each time it is advanced: each raw record can be freed once
         ``decode`` has taken what it keeps of it."""
+        with self._open(schema, binary=False) as (fh, meta):
+            records = self._parse(fh)
+            return (list(records) if decode is None else decode(records, meta)), meta
+
+    @contextmanager
+    def _open(self, schema: str, binary: bool) -> Iterator[tuple[IO[Any], dict[str, Any]]]:
+        """The stage file, read past its checked header, and the header fields. A
+        file missing or unreadable is a StageIoError, and text not UTF-8 a SchemaMismatch."""
         path = self.path
         if not path.is_file():
             raise StageIoError(f"stage not found: {path}")
         try:
-            with open(path, encoding="utf-8") as fh:
-                meta = _header_meta(self._check_header(fh.readline(), schema))
-                records = self._parse(fh)
-                return (list(records) if decode is None else decode(records, meta)), meta
+            with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
+                yield fh, self._check_header(fh.readline(), schema)
         except OSError as exc:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -231,6 +229,8 @@ class StageStore:
             yield record
 
     def _check_header(self, line: str | bytes, schema: str) -> dict[str, Any]:
+        """The fields of header ``line`` beside the stage, schema and version,
+        once the schema is ``schema`` and the version this module's."""
         if not line.strip():
             raise SchemaMismatch(f"stage {self.stage_name!r} has no header")
         try:
@@ -248,11 +248,7 @@ class StageStore:
                 f"stage {self.stage_name!r} has format version "
                 f"{header.get('version')!r}, expected {STAGE_FORMAT_VERSION}"
             )
-        return header
-
-
-def _header_meta(header: Mapping[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in header.items() if k not in ("stage", "schema", "version")}
+        return {k: v for k, v in header.items() if k not in ("stage", "schema", "version")}
 
 
 def encode_record(obj: Mapping[str, Any]) -> str:

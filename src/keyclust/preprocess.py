@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Pattern, Sequence
 
-from .corpus import Document
+from .corpus import Document, record_fields
 from .errors import InvalidPattern
 
 _TERMINAL = ".!?"
@@ -113,23 +113,11 @@ class Chunk:
     tokens: tuple[str, ...] = ()
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "chunk_id": self.chunk_id,
-            "doc_id": self.doc_id,
-            "raw_text": self.raw_text,
-            "sentence_count": self.sentence_count,
-            "tokens": list(self.tokens),
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "Chunk":
-        return cls(
-            chunk_id=rec["chunk_id"],
-            doc_id=rec["doc_id"],
-            raw_text=rec["raw_text"],
-            sentence_count=rec["sentence_count"],
-            tokens=tuple(rec["tokens"]),
-        )
+        return cls(**{**record_fields(cls, rec), "tokens": tuple(rec["tokens"])})
 
 
 def chunk_sizes(n_sentences: int) -> list[int]:

@@ -76,14 +76,6 @@ class TfIdfVector:
             "norm": self.norm,
         }
 
-    @classmethod
-    def from_record(cls, rec: Mapping[str, Any]) -> "TfIdfVector":
-        return cls(
-            chunk_id=rec["chunk_id"],
-            entries={int(i): float(w) for i, w in rec["entries"]},
-            norm=rec["norm"],
-        )
-
 
 def build_vocabulary(
     chunks: Sequence[Chunk], min_df: int = 2, max_df_ratio: float = 0.95
@@ -126,6 +118,17 @@ def tfidf_vector(chunk: Chunk, vocab: Vocabulary) -> TfIdfVector:
 
 # a tf-idf vector as a stage row: its chunk id, column indices and weights
 SparseRow = tuple[str, np.ndarray, np.ndarray]
+
+
+def row_from_record(rec: Mapping[str, Any]) -> SparseRow:
+    """The row of a vectors-stage record (:meth:`TfIdfVector.to_record`); its
+    indices are checked against the vocabulary where the rows are scattered."""
+    entries, _norm = rec["entries"], rec["norm"]  # a record without its norm is malformed
+    return (
+        rec["chunk_id"],
+        np.array([int(i) for i, _w in entries], dtype=np.intp),
+        np.array([float(w) for _i, w in entries], dtype=np.float64),
+    )
 
 
 def densify(vectors: Sequence[TfIdfVector], vocab_size: int) -> np.ndarray:

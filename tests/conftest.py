@@ -1,5 +1,4 @@
-import json
-import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,115 +10,14 @@ from keyclust.weighting import WeightedPoint
 # ---------------------------------------------------------------------------
 # synthetic article text
 
-TOPIC_WORDS = {
-    "vaccine": [
-        "vaccine", "antibody", "immunization", "dose", "trial", "efficacy",
-        "antigen", "booster", "adjuvant", "epitope",
-    ],
-    "transmission": [
-        "transmission", "contact", "airborne", "droplet", "spread",
-        "exposure", "contagion", "quarantine", "outbreak", "reproduction",
-    ],
-    "genome": [
-        "genome", "mutation", "protein", "codon", "replication", "strain",
-        "sequencing", "phylogeny", "variant", "polymerase",
-    ],
-    "clinical": [
-        "symptom", "fever", "pneumonia", "ventilator", "mortality",
-        "comorbidity", "admission", "oxygen", "prognosis", "recovery",
-    ],
-}
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-NOUNS = """patient cohort study sample hospital laboratory result analysis
-model method dataset measurement population region period infection virus
-pathogen cell tissue receptor enzyme assay response mechanism factor
-evidence finding report estimate approach protocol procedure intervention
-surveillance diagnosis treatment therapy outcome incidence prevalence
-severity cluster group case control subject participant specimen swab
-culture titer serum plasma biomarker indicator correlation distribution
-trend pattern variation baseline followup screening detection confirmation
-validation framework pipeline algorithm parameter threshold criterion
-metric score index ratio proportion interval margin uncertainty
-variability consistency reliability sensitivity specificity accuracy
-precision capacity resource facility equipment staff personnel workforce
-training guideline policy regulation strategy measure restriction mobility
-behavior interaction network community household workplace environment
-climate humidity temperature season geography density urbanization travel
-migration border airport transit vessel crew passenger""".split()
-
-VERBS = """indicates suggests demonstrates reveals confirms supports
-implies shows exhibits displays presents reports describes examines
-investigates evaluates assesses measures estimates predicts models
-characterizes identifies detects observes records documents compares
-correlates associates links connects relates influences affects modulates
-amplifies reduces increases decreases limits constrains governs determines
-drives shapes accelerates""".split()
-
-ADJECTIVES = """significant substantial considerable notable marked
-pronounced moderate modest limited partial preliminary robust consistent
-reliable reproducible comparable similar distinct divergent heterogeneous
-homogeneous widespread localized persistent transient acute chronic severe
-mild novel emerging established standard conventional alternative
-experimental observational retrospective prospective longitudinal""".split()
+from corpus_gen import write_corpus  # noqa: E402
 
 
-def make_sentence(rng: random.Random, topic: str | None) -> str:
-    noun = rng.choice(NOUNS)
-    if topic and rng.random() < 0.6:
-        # lean on the topic's primary word so queries for it have signal
-        words = TOPIC_WORDS[topic]
-        noun = words[0] if rng.random() < 0.5 else rng.choice(words[1:])
-    parts = [
-        "The",
-        rng.choice(ADJECTIVES),
-        noun,
-        rng.choice(VERBS),
-        "the",
-        rng.choice(ADJECTIVES),
-        rng.choice(NOUNS),
-        "within the",
-        rng.choice(NOUNS),
-    ]
-    if rng.random() < 0.3:
-        parts += ["and the", rng.choice(NOUNS), rng.choice(VERBS), "the", rng.choice(NOUNS)]
-    return " ".join(parts) + "."
-
-
-def make_article(rng: random.Random, topic: str, n_sentences: int = 90) -> list[str]:
-    """Paragraphs (lists of sentences) for one synthetic article; roughly a
-    third of the sentences lean on the article's topic vocabulary."""
-    paragraphs = []
-    sentences = []
-    for i in range(n_sentences):
-        use_topic = topic if rng.random() < 0.35 else None
-        sentences.append(make_sentence(rng, use_topic))
-        if len(sentences) >= 6:
-            paragraphs.append(" ".join(sentences))
-            sentences = []
-    if sentences:
-        paragraphs.append(" ".join(sentences))
-    return paragraphs
-
-
-def write_corpus_dir(
-    path: Path, n_articles: int, seed: int = 0, n_sentences: int = 90
-) -> list[str]:
-    """Write synthetic article JSON files; returns the paper ids."""
-    path.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(seed)
-    topics = sorted(TOPIC_WORDS)
-    ids = []
-    for i in range(n_articles):
-        topic = topics[i % len(topics)]
-        paper_id = f"paper{i:04d}"
-        article = {
-            "paper_id": paper_id,
-            "title": f"A {topic} study {i}",
-            "body_text": make_article(rng, topic, n_sentences),
-        }
-        (path / f"{paper_id}.json").write_text(json.dumps(article), encoding="utf-8")
-        ids.append(paper_id)
-    return ids
+def write_corpus_dir(path: Path, n_articles: int, seed: int = 0, n_sentences: int = 90) -> None:
+    """Write the seeded reference corpus (``perfbench/corpus_gen.py``) to ``path``."""
+    write_corpus(path, n_articles, n_sentences, seed)
 
 
 # ---------------------------------------------------------------------------

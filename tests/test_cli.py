@@ -30,6 +30,14 @@ def edit_header(path: Path, **fields) -> None:
     path.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
 
 
+def drop_first_record_field(path: Path, field: str) -> None:
+    """Delete ``field`` from the first record of a stage file."""
+    head, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
+    record = json.loads(first)
+    del record[field]
+    path.write_text("\n".join([head, json.dumps(record), rest]), encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus")
@@ -108,6 +116,16 @@ class TestPipeline:
         first = run_pipeline(corpus_dir, tmp_path / "one")
         second = run_pipeline(moved, tmp_path / "two")
         assert tree_digest(first) == tree_digest(second)
+
+    def test_vectorize_warns_of_each_zero_vector(self, corpus_dir, tmp_path, caplog):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        # a vocabulary of the few commonest terms leaves some chunks none of them
+        assert main(["vectorize", "--out", str(out), "--min-df", "30"]) == 0
+        lines = (out / "stages" / "vectors.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        zero = sum(1 for line in lines if not json.loads(line)["entries"])
+        assert 0 < zero < len(lines)
+        assert f"{zero} chunks have no in-vocabulary token (zero vectors)" in caplog.text
 
     def test_threads_do_not_change_outputs(self, corpus_dir, tmp_path):
         one = run_pipeline(corpus_dir, tmp_path / "t1", threads=1)
@@ -242,14 +260,23 @@ class TestParser:
         "argv, mode",
         [
             (["cluster", "--query", "x"], "modified"),
-            (["run-all", "--query", "x", "--corpus", "c:l"], "modified"),
+            (["elbow", "--mode", "modified"], "modified"),
             (["elbow"], "standard"),
             (["cluster", "--query", "x", "--mode", "standard"], "standard"),
-            (["elbow", "--mode", "modified"], "modified"),
         ],
     )
     def test_mode_defaults(self, argv, mode):
         assert build_parser().parse_args(argv).mode == mode
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run-all", "--query", "x", "--corpus", "c:l", "--mode", "standard"], ["elbow", "--k", "3"]],
+        ids=["run-all-mode", "elbow-k"],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_defaults_independent_of_parse_order(self):
         parser = build_parser()
@@ -563,16 +590,21 @@ class TestFailureModes:
     def test_chunk_record_without_tokens_exits_1(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
-        chunks = out / "stages" / "chunks.jsonl"
-        head, first, rest = chunks.read_text(encoding="utf-8").split("\n", 2)
-        record = json.loads(first)
-        del record["tokens"]
-        chunks.write_text("\n".join([head, json.dumps(record), rest]), encoding="utf-8")
+        drop_first_record_field(out / "stages" / "chunks.jsonl", "tokens")
         capsys.readouterr()
         assert main(["vectorize", "--out", str(out)]) == 1
-        line = self.only_error_line(capsys)
-        assert line.startswith("error: stage 'chunks' holds a record of the wrong shape")
-        assert "'tokens'" in line
+        assert self.only_error_line(capsys) == (
+            "error: stage 'chunks' holds a record of the wrong shape (KeyError: 'tokens')"
+        )
+
+    def test_document_record_without_label_exits_1(self, pipeline_out, tmp_path, capsys):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        drop_first_record_field(out / "stages" / "documents.jsonl", "corpus_label")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--query", "vaccine"]) == 1
+        assert self.only_error_line(capsys) == (
+            "error: stage 'documents' holds a record of the wrong shape (KeyError: 'corpus_label')"
+        )
 
     @pytest.mark.parametrize("index", [9999, -1], ids=["past-vocabulary", "negative"])
     def test_vector_column_index_outside_vocabulary_exits_1(self, corpus_dir, tmp_path, capsys, index):

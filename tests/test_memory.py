@@ -1,4 +1,4 @@
-"""Memory that stage decoding and ``reduce`` hold at their peak.
+"""Memory that stage decoding, ``vectorize`` and ``reduce`` hold at their peak.
 
 Peaks are counted with ``tracemalloc``, which sees every Python object and
 every NumPy buffer allocated while it runs, so a peak repeats from run to
@@ -58,3 +58,12 @@ def test_reduce_holds_little_beside_the_dense_matrix(outs):
     assert rc == 0
     # about 1.4x; a second (n, V) array, such as a centred copy, makes it 2.3x
     assert peak <= 2 * matrix_bytes, (peak, matrix_bytes)
+
+
+def test_vectorize_holds_little_beside_its_vectors(outs):
+    out = outs[3000]
+    rc, peak = traced_peak(lambda: main(["vectorize", "--out", str(out)]))
+    assert rc == 0
+    stage_bytes = (out / "stages" / "vectors.jsonl").stat().st_size
+    # about 4.5x; holding every chunk's TfIdfVector until the stage is written makes it 6.8x
+    assert peak <= 5.5 * stage_bytes, (peak, stage_bytes)
