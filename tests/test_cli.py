@@ -260,9 +260,10 @@ class TestParser:
         "argv, mode",
         [
             (["cluster", "--query", "x"], "modified"),
-            (["elbow", "--mode", "modified"], "modified"),
+            (["cluster", "--query", "x", "--mode", "modified"], "modified"),
             (["elbow"], "standard"),
             (["cluster", "--query", "x", "--mode", "standard"], "standard"),
+            (["elbow", "--mode", "modified"], "modified"),
         ],
     )
     def test_mode_defaults(self, argv, mode):
