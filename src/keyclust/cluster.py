@@ -44,6 +44,9 @@ DEFAULT_DAMPING = 0.01
 DEFAULT_EPSILON = 1e-4
 DEFAULT_MAX_ITER = 300
 PARTIAL_FRACTION = 0.2
+# the config is written into the model stage, whose reader keeps an integer
+# exact only below 2**64 (corpus._loads); numpy's seeds are non-negative
+INT_LIMIT = 2**64
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,11 @@ class ClusterConfig:
             raise ValueError("epsilon must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        for name in ("k", "max_iter"):
+            if getattr(self, name) >= INT_LIMIT:
+                raise ValueError(f"{name} must be < 2**64, got {getattr(self, name)}")
+        if not 0 <= self.seed < INT_LIMIT:
+            raise ValueError(f"seed must be >= 0 and < 2**64, got {self.seed}")
         if self.mode == "standard":
             object.__setattr__(self, "threshold", 0.0)
             object.__setattr__(self, "damping_weight", 0.0)

@@ -5,7 +5,8 @@ writes its output to a stage file that a later phase reads back. A stage is
 written record by record and decoded record by record:
 ``StageStore.load_with_meta`` hands a decoder the records one parsed line at
 a time, so a stage's raw JSON records never sit in memory together, only
-what the decoder keeps of each.
+what the decoder keeps of each. Stage lines are written by the stdlib
+``json`` and read by orjson (see ``_loads``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
-from typing import IO, Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+import orjson
 
 from .errors import InvalidBatchSize, MissingPath, SchemaMismatch, StageIoError
 
@@ -51,7 +55,12 @@ class Document:
 def record_fields(cls: type, rec: Mapping[str, Any]) -> dict[str, Any]:
     """``rec``'s value of each field of dataclass ``cls``, read by name: a
     missing field is a KeyError naming it, and other keys are ignored."""
-    return {f.name: rec[f.name] for f in fields(cls)}
+    return {name: rec[name] for name in _field_names(cls)}
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -184,7 +193,7 @@ class StageStore:
     def scan(self, schema: str) -> tuple[dict[str, Any], str]:
         """The header fields, checked as :meth:`load_with_meta` checks them,
         and the hex sha256 of the bytes after the header line (the records)."""
-        with self._open(schema, binary=True) as (fh, meta):
+        with self._open(schema) as (fh, meta):
             return meta, _sha256(fh)
 
     def load_with_meta(
@@ -196,45 +205,46 @@ class StageStore:
         ``decode(records, meta)`` instead of a list, where ``records`` parses
         one line each time it is advanced: each raw record can be freed once
         ``decode`` has taken what it keeps of it."""
-        with self._open(schema, binary=False) as (fh, meta):
+        with self._open(schema) as (fh, meta):
             records = self._parse(fh)
             return (list(records) if decode is None else decode(records, meta)), meta
 
     @contextmanager
-    def _open(self, schema: str, binary: bool) -> Iterator[tuple[IO[Any], dict[str, Any]]]:
+    def _open(self, schema: str) -> Iterator[tuple[BinaryIO, dict[str, Any]]]:
         """The stage file, read past its checked header, and the header fields. A
         file missing or unreadable is a StageIoError, and text not UTF-8 a SchemaMismatch."""
         path = self.path
         if not path.is_file():
             raise StageIoError(f"stage not found: {path}")
         try:
-            with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 yield fh, self._check_header(fh.readline(), schema)
         except OSError as exc:
             raise StageIoError(f"cannot read stage {self.stage_name!r}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaMismatch(f"stage {self.stage_name!r} is not valid UTF-8: {exc}") from exc
 
-    def _parse(self, fh: Iterable[str]) -> Iterator[dict[str, Any]]:
-        """The record lines after the header of ``fh``, parsed one at a time."""
+    def _parse(self, fh: Iterable[bytes]) -> Iterator[dict[str, Any]]:
+        """The record lines after the header of ``fh``, parsed one at a time;
+        blank lines are skipped."""
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             try:
-                record = json.loads(line)
+                record = _loads(line)
             except json.JSONDecodeError as exc:
+                if not exc.doc.strip():
+                    continue
                 raise SchemaMismatch(
                     f"stage {self.stage_name!r} line {lineno} is not valid JSON: {exc}"
                 ) from exc
             yield record
 
-    def _check_header(self, line: str | bytes, schema: str) -> dict[str, Any]:
+    def _check_header(self, line: bytes, schema: str) -> dict[str, Any]:
         """The fields of header ``line`` beside the stage, schema and version,
         once the schema is ``schema`` and the version this module's."""
         if not line.strip():
             raise SchemaMismatch(f"stage {self.stage_name!r} has no header")
         try:
-            header = json.loads(line)
+            header = _loads(line)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaMismatch(f"stage {self.stage_name!r} header is not valid JSON") from exc
         if not isinstance(header, dict) or header.get("schema") != schema:
@@ -249,6 +259,25 @@ class StageStore:
                 f"{header.get('version')!r}, expected {STAGE_FORMAT_VERSION}"
             )
         return {k: v for k, v in header.items() if k not in ("stage", "schema", "version")}
+
+
+def _loads(line: bytes) -> Any:
+    """The value of one stage line, as ``json.loads`` reads its UTF-8 text.
+
+    orjson parses the line. It rejects a few lines that ``json.loads``
+    accepts: the ``NaN`` and ``±Infinity`` that :func:`encode_record` writes
+    for non-finite floats, lone surrogate escapes and numbers beyond a
+    double's range. Those, and lines not JSON at all, go to ``json.loads``,
+    which gives the value or the error. orjson reads an integer outside
+    [-2**63, 2**64) as a float, so keyclust writes none (``ClusterConfig``).
+    Raises ``json.JSONDecodeError`` (also for a blank line) or
+    ``UnicodeDecodeError``.
+    """
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError:
+        pass
+    return json.loads(line.decode("utf-8"))
 
 
 def encode_record(obj: Mapping[str, Any]) -> str:

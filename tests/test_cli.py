@@ -443,6 +443,26 @@ class TestFailureModes:
         assert self.only_error_line(capsys) == f"error: {message}"
         assert tree_digest(out) == before
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            (["cluster", "--query", "vaccine"], ["--seed", "-1"], "seed must be >= 0 and < 2**64, got -1"),
+            (["cluster", "--query", "vaccine"], ["--seed", str(2**64)], f"seed must be >= 0 and < 2**64, got {2**64}"),
+            (["cluster", "--query", "vaccine"], ["--max-iter", str(2**64)], f"max_iter must be < 2**64, got {2**64}"),
+            (["elbow", "--k-max", "3"], ["--seed", "-1"], "seed must be >= 0 and < 2**64, got -1"),
+        ],
+        ids=["cluster-seed-negative", "cluster-seed-2**64", "cluster-max-iter-2**64", "elbow-seed-negative"],
+    )
+    def test_cluster_int_out_of_range_exits_1(self, pipeline_out, tmp_path, capsys, command, flags, message):
+        # a model record takes these from the command line, and the stage
+        # reader keeps integers exact only below 2**64
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main([*command, "--out", str(out), *flags]) == 1
+        assert self.only_error_line(capsys) == f"error: {message}"
+        assert tree_digest(out) == before
+
     @pytest.mark.parametrize("top_n", ["0", "-1"])
     def test_top_n_below_1_exits_1(self, pipeline_out, tmp_path, capsys, top_n):
         out = shutil.copytree(pipeline_out, tmp_path / "out")
@@ -459,8 +479,9 @@ class TestFailureModes:
             (["--top-n", "0"], "--top-n must be >= 1, got 0"),
             (["--damping", "nan"], "damping_weight must be finite, got nan"),
             (["--k", "0"], "k must be >= 1, got 0"),
+            (["--seed", "-1"], "seed must be >= 0 and < 2**64, got -1"),
         ],
-        ids=["top-n-0", "damping-nan", "k-0"],
+        ids=["top-n-0", "damping-nan", "k-0", "seed-negative"],
     )
     def test_run_all_checks_later_flags_before_it_writes(self, corpus_dir, tmp_path, capsys, flags, message):
         out = tmp_path / "out"

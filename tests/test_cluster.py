@@ -93,11 +93,19 @@ class TestClusterConfig:
             {"k": 2, "epsilon": math.nan},
             {"k": 2, "epsilon": math.inf},
             {"k": 2, "mode": "standard", "damping_weight": math.nan},
+            {"k": 2, "seed": -1},
+            {"k": 2, "seed": 2**64},
+            {"k": 2**64},
+            {"k": 2, "max_iter": 2**64},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ClusterConfig(**kwargs)
+
+    def test_ints_up_to_2_64_minus_1(self):
+        # the largest values the model stage's reader keeps exact are accepted
+        ClusterConfig(k=2**64 - 1, max_iter=2**64 - 1, seed=2**64 - 1)
 
     def test_record_round_trip(self):
         cfg = ClusterConfig(k=4, threshold=0.02, seed=9, seeding="partial")

@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyclust.corpus import Document, StageStore, batch_iter, load_corpus
+from keyclust.corpus import Document, StageStore, batch_iter, encode_record, load_corpus
 from keyclust.errors import InvalidBatchSize, MissingPath, SchemaMismatch, StageIoError
 from keyclust.preprocess import Chunk
 
@@ -175,6 +175,42 @@ class TestStageStore:
         with pytest.raises(SchemaMismatch, match="stage 's' is not valid UTF-8"):
             store.load_with_meta("r")[0]
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"NaN", b"Infinity", b"-Infinity", b"-0.0", b"5e-324", b"1e400",
+            str(2**63).encode(), str(2**64 - 1).encode(), b'"\\ud800"', b'{"a":1,"a":2}',
+            "\"na\u00efve \u2603 \U0001f600\"".encode(), b"[1,2,]", b'{"a":', b"\xff",
+            b" \t", "\u00a0".encode(),
+        ],
+        ids=[
+            "nan", "inf", "-inf", "-0.0", "subnormal", "overflow", "2**63", "2**64-1", "lone-surrogate",
+            "duplicate-key", "non-ascii", "trailing-comma", "truncated", "xff", "blank", "nbsp-blank",
+        ],
+    )
+    def test_record_line_reads_as_json_loads_reads_its_text(self, tmp_path, line):
+        # the value json.loads gives the line's UTF-8 text, compared as encoded
+        # so that -0.0 and NaN count, or the error it raises; blank lines are skipped
+        line += b"\n"
+        store = StageStore(root_path=tmp_path, stage_name="s")
+        store.save([], schema="r")
+        with store.path.open("ab") as fh:
+            fh.write(line)
+        try:
+            text = line.decode("utf-8")
+            expected = [] if not text.strip() else [json.loads(text)]
+        except UnicodeDecodeError:
+            with pytest.raises(SchemaMismatch, match="^stage 's' is not valid UTF-8: 'utf-8' codec can't decode"):
+                store.load_with_meta("r")
+            return
+        except json.JSONDecodeError as exc:
+            with pytest.raises(SchemaMismatch) as info:
+                store.load_with_meta("r")
+            assert str(info.value) == f"stage 's' line 2 is not valid JSON: {exc}"
+            return
+        records = store.load_with_meta("r")[0]
+        assert [encode_record({"v": r}) for r in records] == [encode_record({"v": r}) for r in expected]
+
     def test_decoder_takes_records_one_line_at_a_time(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="s")
         store.save([{"a": 1}, {"a": 2}], schema="r", meta={"n": 2})
@@ -222,9 +258,11 @@ class TestStageStore:
             max_size=10,
         )
     )
+    @example(records=[{"a": -0.0, "b": 5e-324, "c": 2**53}])
     def test_round_trip_identity_property(self, records, tmp_path_factory):
         store = StageStore(
             root_path=tmp_path_factory.mktemp("stage"), stage_name="prop"
         )
         store.save(records, schema="any")
-        assert store.load_with_meta("any")[0] == records
+        # compared as encoded: == would let -0.0 pass for 0.0
+        assert [encode_record(r) for r in store.load_with_meta("any")[0]] == [encode_record(r) for r in records]
