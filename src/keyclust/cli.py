@@ -281,18 +281,30 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pca_dim(args: argparse.Namespace) -> int:
+    if args.pca_dim < 1:
+        raise KeyclustError(f"--pca-dim must be >= 1, got {args.pca_dim}")
+    return args.pca_dim
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
+    pca_dim = _pca_dim(args)
     stages = _Stages(args.out)
     vocab_size = len(stages.load("vocabulary"))
+    if not vocab_size:
+        raise KeyclustError(
+            "the vocabulary is empty: no term passed vectorize's --min-df and --max-df-ratio "
+            "— re-run 'keyclust vectorize' with a lower --min-df or a higher --max-df-ratio"
+        )
     rows = stages.load("vectors")
     with _record_shape("vectors"):
         matrix = vectorization.scatter_rows(rows, vocab_size)
     chunk_ids = [chunk_id for chunk_id, _, _ in rows]
     del rows
     cap = min(vocab_size, len(chunk_ids) - 1)
-    dim = min(args.pca_dim, cap)
-    if dim < args.pca_dim:
-        log.warning("pca-dim %d capped to %d by the data", args.pca_dim, dim)
+    dim = min(pca_dim, cap)
+    if dim < pca_dim:
+        log.warning("pca-dim %d capped to %d by the data", pca_dim, dim)
     # the matrix is centred in place and projected as it stands: bitwise
     # pca_transform of the uncentred matrix, without a second (n, V) array
     model = reduction.fit_pca(matrix, dim, in_place=True)
@@ -451,6 +463,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     # the flags of the later commands are checked before the first one writes
     _top_n(args)
+    _pca_dim(args)
     for mode in MODES:
         _cluster_config(args, mode=mode)
     cmd_ingest(args)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -123,25 +123,50 @@ class Assignment:
 
 
 @dataclass(eq=False)
-class _AssignmentPass:
-    """One assignment pass over ``point_ids``, stored as parallel arrays:
-    ``primary`` and ``secondary`` cluster indices (-1 for no secondary),
-    ``d1`` and ``d2`` the distances to the nearest and second-nearest
-    centroids (``d2`` is infinite when k == 1). A history snapshot decoded
-    from a model record carries no distances: its ``d1`` and ``d2`` are
-    None."""
+class IterationSnapshot:
+    """One iteration: the updated centroids and the labels, computed
+    against the previous iteration's centroids, that produced them:
+    ``primary`` and ``secondary`` cluster index per point (-1 for no
+    secondary). Its dual-assigned points are that iteration's "black
+    points"."""
+
+    centroids: np.ndarray
+    primary: np.ndarray
+    secondary: np.ndarray
+
+
+def _labels(rec: Mapping[str, Any]) -> dict[str, np.ndarray]:
+    """The label arrays of a final pass's or a snapshot's record."""
+    return {key: np.asarray(rec[key], dtype=np.int64) for key in ("primary", "secondary")}
+
+
+@dataclass(eq=False)
+class ClusterModel:
+    """A fitted model: final centroids, the final assignment pass against
+    them, and the per-iteration history.
+
+    The final pass is parallel arrays over ``point_ids``: ``primary`` and
+    ``secondary`` cluster indices (-1 for no secondary), ``d1`` and ``d2``
+    the distances to the nearest and second-nearest centroids (``d2`` is
+    infinite when k == 1). History snapshots keep centroids and labels
+    only, as the record does, so a model read back from its record equals
+    the fitted one in every field."""
 
     point_ids: list[str]
     primary: np.ndarray
     secondary: np.ndarray
-    d1: Optional[np.ndarray]
-    d2: Optional[np.ndarray]
+    d1: np.ndarray
+    d2: np.ndarray
+    config: ClusterConfig
+    centroids: np.ndarray
+    iterations: int
+    history: list[IterationSnapshot]
+    distortion: float
+    converged: bool
 
     @property
     def assignments(self) -> list[Assignment]:
-        """A per-point view of the arrays, built on every access."""
-        if self.d1 is None or self.d2 is None:
-            raise ValueError("a history snapshot read from a model record holds no distances")
+        """A per-point view of the final pass, built on every access."""
         return [
             Assignment(cid, p, None if s < 0 else s, a, b)
             for cid, p, s, a, b in zip(
@@ -149,55 +174,6 @@ class _AssignmentPass:
                 self.d1.tolist(), self.d2.tolist(),
             )
         ]
-
-    def _labels_record(self) -> dict[str, list]:
-        return {"primary": self.primary.tolist(), "secondary": self.secondary.tolist()}
-
-    def _arrays_record(self) -> dict[str, list]:
-        return {
-            **self._labels_record(),
-            "d1": self.d1.tolist(),
-            "d2": [None if math.isinf(d) else d for d in self.d2.tolist()],
-        }
-
-
-def _labels_from_record(rec: Mapping[str, Any]) -> dict[str, np.ndarray]:
-    return {
-        "primary": np.asarray(rec["primary"], dtype=np.int64),
-        "secondary": np.asarray(rec["secondary"], dtype=np.int64),
-    }
-
-
-def _arrays_from_record(rec: Mapping[str, Any]) -> dict[str, np.ndarray]:
-    d2 = np.asarray(rec["d2"], dtype=np.float64)  # a JSON null becomes NaN
-    d2[np.isnan(d2)] = np.inf
-    return {**_labels_from_record(rec), "d1": np.asarray(rec["d1"], dtype=np.float64), "d2": d2}
-
-
-@dataclass(eq=False)
-class IterationSnapshot(_AssignmentPass):
-    """One iteration: updated centroids plus the assignment pass (computed
-    against the previous iteration's centroids) that produced them."""
-
-    centroids: np.ndarray
-
-
-@dataclass(eq=False)
-class ClusterModel(_AssignmentPass):
-    """A fitted model: final centroids, the final assignment pass against
-    them, and the per-iteration history. Every pass shares ``point_ids``.
-
-    The record keeps all four arrays of the final pass, but only the
-    centroids and labels of each history snapshot: per-iteration distances
-    are most of a model's size and nothing that reads a model record uses
-    them."""
-
-    config: ClusterConfig
-    centroids: np.ndarray
-    iterations: int
-    history: list[IterationSnapshot]
-    distortion: float
-    converged: bool
 
     def member_ids(self, cluster_index: int) -> list[str]:
         """Chunk ids assigned to a cluster (primary or secondary), input order."""
@@ -212,30 +188,31 @@ class ClusterModel(_AssignmentPass):
             "iterations": self.iterations,
             "converged": self.converged,
             "distortion": self.distortion,
-            "final": self._arrays_record(),
-            "history": [
-                {"centroids": snap.centroids.tolist(), **snap._labels_record()}
-                for snap in self.history
-            ],
+            "final": {
+                "primary": self.primary.tolist(),
+                "secondary": self.secondary.tolist(),
+                "d1": self.d1.tolist(),
+                "d2": [None if math.isinf(d) else d for d in self.d2.tolist()],
+            },
+            # a snapshot's record is every field of it
+            "history": [{f.name: getattr(s, f.name).tolist() for f in fields(s)} for s in self.history],
         }
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "ClusterModel":
-        ids = list(rec["point_ids"])
+        final = rec["final"]
+        d2 = np.asarray(final["d2"], dtype=np.float64)  # a JSON null becomes NaN
+        d2[np.isnan(d2)] = np.inf
         return cls(
+            point_ids=list(rec["point_ids"]),
+            **_labels(final),
+            d1=np.asarray(final["d1"], dtype=np.float64),
+            d2=d2,
             config=ClusterConfig.from_record(rec["config"]),
             centroids=np.asarray(rec["centroids"], dtype=np.float64),
-            point_ids=ids,
-            **_arrays_from_record(rec["final"]),
             iterations=rec["iterations"],
             history=[
-                IterationSnapshot(
-                    centroids=np.asarray(h["centroids"], dtype=np.float64),
-                    point_ids=ids,
-                    **_labels_from_record(h),
-                    d1=None,
-                    d2=None,
-                )
+                IterationSnapshot(np.asarray(h["centroids"], dtype=np.float64), **_labels(h))
                 for h in rec["history"]
             ],
             distortion=rec["distortion"],
@@ -547,9 +524,10 @@ def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
     movement drops below epsilon or max_iter is reached.
 
     History records every iteration's updated centroids together with the
-    assignments that produced them (whose dual-assigned ids are the "black
-    points" of that iteration). The final reported assignments are a fresh
-    pass against the final centroids, and the distortion dual-counts them.
+    labels that produced them (whose dual-assigned points are the "black
+    points" of that iteration), without their distances. The final reported
+    assignments are a fresh pass against the final centroids, with their
+    distances, and the distortion dual-counts them.
     """
     ids, X, w = _as_arrays(points)
     return _fit(ids, X, w, _distinct_row_indices(X), config)
@@ -567,13 +545,13 @@ def _fit(
     history: list[IterationSnapshot] = []
     converged = False
     for _ in range(config.max_iter):
-        prim, sec, d1, d2 = _assign_arrays(X, centroids, config.threshold)
+        prim, sec = _assign_arrays(X, centroids, config.threshold)[:2]
         new, empties = _update_arrays(
             X, w, prim, sec, centroids, config.damping_weight, config.raw_denominator
         )
         _repair_empty(new, empties, X)
         movement = float(np.sum(np.sqrt(np.sum((new - centroids) ** 2, axis=1))))
-        history.append(IterationSnapshot(ids, prim, sec, d1, d2, centroids=new.copy()))
+        history.append(IterationSnapshot(new.copy(), prim, sec))
         centroids = new
         if movement < config.epsilon:
             converged = True

@@ -56,9 +56,11 @@ def models_identical(a: ClusterModel, b: ClusterModel) -> bool:
         return False
     if len(a.history) != len(b.history):
         return False
+    # each snapshot's centroids and labels, bit for bit
     return all(
-        np.array_equal(ha.centroids, hb.centroids) and ha.assignments == hb.assignments
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
         for ha, hb in zip(a.history, b.history)
+        for x, y in ((ha.centroids, hb.centroids), (ha.primary, hb.primary), (ha.secondary, hb.secondary))
     )
 
 

@@ -480,8 +480,9 @@ class TestFailureModes:
             (["--damping", "nan"], "damping_weight must be finite, got nan"),
             (["--k", "0"], "k must be >= 1, got 0"),
             (["--seed", "-1"], "seed must be >= 0 and < 2**64, got -1"),
+            (["--pca-dim", "0"], "--pca-dim must be >= 1, got 0"),
         ],
-        ids=["top-n-0", "damping-nan", "k-0", "seed-negative"],
+        ids=["top-n-0", "damping-nan", "k-0", "seed-negative", "pca-dim-0"],
     )
     def test_run_all_checks_later_flags_before_it_writes(self, corpus_dir, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
@@ -489,6 +490,31 @@ class TestFailureModes:
         assert main(argv) == 1
         assert self.only_error_line(capsys) == f"error: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("pca_dim", ["0", "-3"])
+    def test_reduce_pca_dim_below_1_exits_1(self, pipeline_out, tmp_path, capsys, pca_dim):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main(["reduce", "--out", str(out), "--pca-dim", pca_dim]) == 1
+        assert self.only_error_line(capsys) == f"error: --pca-dim must be >= 1, got {pca_dim}"
+        assert tree_digest(out) == before
+
+    def test_reduce_of_an_empty_vocabulary_exits_1(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        # every term occurs in more than 0.0001 of the chunks
+        assert main(["vectorize", "--out", str(out), "--max-df-ratio", "0.0001"]) == 0
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main(["reduce", "--out", str(out)]) == 1
+        # one error line and no "pca-dim capped to 0" warning before it
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if line.startswith(("error:", "WARNING", "Traceback"))] == [
+            "error: the vocabulary is empty: no term passed vectorize's --min-df and --max-df-ratio "
+            "— re-run 'keyclust vectorize' with a lower --min-df or a higher --max-df-ratio"
+        ]
+        assert tree_digest(out) == before
 
     @pytest.mark.parametrize(
         "header, message",

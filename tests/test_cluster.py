@@ -62,12 +62,24 @@ def models_equal(a: ClusterModel, b: ClusterModel) -> bool:
         return False
     if len(a.history) != len(b.history):
         return False
-    for ha, hb in zip(a.history, b.history):
-        if not np.array_equal(ha.centroids, hb.centroids):
-            return False
-        if ha.assignments != hb.assignments:
-            return False
-    return True
+    return all(
+        same_bits((ha.centroids, ha.primary, ha.secondary), (hb.centroids, hb.primary, hb.secondary))
+        for ha, hb in zip(a.history, b.history)
+    )
+
+
+def same_fields(a, b) -> bool:
+    """Equal values of one type: arrays bit for bit, lists item by item,
+    dataclasses field by field, anything else by ``==``."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return same_bits([a], [b])
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_fields, a, b))
+    if dataclasses.is_dataclass(a):
+        return all(same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return a == b
 
 
 class TestClusterConfig:
@@ -446,10 +458,18 @@ class TestRun:
         pts = blob_points(rng, [(0.0, 0.0), (6.0, 0.0)], 30, std=1.0)
         model = run(pts, ClusterConfig(k=2, threshold=0.5, seed=4))
         assert len(model.history) == model.iterations
+        # each snapshot's labels are the assignment pass against the
+        # centroids before that iteration's update
+        previous = init_centroids(pts, model.config)
         for snap in model.history:
             assert snap.centroids.shape == (2, 2)
-            dual = {a.chunk_id for a in snap.assignments if a.secondary_cluster is not None}
-            assert {snap.point_ids[i] for i in np.flatnonzero(snap.secondary >= 0)} == dual
+            want = [assign_point(p, previous, model.config.threshold) for p in pts]
+            assert snap.primary.tolist() == [a.primary_cluster for a in want]
+            assert snap.secondary.tolist() == [
+                -1 if a.secondary_cluster is None else a.secondary_cluster for a in want
+            ]
+            previous = snap.centroids
+        assert any((snap.secondary >= 0).any() for snap in model.history)
 
     def test_weights_pull_centroid(self):
         # same init: the weighted run drags the near centroid to the heavy
@@ -506,21 +526,11 @@ class TestRun:
             model = run(pts, cfg)
             rec = model.to_record()
             back = ClusterModel.from_record(json.loads(json.dumps(rec)))
-            # the final pass keeps its distances; history keeps labels only
-            assert np.array_equal(back.centroids, model.centroids)
-            assert (back.iterations, back.converged, back.distortion) == (
-                model.iterations, model.converged, model.distortion
-            )
+            # the final pass keeps its distances; history keeps labels only,
+            # in the record and in the fitted model alike
+            assert same_fields(back, model)
             assert back.assignments == model.assignments
             assert all(set(h) == {"centroids", "primary", "secondary"} for h in rec["history"])
-            assert len(back.history) == len(model.history)
-            for hb, hm in zip(back.history, model.history):
-                assert np.array_equal(hb.centroids, hm.centroids)
-                assert np.array_equal(hb.primary, hm.primary)
-                assert np.array_equal(hb.secondary, hm.secondary)
-                assert hb.d1 is None and hb.d2 is None
-                with pytest.raises(ValueError, match="holds no distances"):
-                    hb.assignments
             assert json.dumps(back.to_record()) == json.dumps(rec)
             if cfg.k == 1:
                 assert rec["final"]["d2"] == [None] * 30
@@ -538,8 +548,8 @@ class TestRun:
         scores = []
         for snap in model.history:
             total = 0.0
-            for i, a in enumerate(snap.assignments):
-                diff = X[i] - snap.centroids[a.primary_cluster]
+            for i, primary in enumerate(snap.primary.tolist()):
+                diff = X[i] - snap.centroids[primary]
                 total += float(diff @ diff)
             scores.append(total)
         assert all(b <= a + 1e-9 for a, b in zip(scores, scores[1:]))

@@ -1,18 +1,21 @@
-"""Memory that stage decoding, ``vectorize`` and ``reduce`` hold at their peak.
+"""Memory that stage decoding, ``vectorize`` and ``reduce`` hold at their
+peak, and that a fitted model keeps.
 
-Peaks are counted with ``tracemalloc``, which sees every Python object and
-every NumPy buffer allocated while it runs, so a peak repeats from run to
+Memory is counted with ``tracemalloc``, which sees every Python object and
+every NumPy buffer allocated while it runs, so a figure repeats from run to
 run, where a resident-set figure would move with the allocator and with
 whatever the test process held before.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from keyclust.cli import _Stages, main
+from keyclust.cluster import ClusterConfig, run
 
-from conftest import write_corpus_dir
+from conftest import random_points, write_corpus_dir
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +70,20 @@ def test_vectorize_holds_little_beside_its_vectors(outs):
     stage_bytes = (out / "stages" / "vectors.jsonl").stat().st_size
     # about 4.5x; holding every chunk's TfIdfVector until the stage is written makes it 6.8x
     assert peak <= 5.5 * stage_bytes, (peak, stage_bytes)
+
+
+def test_fitted_model_keeps_labels_not_distances_per_iteration():
+    n = 3000
+    points = random_points(np.random.default_rng(0), n, 50)
+    tracemalloc.start()
+    try:
+        model = run(points, ClusterConfig(k=10, seed=7, max_iter=12))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert model.iterations == 12 and not model.converged
+    # about 21 bytes per point and iteration: each snapshot's two int64
+    # label arrays, plus the final pass and the centroids spread over the
+    # iterations; snapshots that also keep both distances take about 37
+    per_point_iteration = retained / (n * model.iterations)
+    assert per_point_iteration <= 28, (retained, per_point_iteration)

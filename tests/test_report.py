@@ -291,13 +291,13 @@ class TestWriters:
         ]
 
     def _history_model(self):
-        from keyclust.cluster import IterationSnapshot
-
         history_assignments = [asg("c1", 0), asg("c2", 1, secondary=0)]
+        labels = pass_arrays(history_assignments)
         history = [
             IterationSnapshot(
                 centroids=np.array([[0.0, 0.0], [1.0, 1.0]]),
-                **pass_arrays(history_assignments),
+                primary=labels["primary"],
+                secondary=labels["secondary"],
             )
         ]
         return make_model(history_assignments, history=history)
@@ -334,15 +334,12 @@ class TestWriters:
 
 def snapshot_model(ids, k, snaps):
     """A model whose history is ``snaps``, (centroids, primary, secondary)
-    triples, decoded-style: the snapshots carry no distances."""
+    triples."""
     history = [
         IterationSnapshot(
-            point_ids=list(ids),
+            centroids=np.asarray(c, dtype=np.float64),
             primary=np.asarray(p, dtype=np.int64),
             secondary=np.asarray(s, dtype=np.int64),
-            d1=None,
-            d2=None,
-            centroids=np.asarray(c, dtype=np.float64),
         )
         for c, p, s in snaps
     ]
