@@ -13,12 +13,16 @@ model, including history. Every run computes in one thread: centroid
 accumulation folds members in input (chunk) order, primaries before the
 secondaries of dual-assigned points (one axis-0 sum per cluster over its
 members' rows, which adds whole rows in order), and the distortion sums
-its terms in the same order, so results are bit-stable. Every distance
-is an exact per-row sum of squared differences; a matrix product only
-picks which of those sums to compute, with a margin that covers its
-rounding, so results do not depend on BLAS or its threads. The elbow scan
-runs its independent runs on a thread pool, one run per thread at a time,
-so its result does not depend on the pool.
+its terms in the same order, so results are bit-stable. Every returned
+distance is an exact per-row sum of squared differences, and every label
+equals the label those exact sums give. A matrix product screens each
+point's two nearest centroids, with a margin that covers its rounding in
+any summation order: it picks which exact sums to compute, and during the
+iterations, which keep labels only, it gives a point's labels itself
+where the margin proves them, so only the points it cannot settle get
+exact sums. So results do not depend on BLAS or its threads. The elbow
+scan runs its independent runs on a thread pool, one run per thread at a
+time, so its result does not depend on the pool.
 """
 
 from __future__ import annotations
@@ -266,8 +270,11 @@ def _two_nearest(d2all: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return prim, second, d2all[rows, prim], masked[rows, second]
 
 
-# Below this k a full exact pass is cheaper than screening (measured at
-# n=3000, d=50: the screen first wins at k=4).
+# Below this k a full exact table is cheaper than screening for the two
+# exact sums per point that ``_assign_arrays`` returns (measured at n=3000,
+# d=50: the screen first wins at k=4). The iterations' labels pass
+# (``_assign_labels``) screens from k=2, since it needs no sums for the
+# rows the screen settles.
 SCREEN_MIN_K = 4
 
 
@@ -283,9 +290,10 @@ def _assign_arrays(
 
     Every returned distance is an exact ``_distances_sq`` row sum, and the
     labels follow from those sums alone. From ``SCREEN_MIN_K`` centroids on,
-    one matrix product first screens each point's candidates for its two
-    nearest centroids, and only the candidates' exact distances are
+    the screen (``_screen``) first narrows each point's candidates for its
+    two nearest centroids, and only the candidates' exact distances are
     computed; a point whose screen is inconclusive gets a full exact row.
+    The iterations, which keep labels only, use ``_assign_labels``.
     """
     k = centroids.shape[0]
     if k < SCREEN_MIN_K:
@@ -299,19 +307,26 @@ def _assign_arrays(
     return prim, sec.astype(np.int64), d1, d2
 
 
-def _screened_two_nearest(
-    X: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_two_nearest(_distances_sq(X, centroids))``, bit for bit, with
-    exact sums for two centroids per point instead of k.
+def _squared_norms(X: np.ndarray) -> np.ndarray:
+    """``|x|^2`` of every row, the screen's input that depends on ``X`` only."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("ij,ij->i", X, X)
 
-    One matrix product screens each point's candidates; only the exact
-    sums decide labels and distances. A point whose screen leaves more
-    than two candidates, or is not finite, gets a full exact row.
+
+def _screen(
+    X: np.ndarray, xx: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One matrix product's screen of each row's two nearest centroids.
+
+    ``xx`` is ``_squared_norms(X)``. Returns the screen's nearest ``p`` and
+    second ``q`` per row, their screen values ``ap`` and ``aq``, the margin
+    ``B`` per row, and the rows to compute in full: those whose screen is
+    not finite or leaves a third candidate. Every screen value a lies
+    within 2B of its exact row sum e, and on the other rows no centroid but
+    ``p`` and ``q`` can be nearest, second or tied with either.
     """
     rows = np.arange(X.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        xx = np.einsum("ij,ij->i", X, X)
         cc = np.einsum("ij,ij->i", centroids, centroids)
         # the screen a = |x|^2 - 2 x.c + |c|^2, rounded however BLAS sums
         a = X @ centroids.T
@@ -331,10 +346,26 @@ def _screened_two_nearest(
         bound = (X.shape[1] + 4) * (2.0**-53 * radius * radius + np.finfo(np.float64).tiny)
         full = ~(np.isfinite(a).all(axis=1) & np.isfinite(bound))
         p = np.argmin(a, axis=1)
+        ap = a[rows, p]
         a[rows, p] = np.inf
         q = np.argmin(a, axis=1)
+        aq = a[rows, q]
         # besides p, only q may lie within s2 + 4B
-        full |= np.count_nonzero(a <= (a[rows, q] + 4.0 * bound)[:, None], axis=1) != 1
+        full |= np.count_nonzero(a <= (aq + 4.0 * bound)[:, None], axis=1) != 1
+    return p, q, ap, aq, bound, full
+
+
+def _screened_two_nearest(
+    X: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_two_nearest(_distances_sq(X, centroids))``, bit for bit, with
+    exact sums for two centroids per point instead of k.
+
+    The screen picks each point's two candidates; only the exact sums
+    decide labels and distances. A point whose screen leaves more than two
+    candidates, or is not finite, gets a full exact row.
+    """
+    p, q, _, _, _, full = _screen(X, _squared_norms(X), centroids)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     e_lo = _paired_distances_sq(X, centroids, lo)
     e_hi = _paired_distances_sq(X, centroids, hi)
@@ -349,6 +380,43 @@ def _screened_two_nearest(
             _distances_sq(X[redo], centroids)
         )
     return prim, second, d1sq, d2sq
+
+
+def _assign_labels(
+    X: np.ndarray, xx: np.ndarray, centroids: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_assign_arrays(X, centroids, threshold)[:2]``, bit for bit, with
+    exact sums only for the rows that the screen's margin does not settle.
+
+    ``xx`` is ``_squared_norms(X)``. With the exact sums e within 2B of the
+    screen values (``_screen``), a row with ``aq - ap > 4B`` and no third
+    candidate has e_p < e_q < every other e: p is the nearest and q the
+    second, strictly, so no tie can go the other way. Its secondary then
+    depends on ``sqrt(e_q) - sqrt(e_p) < threshold``, and that rounded gap
+    is monotone in each sum, so it lies between its values at the ends of
+    the intervals a -+ 3B (2B and room for rounding the ends). If both
+    ends fall on one side of ``threshold``, so does the gap. Every other
+    row, and any row where a comparison meets NaN, goes to
+    ``_assign_arrays``.
+    """
+    if centroids.shape[0] < 2:
+        return _assign_arrays(X, centroids, threshold)[:2]
+    p, q, ap, aq, bound, full = _screen(X, xx, centroids)
+    sec = np.full(X.shape[0], -1, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        settled = ~full & (aq - ap > 4.0 * bound)
+        # at threshold 0 no gap between ordered sums is below it
+        if threshold > 0.0:
+            wide = 3.0 * bound
+            low = np.sqrt(np.maximum(aq - wide, 0.0)) - np.sqrt(ap + wide)
+            high = np.sqrt(aq + wide) - np.sqrt(np.maximum(ap - wide, 0.0))
+            dual = high < threshold
+            settled &= dual | (low >= threshold)
+            sec[dual] = q[dual]
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        p[redo], sec[redo] = _assign_arrays(X[redo], centroids, threshold)[:2]
+    return p, sec
 
 
 def _paired_distances_sq(X: np.ndarray, centroids: np.ndarray, pick: np.ndarray) -> np.ndarray:
@@ -544,8 +612,9 @@ def _fit(
     centroids = _seed_centroids(ids, X, distinct, config)
     history: list[IterationSnapshot] = []
     converged = False
+    xx = _squared_norms(X)
     for _ in range(config.max_iter):
-        prim, sec = _assign_arrays(X, centroids, config.threshold)[:2]
+        prim, sec = _assign_labels(X, xx, centroids, config.threshold)
         new, empties = _update_arrays(
             X, w, prim, sec, centroids, config.damping_weight, config.raw_denominator
         )
@@ -622,7 +691,7 @@ def elbow_scan(
     ids, X, w = _as_arrays(points)
     distinct = _distinct_row_indices(X)
     if k_max > len(distinct):
-        raise TooFewDistinctPoints(f"k_max={k_max} exceeds distinct point count")
+        raise TooFewDistinctPoints(f"{len(distinct)} distinct points < k_max={k_max}")
     ks = range(k_min, k_max + 1)
     configs = [
         replace(config, k=k, seed=int(np.random.default_rng((config.seed, k, r)).integers(2**63)))

@@ -280,10 +280,14 @@ def _loads(line: bytes) -> Any:
     return json.loads(line.decode("utf-8"))
 
 
+# ``json.dumps`` with these arguments would build a new encoder per call
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
 def encode_record(obj: Mapping[str, Any]) -> str:
     """One stage line: sorted keys and full-precision floats, so equal
     records encode to equal bytes."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def file_sha256(path: str | Path) -> str:

@@ -463,6 +463,21 @@ class TestFailureModes:
         assert self.only_error_line(capsys) == f"error: {message}"
         assert tree_digest(out) == before
 
+    @pytest.mark.parametrize(
+        "command, bound",
+        [(["cluster", "--query", "vaccine", "--k", "5000"], "k=5000"), (["elbow", "--k-max", "5000"], "k_max=5000")],
+        ids=["cluster", "elbow"],
+    )
+    def test_more_clusters_than_distinct_points_exits_1(self, pipeline_out, tmp_path, capsys, command, bound):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        before = tree_digest(out)
+        # every point of this corpus is distinct: one line per point after the header
+        n_points = len((out / "stages" / "points.jsonl").read_text("utf-8").splitlines()) - 1
+        capsys.readouterr()
+        assert main([*command, "--out", str(out)]) == 1
+        assert self.only_error_line(capsys) == f"error: {n_points} distinct points < {bound}"
+        assert tree_digest(out) == before
+
     @pytest.mark.parametrize("top_n", ["0", "-1"])
     def test_top_n_below_1_exits_1(self, pipeline_out, tmp_path, capsys, top_n):
         out = shutil.copytree(pipeline_out, tmp_path / "out")

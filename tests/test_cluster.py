@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from keyclust import cluster as cluster_module
 from keyclust.cluster import (
     _assign_arrays,
+    _assign_labels,
     _distances_sq,
+    _squared_norms,
     _update_arrays,
     ClusterConfig,
     ClusterModel,
@@ -208,17 +210,51 @@ class TestDistancesSq:
             assert np.array_equal(_distances_sq(X, C), distances_sq_oracle(X, C)), (n, d, k)
 
 
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """The row count of every call to ``_assign_arrays`` through the
+    module, in call order: the labels pass sends it the rows it cannot
+    settle, and ``_fit`` its final pass."""
+    calls = []
+    exact = cluster_module._assign_arrays
+
+    def counted(X, centroids, threshold):
+        calls.append(X.shape[0])
+        return exact(X, centroids, threshold)
+
+    monkeypatch.setattr(cluster_module, "_assign_arrays", counted)
+    return calls
+
+
+def mirrored_centroid_cases():
+    """Points with pairs of centroids mirrored through one of them: each
+    pair is (near-)tied for the points there, and with several pairs a
+    third centroid ties the screened two."""
+    rng = np.random.default_rng(1)
+    for d in (1, 2, 3, 8, 50):
+        X = rng.standard_normal((200, d))
+        for pairs in (2, 3, 6):
+            center = X[rng.integers(0, 200)]
+            offsets = rng.standard_normal((pairs, d))
+            offsets *= 0.5 / np.linalg.norm(offsets, axis=1)[:, None]
+            C = np.concatenate([center + offsets, center - offsets])
+            near = center + rng.standard_normal((50, d)) * 1e-9
+            yield np.concatenate([X, near, center[None]]), C
+
+
 class TestAssignArrays:
     """The screened assignment returns the full table's bits: labels,
-    secondaries and both distances, whatever the screen's rounding."""
+    secondaries and both distances, whatever the screen's rounding. The
+    iterations' labels pass returns the same labels, bit for bit."""
 
     THRESHOLDS = (0.0, 0.01, 1.0)
 
-    def assert_matches_oracle(self, X, C):
-        for threshold in self.THRESHOLDS:
-            got = _assign_arrays(X, C, threshold)
+    def assert_matches_oracle(self, X, C, thresholds=THRESHOLDS):
+        for threshold in thresholds:
             want = assign_arrays_oracle(X, C, threshold)
-            assert same_bits(got, want), (X.shape, C.shape, threshold)
+            assert same_bits(_assign_arrays(X, C, threshold), want), (X.shape, C.shape, threshold)
+            labels = _assign_labels(X, _squared_norms(X), C, threshold)
+            assert same_bits(labels, want[:2]), (X.shape, C.shape, threshold)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_shapes(self, seed):
@@ -229,18 +265,33 @@ class TestAssignArrays:
             self.assert_matches_oracle(X, rng.standard_normal((k, d)) * rng.uniform(1e-3, 1e3))
 
     def test_centroids_symmetric_about_the_points(self):
-        # pairs of centroids mirrored through a point are (near-)tied for
-        # it, and with several pairs a third centroid ties the screened two
-        rng = np.random.default_rng(1)
-        for d in (1, 2, 3, 8, 50):
-            X = rng.standard_normal((200, d))
-            for pairs in (2, 3, 6):
-                center = X[rng.integers(0, 200)]
-                offsets = rng.standard_normal((pairs, d))
-                offsets *= 0.5 / np.linalg.norm(offsets, axis=1)[:, None]
-                C = np.concatenate([center + offsets, center - offsets])
-                near = center + rng.standard_normal((50, d)) * 1e-9
-                self.assert_matches_oracle(np.concatenate([X, near, center[None]]), C)
+        for X, C in mirrored_centroid_cases():
+            self.assert_matches_oracle(X, C)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_gaps_within_ulps_of_the_threshold(self, exact_rows, k):
+        # on the segment from centroid 0 to centroid 1, at unit distance,
+        # d2 - d1 = 1 - 2s; points a few ulps either side of the s where
+        # that gap equals the threshold sit inside the screen's interval,
+        # so only their exact sums can say which side they fall on
+        rng = np.random.default_rng(6)
+        for d in (1, 3, 20):
+            direction = rng.standard_normal(d)
+            direction /= np.linalg.norm(direction)
+            origin = rng.standard_normal(d)
+            C = np.concatenate([
+                [origin, origin + direction],
+                origin + 100.0 + rng.standard_normal((k - 2, d)),
+            ])
+            for threshold in (0.01, 0.3):
+                s = (1.0 - threshold) / 2
+                s = s + np.arange(-20, 21) * np.spacing(s)
+                X = origin + s[:, None] * (C[1] - C[0])
+                dual = assign_arrays_oracle(X, C, threshold)[1] >= 0
+                assert dual.any() and not dual.all(), (d, threshold)
+                exact_rows.clear()
+                self.assert_matches_oracle(X, C, thresholds=(threshold,))
+                assert sum(exact_rows) > 0, (d, threshold)
 
     def test_duplicated_centroids(self):
         rng = np.random.default_rng(2)
@@ -274,6 +325,27 @@ class TestAssignArrays:
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 self.assert_matches_oracle(X, C)
                 self.assert_matches_oracle(X, X[:k].copy())
+
+
+class TestLabelsPassFallback:
+    """The iterations' labels pass computes exact sums only for the rows
+    its screen does not settle, and those rows go to ``_assign_arrays``."""
+
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    def test_well_separated_fit_computes_exact_sums_only_in_the_final_pass(self, exact_rows, mode):
+        rng = np.random.default_rng(8)
+        centers = [tuple(20.0 * rng.standard_normal(5)) for _ in range(10)]
+        pts = blob_points(rng, centers, 30)
+        model = run(pts, ClusterConfig(k=10, mode=mode, seed=2, max_iter=12))
+        assert model.iterations > 1
+        assert exact_rows == [len(pts)]
+
+    def test_mirrored_centroids_send_their_tied_rows(self, exact_rows):
+        for X, C in mirrored_centroid_cases():
+            for threshold in TestAssignArrays.THRESHOLDS:
+                exact_rows.clear()
+                _assign_labels(X, _squared_norms(X), C, threshold)
+                assert sum(exact_rows) > 0, (X.shape, C.shape, threshold)
 
 
 class TestUpdateCentroids:

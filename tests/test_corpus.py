@@ -266,3 +266,23 @@ class TestStageStore:
         store.save(records, schema="any")
         # compared as encoded: == would let -0.0 pass for 0.0
         assert [encode_record(r) for r in store.load_with_meta("any")[0]] == [encode_record(r) for r in records]
+
+
+class TestEncodeRecord:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"v": float("nan")},
+            {"v": [float("inf"), float("-inf")]},
+            {"v": -0.0},
+            {"v": "\ud800 lone surrogate"},
+            {"v": "naïve café — 東京"},
+            {"z": {"b": [1, {"y": 2, "x": None}], "a": True}, "a": 1.5},
+        ],
+        ids=["nan", "inf", "negative-zero", "lone-surrogate", "non-ascii", "nested-unsorted-keys"],
+    )
+    def test_same_text_as_json_dumps(self, record):
+        want = json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        assert encode_record(record) == want
+        # reused, the encoder keeps no state from one record to the next
+        assert encode_record(record) == want
