@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
+import math
 import os
 import sys
 import time
@@ -255,14 +256,22 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _max_df_ratio(args: argparse.Namespace) -> float:
+    # every comparison with NaN is false, so it would keep no term
+    if math.isnan(args.max_df_ratio):
+        raise KeyclustError(f"--max-df-ratio must be a number, got {args.max_df_ratio}")
+    return args.max_df_ratio
+
+
 def cmd_vectorize(args: argparse.Namespace) -> int:
+    max_df_ratio = _max_df_ratio(args)
     stages = _Stages(args.out)
     chunks = stages.load("chunks")
     nonempty = [c for c in chunks if c.tokens]
     if not nonempty:
         raise EmptyCorpus("every chunk has an empty token list")
     vocab = vectorization.build_vocabulary(
-        nonempty, min_df=args.min_df, max_df_ratio=args.max_df_ratio
+        nonempty, min_df=args.min_df, max_df_ratio=max_df_ratio
     )
     stages.save("vocabulary", vocab.to_records(), n_chunks=vocab.n_chunks)
     empty_vectors = 0
@@ -462,6 +471,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_run_all(args: argparse.Namespace) -> int:
     # the flags of the later commands are checked before the first one writes
+    _max_df_ratio(args)
     _top_n(args)
     _pca_dim(args)
     for mode in MODES:

@@ -15,12 +15,15 @@ secondaries of dual-assigned points (one axis-0 sum per cluster over its
 members' rows, which adds whole rows in order), and the distortion sums
 its terms in the same order, so results are bit-stable. Every returned
 distance is an exact per-row sum of squared differences, and every label
-equals the label those exact sums give. A matrix product screens each
-point's two nearest centroids, with a margin that covers its rounding in
-any summation order: it picks which exact sums to compute, and during the
-iterations, which keep labels only, it gives a point's labels itself
-where the margin proves them, so only the points it cannot settle get
-exact sums. So results do not depend on BLAS or its threads. The elbow
+equals the label those exact sums give: the exact reference
+(``_assign_exact``) takes both from the full table of those sums. One
+screen (``_screen``), a matrix product with a margin that covers its
+rounding in any summation order, finds each point's two nearest
+centroids, and two passes use it. The iterations' pass, which keeps
+labels only, takes a point's labels from the screen where the margin
+proves them; the final pass computes the exact sums for the screen's two
+candidates only. Each sends the points the screen does not settle to the
+exact reference. So results do not depend on BLAS or its threads. The elbow
 scan runs its independent runs on a thread pool, one run per thread at a
 time, so its result does not depend on the pool.
 """
@@ -258,53 +261,25 @@ def _distances_sq(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_nearest(d2all: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest and second-nearest centroid of every row of a full squared
-    distance table, ties to the lowest index, with their squared distances
-    (the second is infinite when k == 1)."""
-    rows = np.arange(d2all.shape[0])
-    prim = np.argmin(d2all, axis=1)
-    masked = d2all.copy()
-    masked[rows, prim] = np.inf
-    second = np.argmin(masked, axis=1)
-    return prim, second, d2all[rows, prim], masked[rows, second]
-
-
-# Below this k a full exact table is cheaper than screening for the two
-# exact sums per point that ``_assign_arrays`` returns (measured at n=3000,
-# d=50: the screen first wins at k=4). The iterations' labels pass
-# (``_assign_labels``) screens from k=2, since it needs no sums for the
-# rows the screen settles.
-SCREEN_MIN_K = 4
-
-
-def _assign_arrays(
+def _assign_exact(
     X: np.ndarray, centroids: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Primary/secondary labels and distances for every point.
+    """The exact reference of both assignment passes: primary/secondary
+    labels and distances from the full ``_distances_sq`` table.
 
     Ties are broken toward the lowest cluster index (argmin keeps the first
     minimum). Secondary assignment requires a strict gap below threshold,
     so threshold 0 never dual-assigns. With k == 1 every second distance
     is infinite, so no point is dual-assigned.
-
-    Every returned distance is an exact ``_distances_sq`` row sum, and the
-    labels follow from those sums alone. From ``SCREEN_MIN_K`` centroids on,
-    the screen (``_screen``) first narrows each point's candidates for its
-    two nearest centroids, and only the candidates' exact distances are
-    computed; a point whose screen is inconclusive gets a full exact row.
-    The iterations, which keep labels only, use ``_assign_labels``.
     """
-    k = centroids.shape[0]
-    if k < SCREEN_MIN_K:
-        prim, second, d1sq, d2sq = _two_nearest(_distances_sq(X, centroids))
-    else:
-        prim, second, d1sq, d2sq = _screened_two_nearest(X, centroids)
-    d1 = np.sqrt(d1sq)
-    d2 = np.sqrt(d2sq)
-    dual = (d2 - d1) < threshold
-    sec = np.where(dual, second, -1)
-    return prim, sec.astype(np.int64), d1, d2
+    d2all = _distances_sq(X, centroids)
+    rows = np.arange(X.shape[0])
+    prim = np.argmin(d2all, axis=1)
+    d1 = np.sqrt(d2all[rows, prim])
+    d2all[rows, prim] = np.inf
+    second = np.argmin(d2all, axis=1)
+    d2 = np.sqrt(d2all[rows, second])
+    return prim, np.where((d2 - d1) < threshold, second, -1), d1, d2
 
 
 def _squared_norms(X: np.ndarray) -> np.ndarray:
@@ -321,9 +296,10 @@ def _screen(
     ``xx`` is ``_squared_norms(X)``. Returns the screen's nearest ``p`` and
     second ``q`` per row, their screen values ``ap`` and ``aq``, the margin
     ``B`` per row, and the rows to compute in full: those whose screen is
-    not finite or leaves a third candidate. Every screen value a lies
-    within 2B of its exact row sum e, and on the other rows no centroid but
-    ``p`` and ``q`` can be nearest, second or tied with either.
+    not finite, has no second centroid (k == 1) or leaves a third
+    candidate. Every screen value a lies within 2B of its exact row sum e,
+    and on the other rows no centroid but ``p`` and ``q`` can be nearest,
+    second or tied with either.
     """
     rows = np.arange(X.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -352,18 +328,21 @@ def _screen(
         aq = a[rows, q]
         # besides p, only q may lie within s2 + 4B
         full |= np.count_nonzero(a <= (aq + 4.0 * bound)[:, None], axis=1) != 1
+        # with k == 1 there is no q: aq is the infinity that masked p
+        full |= ~np.isfinite(aq)
     return p, q, ap, aq, bound, full
 
 
-def _screened_two_nearest(
-    X: np.ndarray, centroids: np.ndarray
+def _assign_arrays(
+    X: np.ndarray, centroids: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_two_nearest(_distances_sq(X, centroids))``, bit for bit, with
-    exact sums for two centroids per point instead of k.
+    """The final pass: ``_assign_exact(X, centroids, threshold)``, bit for
+    bit, with exact sums for two centroids per point instead of k.
 
-    The screen picks each point's two candidates; only the exact sums
-    decide labels and distances. A point whose screen leaves more than two
-    candidates, or is not finite, gets a full exact row.
+    The screen (``_screen``) picks each point's two candidates; only their
+    exact sums, by ``_paired_distances_sq``, decide labels and distances.
+    The rows the screen marks full go to ``_assign_exact``. The iterations,
+    which keep labels only, use ``_assign_labels``.
     """
     p, q, _, _, _, full = _screen(X, _squared_norms(X), centroids)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
@@ -371,22 +350,21 @@ def _screened_two_nearest(
     e_hi = _paired_distances_sq(X, centroids, hi)
     hi_nearer = e_hi < e_lo  # a tie goes to the lower index
     prim = np.where(hi_nearer, hi, lo)
-    second = np.where(hi_nearer, lo, hi)
-    d1sq = np.where(hi_nearer, e_hi, e_lo)
-    d2sq = np.where(hi_nearer, e_lo, e_hi)
-    if full.any():
-        redo = np.flatnonzero(full)
-        prim[redo], second[redo], d1sq[redo], d2sq[redo] = _two_nearest(
-            _distances_sq(X[redo], centroids)
-        )
-    return prim, second, d1sq, d2sq
+    d1 = np.sqrt(np.where(hi_nearer, e_hi, e_lo))
+    d2 = np.sqrt(np.where(hi_nearer, e_lo, e_hi))
+    sec = np.where((d2 - d1) < threshold, np.where(hi_nearer, lo, hi), -1)
+    redo = np.flatnonzero(full)
+    if redo.size:
+        prim[redo], sec[redo], d1[redo], d2[redo] = _assign_exact(X[redo], centroids, threshold)
+    return prim, sec, d1, d2
 
 
 def _assign_labels(
     X: np.ndarray, xx: np.ndarray, centroids: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_assign_arrays(X, centroids, threshold)[:2]``, bit for bit, with
-    exact sums only for the rows that the screen's margin does not settle.
+    """The iterations' pass: ``_assign_exact(X, centroids, threshold)[:2]``,
+    bit for bit, with exact sums only for the rows that the screen's margin
+    does not settle.
 
     ``xx`` is ``_squared_norms(X)``. With the exact sums e within 2B of the
     screen values (``_screen``), a row with ``aq - ap > 4B`` and no third
@@ -397,10 +375,8 @@ def _assign_labels(
     the intervals a -+ 3B (2B and room for rounding the ends). If both
     ends fall on one side of ``threshold``, so does the gap. Every other
     row, and any row where a comparison meets NaN, goes to
-    ``_assign_arrays``.
+    ``_assign_exact``.
     """
-    if centroids.shape[0] < 2:
-        return _assign_arrays(X, centroids, threshold)[:2]
     p, q, ap, aq, bound, full = _screen(X, xx, centroids)
     sec = np.full(X.shape[0], -1, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,7 +391,7 @@ def _assign_labels(
             sec[dual] = q[dual]
     redo = np.flatnonzero(~settled)
     if redo.size:
-        p[redo], sec[redo] = _assign_arrays(X[redo], centroids, threshold)[:2]
+        p[redo], sec[redo] = _assign_exact(X[redo], centroids, threshold)[:2]
     return p, sec
 
 

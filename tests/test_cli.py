@@ -496,8 +496,9 @@ class TestFailureModes:
             (["--k", "0"], "k must be >= 1, got 0"),
             (["--seed", "-1"], "seed must be >= 0 and < 2**64, got -1"),
             (["--pca-dim", "0"], "--pca-dim must be >= 1, got 0"),
+            (["--max-df-ratio", "nan"], "--max-df-ratio must be a number, got nan"),
         ],
-        ids=["top-n-0", "damping-nan", "k-0", "seed-negative", "pca-dim-0"],
+        ids=["top-n-0", "damping-nan", "k-0", "seed-negative", "pca-dim-0", "max-df-ratio-nan"],
     )
     def test_run_all_checks_later_flags_before_it_writes(self, corpus_dir, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
@@ -513,6 +514,14 @@ class TestFailureModes:
         capsys.readouterr()
         assert main(["reduce", "--out", str(out), "--pca-dim", pca_dim]) == 1
         assert self.only_error_line(capsys) == f"error: --pca-dim must be >= 1, got {pca_dim}"
+        assert tree_digest(out) == before
+
+    def test_vectorize_nan_max_df_ratio_exits_1(self, pipeline_out, tmp_path, capsys):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main(["vectorize", "--out", str(out), "--max-df-ratio", "nan"]) == 1
+        assert self.only_error_line(capsys) == "error: --max-df-ratio must be a number, got nan"
         assert tree_digest(out) == before
 
     def test_reduce_of_an_empty_vocabulary_exits_1(self, corpus_dir, tmp_path, capsys):

@@ -212,34 +212,38 @@ class TestDistancesSq:
 
 @pytest.fixture
 def exact_rows(monkeypatch):
-    """The row count of every call to ``_assign_arrays`` through the
-    module, in call order: the labels pass sends it the rows it cannot
-    settle, and ``_fit`` its final pass."""
+    """The row count of every call to the exact reference
+    ``_assign_exact``, in call order: both passes send it the rows their
+    screen does not settle."""
     calls = []
-    exact = cluster_module._assign_arrays
+    exact = cluster_module._assign_exact
 
     def counted(X, centroids, threshold):
         calls.append(X.shape[0])
         return exact(X, centroids, threshold)
 
-    monkeypatch.setattr(cluster_module, "_assign_arrays", counted)
+    monkeypatch.setattr(cluster_module, "_assign_exact", counted)
     return calls
 
 
 def mirrored_centroid_cases():
     """Points with pairs of centroids mirrored through one of them: each
     pair is (near-)tied for the points there, and with several pairs a
-    third centroid ties the screened two."""
+    third centroid ties the screened two. One pair is k = 2; one pair and
+    the centre itself is k = 3, where the pair ties for second place."""
     rng = np.random.default_rng(1)
     for d in (1, 2, 3, 8, 50):
         X = rng.standard_normal((200, d))
-        for pairs in (2, 3, 6):
+        for pairs in (1, 2, 3, 6):
             center = X[rng.integers(0, 200)]
             offsets = rng.standard_normal((pairs, d))
             offsets *= 0.5 / np.linalg.norm(offsets, axis=1)[:, None]
             C = np.concatenate([center + offsets, center - offsets])
             near = center + rng.standard_normal((50, d)) * 1e-9
-            yield np.concatenate([X, near, center[None]]), C
+            points = np.concatenate([X, near, center[None]])
+            yield points, C
+            if pairs == 1:
+                yield points, np.concatenate([C, center[None]])
 
 
 class TestAssignArrays:
@@ -328,8 +332,8 @@ class TestAssignArrays:
 
 
 class TestLabelsPassFallback:
-    """The iterations' labels pass computes exact sums only for the rows
-    its screen does not settle, and those rows go to ``_assign_arrays``."""
+    """Both passes compute full exact rows only for the rows their screen
+    does not settle, and those rows go to ``_assign_exact``."""
 
     @pytest.mark.parametrize("mode", ["standard", "modified"])
     def test_well_separated_fit_computes_exact_sums_only_in_the_final_pass(self, exact_rows, mode):
@@ -338,7 +342,11 @@ class TestLabelsPassFallback:
         pts = blob_points(rng, centers, 30)
         model = run(pts, ClusterConfig(k=10, mode=mode, seed=2, max_iter=12))
         assert model.iterations > 1
-        assert exact_rows == [len(pts)]
+        assert exact_rows == []
+        # the final pass's distances are still the exact sums, bit for bit
+        X = np.asarray([p.coords for p in pts])
+        want = assign_arrays_oracle(X, model.centroids, model.config.threshold)
+        assert same_bits((model.primary, model.secondary, model.d1, model.d2), want)
 
     def test_mirrored_centroids_send_their_tied_rows(self, exact_rows):
         for X, C in mirrored_centroid_cases():
