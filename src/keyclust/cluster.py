@@ -12,20 +12,22 @@ Determinism contract: a fixed seed and fixed input produce an identical
 model, including history. Every run computes in one thread: centroid
 accumulation folds members in input (chunk) order, primaries before the
 secondaries of dual-assigned points (one axis-0 sum per cluster over its
-members' rows, which adds whole rows in order), and the distortion sums
-its terms in the same order, so results are bit-stable. Every returned
-distance is an exact per-row sum of squared differences, and every label
-equals the label those exact sums give: the exact reference
+members' rows, which adds whole rows in order; a standard fit's unit
+weights are not multiplied in, since x * 1.0 is x), and the distortion
+sums its terms in the same order, so results are bit-stable. Every
+returned distance is an exact per-row sum of squared differences, and
+every label equals the label those exact sums give: the exact reference
 (``_assign_exact``) takes both from the full table of those sums. One
-screen (``_screen``), a matrix product with a margin that covers its
-rounding in any summation order, finds each point's two nearest
-centroids, and two passes use it. The iterations' pass, which keeps
-labels only, takes a point's labels from the screen where the margin
-proves them; the final pass computes the exact sums for the screen's two
-candidates only. Each sends the points the screen does not settle to the
-exact reference. So results do not depend on BLAS or its threads. The elbow
-scan runs its independent runs on a thread pool, one run per thread at a
-time, so its result does not depend on the pool.
+screen (``_screen``), a matrix product into a centroid-major (k, n) table
+with a margin that covers its rounding in any summation order, finds each
+point's two nearest centroids (ties to the lowest index, as the exact
+reference breaks them), and two passes use it. The iterations' pass,
+which keeps labels only, takes a point's labels from the screen where the
+margin proves them; the final pass computes the exact sums for the
+screen's two candidates only. Each sends the points the screen does not
+settle to the exact reference. So results do not depend on BLAS or its
+threads. The elbow scan runs its independent runs on a thread pool, one
+run per thread at a time, so its result does not depend on the pool.
 """
 
 from __future__ import annotations
@@ -300,15 +302,21 @@ def _screen(
     candidate. Every screen value a lies within 2B of its exact row sum e,
     and on the other rows no centroid but ``p`` and ``q`` can be nearest,
     second or tied with either.
+
+    The table is centroid-major, (k, n): each point's reductions run down
+    its column, across k contiguous rows and vectorised over the points, in
+    a number of numpy calls that does not depend on k. ``argmax(a == min)``
+    picks the first centroid that attains the minimum, the lowest index, as
+    ``argmin`` would.
     """
-    rows = np.arange(X.shape[0])
+    cols = np.arange(X.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         cc = np.einsum("ij,ij->i", centroids, centroids)
         # the screen a = |x|^2 - 2 x.c + |c|^2, rounded however BLAS sums
-        a = X @ centroids.T
+        a = centroids @ X.T
         a *= -2.0
-        a += xx[:, None]
-        a += cc
+        a += xx
+        a += cc[:, None]
         # The margin. Let t be a true squared distance, e its exact row sum,
         # u = 2^-53 and R = |x| + max |c|. Rounding bounds |a - t| by
         # (d + 2) u R^2 for any order of the dot product's d terms, and
@@ -320,14 +328,14 @@ def _screen(
         # nearest, so it is neither nearest nor second, nor tied with either.
         radius = np.sqrt(xx) + np.sqrt(cc.max())
         bound = (X.shape[1] + 4) * (2.0**-53 * radius * radius + np.finfo(np.float64).tiny)
-        full = ~(np.isfinite(a).all(axis=1) & np.isfinite(bound))
-        p = np.argmin(a, axis=1)
-        ap = a[rows, p]
-        a[rows, p] = np.inf
-        q = np.argmin(a, axis=1)
-        aq = a[rows, q]
+        full = ~(np.isfinite(a).all(axis=0) & np.isfinite(bound))
+        ap = a.min(axis=0)
+        p = np.argmax(a == ap, axis=0)
+        a[p, cols] = np.inf
+        aq = a.min(axis=0)
+        q = np.argmax(a == aq, axis=0)
         # besides p, only q may lie within s2 + 4B
-        full |= np.count_nonzero(a <= (aq + 4.0 * bound)[:, None], axis=1) != 1
+        full |= np.count_nonzero(a <= aq + 4.0 * bound, axis=0) != 1
         # with k == 1 there is no q: aq is the infinity that masked p
         full |= ~np.isfinite(aq)
     return p, q, ap, aq, bound, full
@@ -355,7 +363,7 @@ def _assign_arrays(
     sec = np.where((d2 - d1) < threshold, np.where(hi_nearer, lo, hi), -1)
     redo = np.flatnonzero(full)
     if redo.size:
-        prim[redo], sec[redo], d1[redo], d2[redo] = _assign_exact(X[redo], centroids, threshold)
+        prim[redo], sec[redo], d1[redo], d2[redo] = _assign_exact(_rows(X, redo), centroids, threshold)
     return prim, sec, d1, d2
 
 
@@ -391,8 +399,14 @@ def _assign_labels(
             sec[dual] = q[dual]
     redo = np.flatnonzero(~settled)
     if redo.size:
-        p[redo], sec[redo] = _assign_exact(X[redo], centroids, threshold)[:2]
+        p[redo], sec[redo] = _assign_exact(_rows(X, redo), centroids, threshold)[:2]
     return p, sec
+
+
+def _rows(X: np.ndarray, redo: np.ndarray) -> np.ndarray:
+    """``X[redo]`` for sorted, distinct ``redo``; ``X`` itself, not a copy,
+    when ``redo`` is every row (with k == 1 the screen settles none)."""
+    return X if redo.size == X.shape[0] else X[redo]
 
 
 def _paired_distances_sq(X: np.ndarray, centroids: np.ndarray, pick: np.ndarray) -> np.ndarray:
@@ -407,7 +421,7 @@ def _paired_distances_sq(X: np.ndarray, centroids: np.ndarray, pick: np.ndarray)
 
 def _update_arrays(
     X: np.ndarray,
-    w: np.ndarray,
+    w: Optional[np.ndarray],
     prim: np.ndarray,
     sec: np.ndarray,
     previous: np.ndarray,
@@ -420,7 +434,8 @@ def _update_arrays(
     over primary and secondary members. ``raw_denominator`` divides by the
     member count instead (plus one for the damping pseudo-member), the
     unnormalized form printed by the source algorithm. Empty clusters keep
-    their previous centroid and are reported for reseeding.
+    their previous centroid and are reported for reseeding. ``w`` is
+    ``None`` in a standard fit, whose every weight is 1.
     """
     k, dim = previous.shape
     dual = sec >= 0
@@ -429,18 +444,30 @@ def _update_arrays(
     labels = np.concatenate([prim, sec[dual]])
     src = np.concatenate([np.arange(prim.shape[0]), np.flatnonzero(dual)])
     counts = np.bincount(labels, minlength=k)
-    wsum = np.bincount(labels, weights=w[src], minlength=k)
+    # with unit weights x * 1.0 is x and a sum of 1.0s is the count, exactly
+    # (below 2**53 members), so a standard fit neither gathers nor multiplies
+    # weights
+    if w is None:
+        wsum = counts.astype(np.float64)
+    else:
+        wsum = np.bincount(labels, weights=w[src], minlength=k)
     if dim == 1:
         # one column is numpy's fast axis, which it sums pairwise
-        sums = np.bincount(labels, weights=X[src, 0] * w[src], minlength=k)[:, None]
+        wx = X[src, 0] if w is None else X[src, 0] * w[src]
+        sums = np.bincount(labels, weights=wx, minlength=k)[:, None]
     else:
         # a stable sort keeps accumulation order within each cluster, and an
         # axis-0 sum of a C-contiguous block adds whole rows in order, as
         # bincount does. Where numpy starts that sum from the first row
-        # rather than from +0.0, an all-(-0.0) column sums to -0.0: add 0.0
-        src = src[np.argsort(labels, kind="stable")]
+        # rather than from +0.0, an all-(-0.0) column sums to -0.0: add 0.0.
+        # A stable sort's permutation is unique, so sorting the labels as the
+        # narrowest unsigned type that holds k - 1 (uint8 up to k = 256) gives
+        # the same order, and numpy radix-sorts 8- and 16-bit keys
+        keys = labels.astype(np.min_scalar_type(k - 1))
+        src = src[np.argsort(keys, kind="stable")]
         wx = X[src]
-        wx *= w[src, None]
+        if w is not None:
+            wx *= w[src, None]
         sums = np.empty((k, dim), dtype=np.float64)
         end = 0
         for c, m in enumerate(counts.tolist()):
@@ -558,9 +585,9 @@ def _partial_seed(
         seed=int(rng.integers(2**63)),
     )
     # ``run`` on the subset's points, without rebuilding their arrays;
-    # standard mode ignores the weights
+    # standard mode takes no weights
     sub_ids = [ids[i] for i in idx.tolist()]
-    return _fit(sub_ids, X[idx], np.ones(size), distinct, inner).centroids.copy()
+    return _fit(sub_ids, X[idx], None, distinct, inner).centroids.copy()
 
 
 def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
@@ -578,13 +605,18 @@ def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
 
 
 def _fit(
-    ids: list[str], X: np.ndarray, w: np.ndarray, distinct: Sequence[int], config: ClusterConfig
+    ids: list[str],
+    X: np.ndarray,
+    w: Optional[np.ndarray],
+    distinct: Sequence[int],
+    config: ClusterConfig,
 ) -> ClusterModel:
     """``run`` on prepared arrays: ``distinct`` holds the first index of
-    every distinct row of ``X``. Reads its arguments and writes nothing
-    shared, so independent fits may run on concurrent threads."""
+    every distinct row of ``X``; a standard fit ignores ``w``. Reads its
+    arguments and writes nothing shared, so independent fits may run on
+    concurrent threads."""
     if config.mode == "standard":
-        w = np.ones(len(ids), dtype=np.float64)
+        w = None  # every weight is 1 (see ``_update_arrays``)
     centroids = _seed_centroids(ids, X, distinct, config)
     history: list[IterationSnapshot] = []
     converged = False

@@ -159,6 +159,26 @@ class TestPipeline:
         assert len(values) == 6
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    def test_elbow_csv_same_bytes_on_1_2_and_4_threads(self, corpus_dir, tmp_path, mode):
+        # from k = 1, whose screen settles no row, to k = 6; a standard scan
+        # updates with unit weights, a modified one with the query's
+        base = ["--out", str(tmp_path / "out")]
+        assert main(["ingest", *base, "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert main(["vectorize", *base]) == 0
+        assert main(["reduce", *base, "--pca-dim", "8"]) == 0
+        csv = tmp_path / "out" / "reports" / "elbow.csv"
+        found = {}
+        for threads in (1, 2, 4):
+            assert main([
+                "elbow", *base, "--mode", mode, "--query", "vaccine", "--k-min", "1",
+                "--k-max", "6", "--restarts", "3", "--seed", "7", "--threads", str(threads),
+            ]) == 0
+            found[threads] = csv.read_bytes()
+            csv.unlink()
+        assert len(found[1].splitlines()) == 7
+        assert found[1] == found[2] == found[4]
+
     def test_elbow_modified_mode_needs_query(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
         run_pipeline(corpus_dir, out)

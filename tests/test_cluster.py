@@ -410,12 +410,14 @@ class TestUpdateCentroids:
 
     def test_bincount_accumulation_matches_add_at_bitwise(self):
         # d = 1 (numpy's fast axis, summed pairwise), clusters of more than
-        # 128 members (numpy's pairwise block), all-(-0.0) columns and
-        # passes where every point is dual-assigned; compared bit for bit
+        # 128 members (numpy's pairwise block), all-(-0.0) columns, passes
+        # where every point is dual-assigned, k above 256 (16-bit sort keys)
+        # and the unit weights of a standard fit (``w`` None); compared bit
+        # for bit
         rng = np.random.default_rng(17)
-        for trial in range(400):
+        for trial in range(480):
             n = int(rng.integers(1, 60)) if rng.random() < 0.5 else int(rng.integers(900, 1200))
-            k = int(rng.integers(1, 8))
+            k = int(rng.integers(1, 8)) if trial < 400 else int(rng.integers(257, 301))
             dim = 1 if rng.random() < 0.4 else int(rng.integers(2, 6))
             X = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4)
             if rng.random() < 0.3:
@@ -430,6 +432,10 @@ class TestUpdateCentroids:
             got, got_empty = _update_arrays(X, w, prim, sec, prev, damping, raw)
             want, want_empty = add_at_update_oracle(X, w, prim, sec, prev, damping, raw)
             assert same_bits([got], [want]), trial
+            assert got_empty == want_empty
+            got, got_empty = _update_arrays(X, None, prim, sec, prev, damping, raw)
+            want, want_empty = add_at_update_oracle(X, np.ones(n), prim, sec, prev, damping, raw)
+            assert same_bits([got], [want]), ("unit weights", trial)
             assert got_empty == want_empty
 
 
