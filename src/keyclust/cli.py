@@ -52,8 +52,6 @@ log = logging.getLogger("keyclust")
 
 STOPLIST_ENV = "KEYCLUST_STOPLIST"
 
-MODES = ("standard", "modified")
-
 
 def _decode_vocab(records: Iterator[dict[str, Any]], meta: dict[str, Any]) -> vectorization.Vocabulary:
     if "n_chunks" not in meta:
@@ -434,7 +432,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     stages = _Stages(args.out)
     chunks = stages.load("chunks")
     doc_labels = stages.load("documents")
-    models = {mode: stages.load(f"model_{mode}") for mode in MODES}
+    models = {mode: stages.load(f"model_{mode}") for mode in clustering.MODES}
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
     # the weights take a maximum over the words, so only the set of words counts
     weighted_for = stages.scan("weights")[0].get("query")
@@ -474,12 +472,12 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     _max_df_ratio(args)
     _top_n(args)
     _pca_dim(args)
-    for mode in MODES:
+    for mode in clustering.MODES:
         _cluster_config(args, mode=mode)
     cmd_ingest(args)
     cmd_vectorize(args)
     cmd_reduce(args)
-    for mode in MODES:
+    for mode in clustering.MODES:
         cmd_cluster(args, mode=mode)
     cmd_report(args)
     return 0
@@ -544,13 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weight points by query and fit a cluster model")
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--mode", choices=("modified", "standard"), default="modified")
+    p.add_argument("--mode", choices=clustering.MODES, default="modified")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("elbow", parents=[common, cluster_flags],
                        help="distortion-vs-k scan (best of N restarts)")
     p.add_argument("--query", default=None)
-    p.add_argument("--mode", choices=("modified", "standard"), default="standard")
+    p.add_argument("--mode", choices=clustering.MODES, default="standard")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--restarts", type=int, default=10)

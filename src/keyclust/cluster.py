@@ -17,16 +17,16 @@ weights are not multiplied in, since x * 1.0 is x), and the distortion
 sums its terms in the same order, so results are bit-stable. Every
 returned distance is an exact per-row sum of squared differences, and
 every label equals the label those exact sums give: the exact reference
-(``_assign_exact``) takes both from the full table of those sums. One
-screen (``_screen``), a matrix product into a centroid-major (k, n) table
-with a margin that covers its rounding in any summation order, finds each
-point's two nearest centroids (ties to the lowest index, as the exact
-reference breaks them), and two passes use it. The iterations' pass,
-which keeps labels only, takes a point's labels from the screen where the
-margin proves them; the final pass computes the exact sums for the
-screen's two candidates only. Each sends the points the screen does not
-settle to the exact reference. So results do not depend on BLAS or its
-threads. The elbow scan runs its independent runs on a thread pool, one
+(``_assign_exact``) takes the labels from the full table of those sums.
+One screen (``_screen``), a matrix product into a centroid-major (k, n)
+table with a margin that covers its rounding in any summation order, finds
+each point's two nearest centroids (ties to the lowest index, as the exact
+reference breaks them), and one assignment pass (``_assign_labels``) uses
+it: a point's nearest, second and secondary labels come from the screen
+where the margin proves them, and from the exact reference otherwise. The
+iterations keep the labels; the final pass adds the exact sums for the
+nearest and the second centroid only. So results do not depend on BLAS or
+its threads. The elbow scan runs its independent runs on a thread pool, one
 run per thread at a time, so its result does not depend on the pool.
 """
 
@@ -45,7 +45,7 @@ from .weighting import WeightedPoint
 
 log = logging.getLogger(__name__)
 
-MODES = ("modified", "standard")
+MODES = ("standard", "modified")  # pipeline order: the baseline first
 SEEDINGS = ("random_distinct", "partial")
 
 DEFAULT_THRESHOLD = 0.01
@@ -265,14 +265,17 @@ def _distances_sq(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def _assign_exact(
     X: np.ndarray, centroids: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The exact reference of both assignment passes: primary/secondary
-    labels and distances from the full ``_distances_sq`` table.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact reference of the assignment pass: each row's nearest and
+    second-nearest centroid and its secondary label (-1 for none), from
+    the full ``_distances_sq`` table.
 
     Ties are broken toward the lowest cluster index (argmin keeps the first
     minimum). Secondary assignment requires a strict gap below threshold,
-    so threshold 0 never dual-assigns. With k == 1 every second distance
-    is infinite, so no point is dual-assigned.
+    so threshold 0 never dual-assigns. The masked argmin returns the
+    nearest itself only when every other sum is infinite (always with
+    k == 1); the second distance is then infinite, so no point is
+    dual-assigned.
     """
     d2all = _distances_sq(X, centroids)
     rows = np.arange(X.shape[0])
@@ -281,7 +284,7 @@ def _assign_exact(
     d2all[rows, prim] = np.inf
     second = np.argmin(d2all, axis=1)
     d2 = np.sqrt(d2all[rows, second])
-    return prim, np.where((d2 - d1) < threshold, second, -1), d1, d2
+    return prim, second, np.where((d2 - d1) < threshold, second, -1)
 
 
 def _squared_norms(X: np.ndarray) -> np.ndarray:
@@ -341,37 +344,11 @@ def _screen(
     return p, q, ap, aq, bound, full
 
 
-def _assign_arrays(
-    X: np.ndarray, centroids: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The final pass: ``_assign_exact(X, centroids, threshold)``, bit for
-    bit, with exact sums for two centroids per point instead of k.
-
-    The screen (``_screen``) picks each point's two candidates; only their
-    exact sums, by ``_paired_distances_sq``, decide labels and distances.
-    The rows the screen marks full go to ``_assign_exact``. The iterations,
-    which keep labels only, use ``_assign_labels``.
-    """
-    p, q, _, _, _, full = _screen(X, _squared_norms(X), centroids)
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
-    e_lo = _paired_distances_sq(X, centroids, lo)
-    e_hi = _paired_distances_sq(X, centroids, hi)
-    hi_nearer = e_hi < e_lo  # a tie goes to the lower index
-    prim = np.where(hi_nearer, hi, lo)
-    d1 = np.sqrt(np.where(hi_nearer, e_hi, e_lo))
-    d2 = np.sqrt(np.where(hi_nearer, e_lo, e_hi))
-    sec = np.where((d2 - d1) < threshold, np.where(hi_nearer, lo, hi), -1)
-    redo = np.flatnonzero(full)
-    if redo.size:
-        prim[redo], sec[redo], d1[redo], d2[redo] = _assign_exact(_rows(X, redo), centroids, threshold)
-    return prim, sec, d1, d2
-
-
 def _assign_labels(
     X: np.ndarray, xx: np.ndarray, centroids: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The iterations' pass: ``_assign_exact(X, centroids, threshold)[:2]``,
-    bit for bit, with exact sums only for the rows that the screen's margin
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The assignment pass: ``_assign_exact(X, centroids, threshold)``, bit
+    for bit, with exact sums only for the rows that the screen's margin
     does not settle.
 
     ``xx`` is ``_squared_norms(X)``. With the exact sums e within 2B of the
@@ -399,14 +376,26 @@ def _assign_labels(
             sec[dual] = q[dual]
     redo = np.flatnonzero(~settled)
     if redo.size:
-        p[redo], sec[redo] = _assign_exact(_rows(X, redo), centroids, threshold)[:2]
-    return p, sec
+        # X itself, not a copy, when every row is redone (with k == 1 the
+        # screen settles none)
+        rows = X if redo.size == X.shape[0] else X[redo]
+        p[redo], q[redo], sec[redo] = _assign_exact(rows, centroids, threshold)
+    return p, q, sec
 
 
-def _rows(X: np.ndarray, redo: np.ndarray) -> np.ndarray:
-    """``X[redo]`` for sorted, distinct ``redo``; ``X`` itself, not a copy,
-    when ``redo`` is every row (with k == 1 the screen settles none)."""
-    return X if redo.size == X.shape[0] else X[redo]
+def _assign_arrays(
+    X: np.ndarray, xx: np.ndarray, centroids: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The final pass: ``_assign_labels``' primary and secondary labels and
+    the exact distances to the nearest and second-nearest centroids, as
+    ``_assign_exact``'s table holds them, from two row sums per point."""
+    prim, second, sec = _assign_labels(X, xx, centroids, threshold)
+    d1 = np.sqrt(_paired_distances_sq(X, centroids, prim))
+    d2 = np.sqrt(_paired_distances_sq(X, centroids, second))
+    # the nearest is its own second only where every other sum is
+    # infinite (always with k == 1): the exact reference's d2 is infinite
+    d2[second == prim] = np.inf
+    return prim, sec, d1, d2
 
 
 def _paired_distances_sq(X: np.ndarray, centroids: np.ndarray, pick: np.ndarray) -> np.ndarray:
@@ -511,7 +500,9 @@ def assign_point(
     index), secondary the second-nearest iff the distance gap is strictly
     below ``threshold``."""
     X = np.asarray([point.coords], dtype=np.float64)
-    prim, sec, d1, d2 = _assign_arrays(X, np.asarray(centroids, dtype=np.float64), threshold)
+    prim, sec, d1, d2 = _assign_arrays(
+        X, _squared_norms(X), np.asarray(centroids, dtype=np.float64), threshold
+    )
     return Assignment(
         point.chunk_id, int(prim[0]), None if sec[0] < 0 else int(sec[0]), float(d1[0]), float(d2[0])
     )
@@ -622,7 +613,7 @@ def _fit(
     converged = False
     xx = _squared_norms(X)
     for _ in range(config.max_iter):
-        prim, sec = _assign_labels(X, xx, centroids, config.threshold)
+        prim, _, sec = _assign_labels(X, xx, centroids, config.threshold)
         new, empties = _update_arrays(
             X, w, prim, sec, centroids, config.damping_weight, config.raw_denominator
         )
@@ -635,7 +626,7 @@ def _fit(
             break
     model = ClusterModel(
         ids,
-        *_assign_arrays(X, centroids, config.threshold),
+        *_assign_arrays(X, xx, centroids, config.threshold),
         config=config,
         centroids=centroids,
         iterations=len(history),

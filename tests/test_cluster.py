@@ -247,18 +247,25 @@ def mirrored_centroid_cases():
 
 
 class TestAssignArrays:
-    """The screened assignment returns the full table's bits: labels,
-    secondaries and both distances, whatever the screen's rounding. The
-    iterations' labels pass returns the same labels, bit for bit."""
+    """The one screened assignment pass returns the full table's bits:
+    nearest, second and secondary labels, whatever the screen's rounding.
+    The final pass adds the two exact distances of those labels, so it
+    returns the table's labels, secondaries and both distances."""
 
     THRESHOLDS = (0.0, 0.01, 1.0)
 
     def assert_matches_oracle(self, X, C, thresholds=THRESHOLDS):
         for threshold in thresholds:
             want = assign_arrays_oracle(X, C, threshold)
-            assert same_bits(_assign_arrays(X, C, threshold), want), (X.shape, C.shape, threshold)
-            labels = _assign_labels(X, _squared_norms(X), C, threshold)
-            assert same_bits(labels, want[:2]), (X.shape, C.shape, threshold)
+            got = _assign_arrays(X, _squared_norms(X), C, threshold)
+            assert same_bits(got, want), (X.shape, C.shape, threshold)
+            nearest, second, sec = _assign_labels(X, _squared_norms(X), C, threshold)
+            assert same_bits((nearest, sec), want[:2]), (X.shape, C.shape, threshold)
+            if C.shape[0] >= 2:
+                d2 = np.sqrt(distances_sq_oracle(X, C)[np.arange(X.shape[0]), second])
+                # the nearest is its own second only where every other sum is infinite
+                d2[second == nearest] = np.inf
+                assert same_bits([d2], want[3:]), (X.shape, C.shape, threshold)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_shapes(self, seed):
@@ -330,10 +337,38 @@ class TestAssignArrays:
                 self.assert_matches_oracle(X, C)
                 self.assert_matches_oracle(X, X[:k].copy())
 
+    def test_every_other_distance_overflows(self):
+        # each point is a centroid, and every other centroid is so far away
+        # that its squared distance overflows: the second is infinitely far
+        X = np.array([[1e154, 0.0], [-1e154, 0.0], [0.0, 1e154], [1e154, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (2, 3):
+                self.assert_matches_oracle(X, X[:k].copy())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_assign_point_is_a_row_of_the_final_pass(self, k):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((40, 3))
+        C = rng.standard_normal((k, 3))
+        prim, sec, d1, d2 = _assign_arrays(X, _squared_norms(X), C, 0.3)
+        for i in range(X.shape[0]):
+            a = assign_point(wp(f"p{i}", X[i]), C, 0.3)
+            assert (a.primary_cluster, a.secondary_cluster) == (
+                int(prim[i]), None if sec[i] < 0 else int(sec[i])
+            )
+            assert same_bits(
+                [np.float64(a.d_primary), np.float64(a.d_secondary)], [d1[i], d2[i]]
+            )
+            if k == 1:
+                assert math.isinf(a.d_secondary) and a.secondary_cluster is None
+        if k > 1:
+            assert (sec >= 0).any()
+
 
 class TestLabelsPassFallback:
-    """Both passes compute full exact rows only for the rows their screen
-    does not settle, and those rows go to ``_assign_exact``."""
+    """The one assignment pass, in the iterations and in the final pass,
+    computes full exact rows only for the rows its screen does not settle,
+    and those rows go to ``_assign_exact``."""
 
     @pytest.mark.parametrize("mode", ["standard", "modified"])
     def test_well_separated_fit_computes_exact_sums_only_in_the_final_pass(self, exact_rows, mode):

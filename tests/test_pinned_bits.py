@@ -1,0 +1,121 @@
+"""Output bytes pinned in the repository.
+
+Criterion 10 compares two runs of the same code, so a change that moves
+every output byte the same way on every rerun passes it. These tests pin
+the sha256 of outputs whose bits do not come from LAPACK, so they hold for
+every numpy build the package allows:
+
+- the ``documents``, ``chunks``, ``vocabulary`` and ``vectors`` stages of
+  the 20-article reference corpus (ingest and tf-idf are plain Python);
+- the model record, iteration CSV and iteration SVGs of library ``run``
+  fits on points drawn by Python's ``random``. K-means results do not
+  depend on BLAS (the determinism contract in ``cluster.py``).
+
+A change that moves these bytes on purpose updates the pinned values here
+and says why. ``scripts/tree_digest.py`` digests the whole pipeline's
+output, PCA included, for comparing two commits on one machine.
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from keyclust.cli import main
+from keyclust.cluster import ClusterConfig, run
+from keyclust.corpus import encode_record
+from keyclust.report import write_iteration_csv, write_iteration_svgs
+from keyclust.weighting import WeightedPoint
+
+from conftest import write_corpus_dir
+
+STAGES = {
+    "documents": "52739257b7368922af6ca88540308837b889882f23a47a7277d42f91356c4d13",
+    "chunks": "366861cc4f058237d223c1ae4717ca80f99f375d09c38be1088bf8cacf27f489",
+    "vocabulary": "da2fb6842172351ea81d42de291044b346d3076e6f3f5d86ecead9702dff0ad0",
+    "vectors": "7bd854d7d6e2e45e56b35a147bb8c59bd0b64eaed0b243f1e28f8ded13fc59be",
+}
+
+# per fit: the encoded model record, the iteration CSV, and the digest of
+# the SVG files' ``sha256sum`` lines
+FITS = {
+    "standard": (
+        "f45abc729789eed173f435ecb5d1a37b2b83ee88fa846fac499e681e98c68001",
+        "12d60ac418f91ad522453c362615c3d6323cdd0295b41a7a1ade0edb9e451fd3",
+        "78b1a5af44a25c107c3bbf60f7d973ee90978257a17e49bea277d0e832193a9f",
+    ),
+    "modified": (
+        "fba8e37ef38edd142b97fc1845e2c5a7f59a363d72eaf8f9610dfdec44a6f492",
+        "f83c470c33d0b9cd9b0bfeb07ca7918ef7d916123298b629c5ca66a2175ca8fd",
+        "bfaa23d524e10d7a7c29e0d2508b6f5929980ef3361d1ff74b329503c9f817f1",
+    ),
+    "single": (
+        "aa639b21be650e34da8d2dedeca9feda82bf47eb8facc59fb4eeefd26c3a273e",
+        "05a01d8d72ab623a905cf48036cf6fc95d30143188b667e303c2f086e8244739",
+        "3bd3e82e6c941e7cabd76a9a0b2c8fafcf5f23f3bafa98472c4ef9bececf8455",
+    ),
+}
+
+CONFIGS = {
+    "standard": ClusterConfig(k=4, mode="standard", seed=3, max_iter=20),
+    # a wide threshold and damping, so points are dual-assigned in every pass
+    "modified": ClusterConfig(k=4, threshold=0.8, damping_weight=0.05, seed=5, max_iter=20),
+    "single": ClusterConfig(k=1, seed=1, max_iter=5),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def drawn_points(seed: int, n: int = 120, dim: int = 3, centers: int = 4) -> list[WeightedPoint]:
+    """Gaussian blobs with query-like weights in (0.05, 1), all from one
+    ``random.Random``, whose draws are the same on every platform."""
+    rng = random.Random(seed)
+    middles = [[rng.uniform(-4.0, 4.0) for _ in range(dim)] for _ in range(centers)]
+    return [
+        WeightedPoint(
+            f"p{i:03d}",
+            np.array([rng.gauss(m, 1.5) for m in middles[i % centers]]),
+            rng.uniform(0.05, 1.0),
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.fixture(scope="module")
+def stage_dir(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("pinned")
+    write_corpus_dir(root / "corpus", 20)
+    out = ["--out", str(root / "out")]
+    assert main(["ingest", *out, "--corpus", f"{root / 'corpus'}:synthetic"]) == 0
+    assert main(["vectorize", *out]) == 0
+    return root / "out" / "stages"
+
+
+@pytest.mark.parametrize("name", list(STAGES))
+def test_stage_bytes(stage_dir, name):
+    assert sha256((stage_dir / f"{name}.jsonl").read_bytes()) == STAGES[name]
+
+
+def fit_digests(name: str, out: Path) -> tuple[str, str, str]:
+    points = drawn_points(seed=11)
+    model = run(points, CONFIGS[name])
+    coords = {p.chunk_id: p.coords for p in points}
+    write_iteration_csv(out / "iterations.csv", model, coords)
+    svgs = sorted(write_iteration_svgs(out, model, coords))
+    lines = "".join(f"{sha256(p.read_bytes())}  {p.name}\n" for p in svgs)
+    if name == "modified":
+        assert (model.secondary >= 0).any() and all((s.secondary >= 0).any() for s in model.history)
+    return (
+        sha256(encode_record(model.to_record()).encode()),
+        sha256((out / "iterations.csv").read_bytes()),
+        sha256(lines.encode()),
+    )
+
+
+@pytest.mark.parametrize("name", list(FITS))
+def test_fit_bytes(tmp_path, name):
+    assert fit_digests(name, tmp_path) == FITS[name]
