@@ -23,7 +23,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 try:
     import resource
@@ -44,6 +44,7 @@ from .preprocess import (
     Chunk,
     CleaningConfig,
     chunk_document,
+    chunk_tokens,
     default_cleaning_config,
     load_cleaning_config,
 )
@@ -175,12 +176,15 @@ class _Stages:
             cause = f"{ordered[0]!r} does not record the current digests of its inputs"
             raise StageIoError(f"stale stage {name!r}: {cause} — re-run {rerun}")
 
-    def load(self, name: str) -> Any:
-        """Stage ``name``, provenance checked, as its ``STAGES`` decoder returns it. A
-        record the decoder cannot index or convert is a SchemaMismatch naming it."""
+    def load(
+        self, name: str, decode: Callable[[Iterator[dict[str, Any]], dict[str, Any]], Any] | None = None
+    ) -> Any:
+        """Stage ``name``, provenance checked, as ``decode`` (by default its
+        ``STAGES`` decoder) returns it. A record the decoder cannot index or
+        convert is a SchemaMismatch naming it."""
         self.check(name)  # scans the stage, so a missing one stops here
         with _record_shape(name):
-            return self.store(name).load_with_meta(STAGES[name][0], STAGES[name][3])[0]
+            return self.store(name).load_with_meta(STAGES[name][0], decode or STAGES[name][3])[0]
 
 
 def _reports_dir(out: str) -> Path:
@@ -331,11 +335,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def _query_weights(args: argparse.Namespace, stages: _Stages) -> tuple[list[str], dict[str, float]]:
     """The words of ``args.query`` and their weights for the chunks with tokens,
-    which are the points of a current points stage. The chunks are freed on return."""
-    chunks = [c for c in stages.load("chunks") if c.tokens]
+    which are the points of a current points stage. Each chunk record is scored
+    as it is parsed, and no chunk is kept."""
     vocab = stages.load("vocabulary")
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
-    return query_words, weighting.assign_weights(chunks, query_words, vocab)
+    weights = stages.load(
+        "chunks", lambda records, _: weighting.assign_weights(chunk_tokens(records), query_words, vocab)
+    )
+    return query_words, weights
 
 
 def _iteration_digests(reports: Path, mode: str) -> dict[str, str]:
@@ -401,7 +408,6 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
 def cmd_elbow(args: argparse.Namespace) -> int:
     stages = _Stages(args.out)
     points = stages.load("points")
-    # the decoded chunks are dropped before the scan's pool starts
     if args.mode == "modified":
         if not args.query:
             raise KeyclustError("--query is required for a modified-mode elbow scan")
@@ -428,9 +434,12 @@ def _top_n(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """The comparison table, top terms and extracts of both models, over the
+    chunks stage read as one ``TokenTable``, whose rows with tokens must be
+    each model's points."""
     top_n = _top_n(args)
     stages = _Stages(args.out)
-    chunks = stages.load("chunks")
+    table = stages.load("chunks", lambda records, _: reporting.TokenTable.from_records(records))
     doc_labels = stages.load("documents")
     models = {mode: stages.load(f"model_{mode}") for mode in clustering.MODES}
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))
@@ -441,15 +450,20 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"the modified model was weighted for the query words {weighted_for}, not "
             f"{query_words} — re-run 'keyclust cluster --mode modified' with this --query"
         )
+    point_ids = table.point_ids
+    for mode, model in models.items():
+        if model.point_ids != point_ids:
+            raise StageIoError(
+                f"stale stage 'model_{mode}': its points are not the chunks with tokens "
+                f"— re-run 'keyclust cluster --mode {mode}'"
+            )
     # every term's count, once per model: the table's top-10 relevance test
     # and the top --top-n CSV both read prefixes of these sorted counts
-    chunks_by_id = {c.chunk_id: c for c in chunks}
     cluster_reps = {
-        mode: reporting.cluster_reports(model, chunks_by_id, n=None)
-        for mode, model in models.items()
+        mode: reporting.cluster_reports(model, table, n=None) for mode, model in models.items()
     }
     rows = reporting.comparison_table(
-        chunks, query_words, models["standard"], models["modified"], doc_labels, cluster_reps
+        table, query_words, models["standard"], models["modified"], doc_labels, cluster_reps
     )
     reports = _reports_dir(args.out)
     reporting.write_comparison_csv(reports / "comparison.csv", rows)
@@ -457,7 +471,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         reporting.write_top_terms_csv(
             reports / f"top_terms_{mode}.csv", cluster_reps[mode], top_n
         )
-        reporting.write_extracts(reports / "extracts" / mode, model, chunks)
+        reporting.write_extracts(reports / "extracts" / mode, model, table)
     for row in rows:
         log.info(
             "%s: total=%d search=%d standard=%d modified=%d",

@@ -184,11 +184,6 @@ class ClusterModel:
             )
         ]
 
-    def member_ids(self, cluster_index: int) -> list[str]:
-        """Chunk ids assigned to a cluster (primary or secondary), input order."""
-        hit = (self.primary == cluster_index) | (self.secondary == cluster_index)
-        return [self.point_ids[i] for i in np.flatnonzero(hit)]
-
     def to_record(self) -> dict[str, Any]:
         return {
             "config": self.config.to_record(),
@@ -209,15 +204,24 @@ class ClusterModel:
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "ClusterModel":
+        """The model of a record whose final pass holds, for each point, a
+        primary in [0, k) and a secondary in [-1, k); else a ValueError."""
         final = rec["final"]
         d2 = np.asarray(final["d2"], dtype=np.float64)  # a JSON null becomes NaN
         d2[np.isnan(d2)] = np.inf
+        labels, config, n = _labels(final), ClusterConfig.from_record(rec["config"]), len(rec["point_ids"])
+        p, s = labels["primary"], labels["secondary"]
+        if p.shape != (n,) or s.shape != (n,) or ((p < 0) | (p >= config.k) | (s < -1) | (s >= config.k)).any():
+            raise ValueError(
+                f"the final pass does not hold a primary in [0, {config.k}) and a secondary "
+                f"in [-1, {config.k}) for each of the {n} points"
+            )
         return cls(
             point_ids=list(rec["point_ids"]),
-            **_labels(final),
+            **labels,
             d1=np.asarray(final["d1"], dtype=np.float64),
             d2=d2,
-            config=ClusterConfig.from_record(rec["config"]),
+            config=config,
             centroids=np.asarray(rec["centroids"], dtype=np.float64),
             iterations=rec["iterations"],
             history=[

@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Pattern, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Pattern, Sequence
 
 from .corpus import Document, record_fields
 from .errors import InvalidPattern
@@ -118,6 +118,17 @@ class Chunk:
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "Chunk":
         return cls(**{**record_fields(cls, rec), "tokens": tuple(rec["tokens"])})
+
+
+def chunk_tokens(records: Iterable[Mapping[str, Any]]) -> Iterator[tuple[str, list[str]]]:
+    """``(chunk_id, tokens)`` of each chunk record with tokens, read from the
+    record as it comes, with no ``Chunk`` built. A record's tokens must be a list."""
+    for rec in records:
+        tokens = rec["tokens"]
+        if not isinstance(tokens, list):
+            raise TypeError(f"chunk {rec['chunk_id']!r} has tokens of type {type(tokens).__name__}")
+        if tokens:
+            yield rec["chunk_id"], tokens
 
 
 def chunk_sizes(n_sentences: int) -> list[int]:

@@ -5,6 +5,14 @@ the keyword-search baseline, the three-way comparison table (search vs
 standard vs modified K-means), full-text extraction of a cluster, and the
 CSV/SVG artifacts for iteration-by-iteration scatter plots. All writers
 are deterministic: identical inputs produce byte-identical files.
+
+The tables and extracts read the chunks stage as one ``TokenTable``, built
+in the pass that parses its records: each chunk's id, document and raw
+text, and every chunk's tokens as term ids in one flat array. A model's
+points are the table's rows with tokens, in order, as ``vectorize`` makes
+them; its label arrays index those rows by position, so term counts are
+one ``np.bincount`` per model and a cluster's members are an array of row
+indices.
 """
 
 from __future__ import annotations
@@ -14,27 +22,70 @@ import csv
 import io
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .cluster import ClusterModel
 from .errors import InvalidClusterIndex
-from .preprocess import Chunk
 
 log = logging.getLogger(__name__)
 
 TOP_TERMS_DEFAULT = 10
 
 
+@dataclass(frozen=True, eq=False)
+class TokenTable:
+    """The chunks stage, one row per chunk in stage order. Row r's tokens are
+    ``term_ids[offsets[r]:offsets[r + 1]]``, ids into ``terms``, which is in
+    Python string order, so term ids order as their terms do. ``point_rows``
+    are the rows with tokens: a model's points, in order."""
+
+    chunk_ids: list[str]
+    doc_ids: list[str]
+    raw_texts: list[str]
+    terms: list[str]
+    term_ids: np.ndarray
+    offsets: np.ndarray
+    point_rows: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "TokenTable":
+        """The table of chunk records, taking what it keeps of each record as
+        the record is parsed. A record's tokens must be a list."""
+        chunk_ids: list[str] = []
+        doc_ids: list[str] = []
+        raw_texts: list[str] = []
+        offsets = [0]
+        tokens: list[str] = []
+        first: dict[str, str] = {}  # each term's first string, so that repeats are freed
+        for rec in records:
+            toks = rec["tokens"]
+            if not isinstance(toks, list):
+                raise TypeError(f"chunk {rec['chunk_id']!r} has tokens of type {type(toks).__name__}")
+            chunk_ids.append(rec["chunk_id"])
+            doc_ids.append(rec["doc_id"])
+            raw_texts.append(rec["raw_text"])
+            tokens += map(first.setdefault, toks, toks)
+            offsets.append(len(tokens))
+        terms = sorted(first)
+        index = {term: i for i, term in enumerate(terms)}
+        term_ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        ends = np.array(offsets, dtype=np.intp)
+        return cls(chunk_ids, doc_ids, raw_texts, terms, term_ids, ends, np.flatnonzero(np.diff(ends)))
+
+    @property
+    def point_ids(self) -> list[str]:
+        """The ids of the chunks with tokens, in order: a current model's ``point_ids``."""
+        return [self.chunk_ids[r] for r in self.point_rows.tolist()]
+
+
 @dataclass
 class ClusterReport:
     cluster_index: int
     top_terms: list[tuple[str, int]]
-    member_chunk_ids: list[str]
     member_count: int
 
 
@@ -48,45 +99,56 @@ class ComparisonRow:
 
 
 def top_terms(
-    members: Sequence[Chunk], n: int | None = TOP_TERMS_DEFAULT
+    counts: np.ndarray, terms: Sequence[str], n: int | None = TOP_TERMS_DEFAULT
 ) -> list[tuple[str, int]]:
-    """The n most frequent tokens across member chunks (all of them when n
-    is None), counts descending, ties broken lexicographically."""
-    counts: Counter[str] = Counter()
-    for chunk in members:
-        counts.update(chunk.tokens)
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+    """The n most frequent terms (every term counted when n is None) by
+    ``counts``, one count per term id of ``terms``: counts descending, ties
+    broken by term id, which is lexicographic."""
+    order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)][:n]
+    return list(zip(map(terms.__getitem__, order.tolist()), counts[order].tolist()))
 
 
-def keyword_search_count(chunks: Sequence[Chunk], query: str | Sequence[str]) -> int:
-    """How many chunks contain the query term (any word, for multi-word queries)."""
+def keyword_search_count(
+    table: TokenTable, query: str | Sequence[str], rows: np.ndarray | None = None
+) -> int:
+    """How many rows of the table (of those the boolean mask ``rows``
+    selects, when given) hold the query term (any word, for multi-word
+    queries)."""
     words = {query} if isinstance(query, str) else set(query)
-    return sum(1 for c in chunks if words & set(c.tokens))
+    ids = [i for i, term in enumerate(table.terms) if term in words]
+    seen = np.concatenate([[0], np.cumsum(np.isin(table.term_ids, ids))])
+    hit = seen[table.offsets[1:]] > seen[table.offsets[:-1]]
+    return int(np.count_nonzero(hit if rows is None else hit & rows))
 
 
 def cluster_reports(
-    model: ClusterModel, chunks_by_id: Mapping[str, Chunk], n: int | None = TOP_TERMS_DEFAULT
+    model: ClusterModel, table: TokenTable, n: int | None = TOP_TERMS_DEFAULT
 ) -> list[ClusterReport]:
-    """One report per cluster, in cluster order; ``n=None`` keeps every
-    term, so any top-n list is a prefix of its ``top_terms``."""
-    out = []
-    for ci in range(model.config.k):
-        ids = model.member_ids(ci)
-        members = [chunks_by_id[i] for i in ids]
-        out.append(
-            ClusterReport(
-                cluster_index=ci,
-                top_terms=top_terms(members, n),
-                member_chunk_ids=ids,
-                member_count=len(ids),
-            )
-        )
-    return out
+    """One report per cluster, in cluster order, over the tokens of its
+    members (primary or secondary); ``model``'s points are ``table``'s
+    ``point_rows``. ``n=None`` keeps every term, so any top-n list is a
+    prefix of its ``top_terms``."""
+    k, n_terms = model.config.k, len(table.terms)
+    lengths = np.diff(table.offsets)[table.point_rows]
+    token_secondary = np.repeat(model.secondary, lengths)
+    dual = token_secondary >= 0
+    cells = np.concatenate([
+        np.repeat(model.primary, lengths) * n_terms + table.term_ids,
+        token_secondary[dual] * n_terms + table.term_ids[dual],
+    ])
+    counts = np.bincount(cells, minlength=k * n_terms).reshape(k, n_terms)
+    secondary = model.secondary[model.secondary >= 0]
+    members = np.bincount(model.primary, minlength=k) + np.bincount(secondary, minlength=k)
+    return [
+        ClusterReport(cluster_index=ci, top_terms=top_terms(counts[ci], table.terms, n),
+                      member_count=int(members[ci]))
+        for ci in range(k)
+    ]
 
 
 def relevant_clusters(
     model: ClusterModel,
-    chunks_by_id: Mapping[str, Chunk],
+    table: TokenTable,
     query: str | Sequence[str],
     n: int = TOP_TERMS_DEFAULT,
     reports: Sequence[ClusterReport] | None = None,
@@ -95,14 +157,14 @@ def relevant_clusters(
     when given, are the model's ``cluster_reports`` with at least n terms."""
     words = {query} if isinstance(query, str) else set(query)
     if reports is None:
-        reports = cluster_reports(model, chunks_by_id, n)
+        reports = cluster_reports(model, table, n)
     return [
         rep.cluster_index for rep in reports if words & {term for term, _ in rep.top_terms[:n]}
     ]
 
 
 def comparison_table(
-    chunks: Sequence[Chunk],
+    table: TokenTable,
     query: str | Sequence[str],
     standard_model: ClusterModel,
     modified_model: ClusterModel,
@@ -117,38 +179,34 @@ def comparison_table(
     ``reports`` may hold each model's ``cluster_reports`` (with at least
     10 terms) under "standard" and "modified", so they are not recomputed.
     """
-    chunks_by_id = {c.chunk_id: c for c in chunks}
-    label_of = (
-        (lambda c: doc_labels.get(c.doc_id, "all")) if doc_labels else (lambda c: "all")
-    )
-    member_sets: dict[str, set[str]] = {}
+    names = [doc_labels.get(d, "all") for d in table.doc_ids] if doc_labels else ["all"] * len(table.doc_ids)
+    labels = sorted(set(names))
+    position = {label: i for i, label in enumerate(labels)}
+    row_label = np.fromiter(map(position.__getitem__, names), dtype=np.intp, count=len(names))
+    point_label = row_label[table.point_rows]
+    counts = {}
     for name, model in (("standard", standard_model), ("modified", modified_model)):
-        reps = reports[name] if reports else cluster_reports(model, chunks_by_id)
-        hits = relevant_clusters(model, chunks_by_id, query, reports=reps)
+        reps = reports[name] if reports else cluster_reports(model, table)
+        hits = relevant_clusters(model, table, query, reports=reps)
         if not hits:
             log.warning("no %s-model cluster has the query in its top terms", name)
-        ids: set[str] = set()
-        for ci in hits:
-            ids.update(reps[ci].member_chunk_ids)
-        member_sets[name] = ids
-    rows = []
-    for label in sorted({label_of(c) for c in chunks}):
-        in_label = [c for c in chunks if label_of(c) == label]
-        ids_in_label = {c.chunk_id for c in in_label}
-        rows.append(
-            ComparisonRow(
-                corpus_label=label,
-                total_paragraphs=len(in_label),
-                search_count=keyword_search_count(in_label, query),
-                standard_kmeans_count=len(member_sets["standard"] & ids_in_label),
-                modified_kmeans_count=len(member_sets["modified"] & ids_in_label),
-            )
+        member = np.isin(model.primary, hits) | np.isin(model.secondary, hits)
+        counts[name] = np.bincount(point_label[member], minlength=len(labels)).tolist()
+    totals = np.bincount(row_label, minlength=len(labels)).tolist()
+    return [
+        ComparisonRow(
+            corpus_label=label,
+            total_paragraphs=totals[i],
+            search_count=keyword_search_count(table, query, row_label == i),
+            standard_kmeans_count=counts["standard"][i],
+            modified_kmeans_count=counts["modified"][i],
         )
-    return rows
+        for i, label in enumerate(labels)
+    ]
 
 
 def extract_cluster_text(
-    model: ClusterModel, cluster_index: int, chunks: Sequence[Chunk]
+    model: ClusterModel, cluster_index: int, table: TokenTable
 ) -> list[str]:
     """Raw text of a cluster's member chunks (primary or secondary), in
     corpus order. A dual-assigned chunk appears in both clusters' extracts."""
@@ -156,8 +214,8 @@ def extract_cluster_text(
         raise InvalidClusterIndex(
             f"cluster index {cluster_index} outside [0, {model.config.k})"
         )
-    members = set(model.member_ids(cluster_index))
-    return [c.raw_text for c in chunks if c.chunk_id in members]
+    members = np.flatnonzero((model.primary == cluster_index) | (model.secondary == cluster_index))
+    return [table.raw_texts[r] for r in table.point_rows[members].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +256,7 @@ def write_top_terms_csv(
 
 
 def write_extracts(
-    out_dir: str | Path, model: ClusterModel, chunks: Sequence[Chunk]
+    out_dir: str | Path, model: ClusterModel, table: TokenTable
 ) -> list[Path]:
     """One ``cluster_NN.txt`` per cluster; the files of clusters NN >= k
     left by an earlier model with more clusters are removed."""
@@ -206,7 +264,7 @@ def write_extracts(
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for ci in range(model.config.k):
-        texts = extract_cluster_text(model, ci, chunks)
+        texts = extract_cluster_text(model, ci, table)
         path = out / f"cluster_{ci:02d}.txt"
         path.write_text("\n\n".join(texts) + ("\n" if texts else ""), encoding="utf-8")
         paths.append(path)

@@ -11,13 +11,13 @@ best-matching chunk pulls its centroid with weight exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import QueryNotInVocabulary
 from .pca import ReducedPoint
-from .preprocess import Chunk, CleaningConfig, clean_text
+from .preprocess import CleaningConfig, clean_text
 from .vectorize import Vocabulary
 
 FLOOR_WEIGHT = 0.01
@@ -41,9 +41,10 @@ def normalize_query(query: str, config: CleaningConfig) -> list[str]:
 
 
 def assign_weights(
-    chunks: Sequence[Chunk], query: str | Sequence[str], vocab: Vocabulary
+    chunks: Iterable[tuple[str, Sequence[str]]], query: str | Sequence[str], vocab: Vocabulary
 ) -> dict[str, float]:
-    """Map chunk_id -> weight for a cleaned query term (or several).
+    """Map chunk_id -> weight for a cleaned query term (or several), over
+    ``(chunk_id, tokens)`` pairs that may be parsed as they are taken.
 
     A chunk's relevance score is tf(query) * idf(query), pre-normalization;
     multi-word queries take the maximum over words. Scores are scaled as
@@ -56,13 +57,13 @@ def assign_weights(
         raise QueryNotInVocabulary(f"no query word of {words!r} is in the vocabulary")
     idf = {w: vocab.idf(w) for w in in_vocab}
     scores: dict[str, float] = {}
-    for chunk in chunks:
+    for chunk_id, tokens in chunks:
         s = 0.0
         for w in in_vocab:
-            tf = chunk.tokens.count(w)
+            tf = tokens.count(w)
             if tf:
                 s = max(s, tf * idf[w])
-        scores[chunk.chunk_id] = s
+        scores[chunk_id] = s
     s_max = max(scores.values(), default=0.0)
     if s_max <= 0.0:
         raise QueryNotInVocabulary(f"query {words!r} occurs in no chunk")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from keyclust.preprocess import Chunk, default_cleaning_config
+from keyclust.report import TokenTable
 from keyclust.weighting import WeightedPoint
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,11 @@ def toy_chunk(chunk_id: str, tokens: list[str], doc_id: str = "doc") -> Chunk:
         sentence_count=2,
         tokens=tuple(tokens),
     )
+
+
+def token_table(chunks) -> TokenTable:
+    """The report's table of ``chunks``, built from their stage records."""
+    return TokenTable.from_records({**c.to_record(), "tokens": list(c.tokens)} for c in chunks)
 
 
 # ---------------------------------------------------------------------------

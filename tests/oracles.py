@@ -14,7 +14,7 @@ import math
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -202,6 +202,24 @@ def term_count_oracle(token_lists: Sequence[Sequence[str]]) -> Counter:
         for t in toks:
             counts[t] += 1
     return counts
+
+
+def query_weights_oracle(chunks, idf: Mapping[str, float], floor: float = 0.01) -> dict[str, float]:
+    """Query weights as first written, over whole decoded chunks: a chunk's
+    score is its largest tf * idf over the query words ``idf`` holds, and
+    scores scale onto (floor, 1] by the largest of them."""
+    scores: dict[str, float] = {}
+    for chunk in chunks:
+        s = 0.0
+        for word, value in idf.items():
+            tf = chunk.tokens.count(word)
+            if tf:
+                s = max(s, tf * value)
+        scores[chunk.chunk_id] = s
+    s_max = max(scores.values())
+    return {
+        cid: floor + (1.0 - floor) * (s / s_max) if s > 0.0 else floor for cid, s in scores.items()
+    }
 
 
 def tfidf_oracle(token_lists: Sequence[Sequence[str]]):

@@ -26,7 +26,7 @@ from keyclust.report import comparison_table
 from keyclust.vectorize import build_vocabulary, tfidf_vector
 from keyclust.weighting import WeightedPoint, assign_weights, weighted_points
 
-from conftest import blob_points, random_points, toy_chunk, write_corpus_dir
+from conftest import blob_points, random_points, token_table, toy_chunk, write_corpus_dir
 from oracles import eigh_pca_oracle, lloyd_oracle
 
 # models fitted by earlier criteria, re-checked by the dual-counting criterion
@@ -289,8 +289,9 @@ def test_criterion_08_comparison_table_surrogate():
     with criterion(8, "modified count >= standard in >=80% of seeds, never > planted 60"):
         chunks, points = _planted_corpus()
         vocab = build_vocabulary(chunks, min_df=2, max_df_ratio=0.95)
-        weights = assign_weights(chunks, "vaccine", vocab)
+        weights = assign_weights([(c.chunk_id, c.tokens) for c in chunks], "vaccine", vocab)
         wpts = weighted_points(points, weights)
+        table = token_table(chunks)
         ground_truth = 60
         wins = 0
         for seed in range(20):
@@ -307,7 +308,7 @@ def test_criterion_08_comparison_table_surrogate():
                     seeding="partial", epsilon=1e-6,
                 ),
             )
-            row = comparison_table(chunks, "vaccine", standard, modified)[0]
+            row = comparison_table(table, "vaccine", standard, modified)[0]
             assert row.modified_kmeans_count <= ground_truth, seed
             assert row.total_paragraphs == 500
             if row.modified_kmeans_count >= row.standard_kmeans_count:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import logging
@@ -273,6 +274,26 @@ class TestPipeline:
         vec_lines = (out / "stages" / "vectors.jsonl").read_text().splitlines()[1:]
         vec_ids = {json.loads(line)["chunk_id"] for line in vec_lines}
         assert not (empty_ids & vec_ids)  # but never vectorized
+
+    def test_chunk_without_tokens_counts_in_the_report_total_and_no_extract(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus_dir(corpus, n_articles=4, seed=0, n_sentences=20)
+        stopwords = "It is the of and. Was it the of?"
+        (corpus / "stopwords.json").write_text(
+            json.dumps({"paper_id": "stopwords", "title": "", "body_text": [stopwords]}),
+            encoding="utf-8",
+        )
+        out = run_pipeline(corpus, tmp_path / "out", k=3)
+        records = [
+            json.loads(line)
+            for line in (out / "stages" / "chunks.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        ]
+        assert [r["raw_text"] for r in records if not r["tokens"]] == [stopwords]
+        with open(out / "reports" / "comparison.csv", encoding="utf-8") as fh:
+            assert int(list(csv.DictReader(fh))[0]["total_paragraphs"]) == len(records)
+        extracts = list((out / "reports" / "extracts").glob("*/cluster_*.txt"))
+        assert len(extracts) == 6
+        assert not any(stopwords in path.read_text(encoding="utf-8") for path in extracts)
 
 
 class TestParser:
@@ -688,6 +709,49 @@ class TestFailureModes:
         assert self.only_error_line(capsys) == (
             "error: stage 'chunks' holds a record of the wrong shape (KeyError: 'tokens')"
         )
+
+    @pytest.mark.parametrize(
+        "field, edit, message",
+        [
+            (
+                "point_ids", lambda ids: ids[1::-1] + ids[2:],
+                "stale stage 'model_standard': its points are not the chunks with tokens"
+                " — re-run 'keyclust cluster --mode standard'",
+            ),
+            (
+                "point_ids", lambda ids: [*ids[:-1], "other"],
+                "stale stage 'model_standard': its points are not the chunks with tokens"
+                " — re-run 'keyclust cluster --mode standard'",
+            ),
+            (
+                "point_ids", lambda ids: ids[:-1],
+                "stage 'model_standard' holds a record of the wrong shape (ValueError: the final"
+                " pass does not hold a primary in [0, 4) and a secondary in [-1, 4) for each of the",
+            ),
+            (
+                "primary", lambda labels: [4, *labels[1:]],
+                "stage 'model_standard' holds a record of the wrong shape (ValueError: the final pass",
+            ),
+            (
+                "secondary", lambda labels: [-2, *labels[1:]],
+                "stage 'model_standard' holds a record of the wrong shape (ValueError: the final pass",
+            ),
+        ],
+        ids=["swapped", "renamed", "one-id-fewer", "primary-k", "secondary-below-minus-1"],
+    )
+    def test_model_of_other_points_or_labels_exits_1(self, pipeline_out, tmp_path, capsys, field, edit, message):
+        # a model record edited after the fit keeps its header's inputs, so
+        # no provenance check stops it before report reads its points and labels
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        path = out / "stages" / "model_standard.jsonl"
+        head, line = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(line)
+        part = record if field == "point_ids" else record["final"]
+        part[field] = edit(part[field])
+        path.write_text(f"{head}\n{json.dumps(record)}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--query", "vaccine"]) == 1
+        assert self.only_error_line(capsys).startswith(f"error: {message}")
 
     def test_document_record_without_label_exits_1(self, pipeline_out, tmp_path, capsys):
         out = shutil.copytree(pipeline_out, tmp_path / "out")

@@ -1,5 +1,5 @@
-"""Memory that stage decoding, ``vectorize``, ``reduce`` and a K-means fit
-hold at their peak, and that a fitted model keeps.
+"""Memory that stage decoding, query weighting, ``vectorize``, ``reduce``
+and a K-means fit hold at their peak, and that a fitted model keeps.
 
 Memory is counted with ``tracemalloc``, which sees every Python object and
 every NumPy buffer allocated while it runs, so a figure repeats from run to
@@ -7,12 +7,13 @@ run, where a resident-set figure would move with the allocator and with
 whatever the test process held before.
 """
 
+import argparse
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from keyclust.cli import _Stages, main
+from keyclust.cli import _query_weights, _Stages, main
 from keyclust.cluster import ClusterConfig, run
 
 from conftest import random_points, write_corpus_dir
@@ -52,6 +53,18 @@ def test_points_decode_holds_little_beside_the_coordinates(outs, chunks):
     assert len(points) == chunks
     coordinate_bytes = sum(p.coords.nbytes for p in points)
     assert peak <= 3 * coordinate_bytes, (peak, coordinate_bytes)
+
+
+def test_query_weights_keep_no_chunk(outs):
+    stages = _Stages(str(outs[3000]))
+    stages.check("vocabulary")  # scans the chunks stage too, before the peak is taken
+    weights, peak = traced_peak(lambda: _query_weights(argparse.Namespace(query="vaccine"), stages)[1])
+    assert len(weights) == 3000
+    stage_bytes = (outs[3000] / "stages" / "chunks.jsonl").stat().st_size
+    # about 0.29x (0.56 MB): the scores and the weights, one entry per chunk.
+    # Decoding every chunk, raw text included, before scoring them peaked at
+    # 3.5x (6.78 MB), 12 times as much
+    assert peak <= stage_bytes / 2, (peak, stage_bytes)
 
 
 def test_reduce_holds_little_beside_the_dense_matrix(outs):

@@ -46,7 +46,7 @@ def points_and_weights(tmp_path_factory):
     chunks = [c for c in map(Chunk.from_record, load("chunks", "chunk")[0]) if c.tokens]
     records, meta = load("vocabulary", "vocab-term")
     vocab = Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
-    return points, assign_weights(chunks, ["vaccine"], vocab)
+    return points, assign_weights([(c.chunk_id, c.tokens) for c in chunks], ["vaccine"], vocab)
 
 
 def largest_clusters(points, **config):

@@ -9,7 +9,10 @@ every numpy build the package allows:
   the 20-article reference corpus (ingest and tf-idf are plain Python);
 - the model record, iteration CSV and iteration SVGs of library ``run``
   fits on points drawn by Python's ``random``. K-means results do not
-  depend on BLAS (the determinism contract in ``cluster.py``).
+  depend on BLAS (the determinism contract in ``cluster.py``);
+- the comparison CSV, the top-terms CSVs and the extracts of such fits,
+  whose points are the reference corpus's chunks with tokens, reported
+  over that corpus's ``chunks`` and ``documents`` stages.
 
 A change that moves these bytes on purpose updates the pinned values here
 and says why. ``scripts/tree_digest.py`` digests the whole pipeline's
@@ -25,8 +28,11 @@ import pytest
 
 from keyclust.cli import main
 from keyclust.cluster import ClusterConfig, run
-from keyclust.corpus import encode_record
-from keyclust.report import write_iteration_csv, write_iteration_svgs
+from keyclust.corpus import Document, StageStore, encode_record
+from keyclust.report import (
+    TokenTable, cluster_reports, comparison_table, write_comparison_csv, write_extracts,
+    write_iteration_csv, write_iteration_svgs, write_top_terms_csv,
+)
 from keyclust.weighting import WeightedPoint
 
 from conftest import write_corpus_dir
@@ -66,22 +72,40 @@ CONFIGS = {
 }
 
 
+# the report of a standard and a dual-assigning modified fit on the
+# reference corpus's chunks: the comparison CSV, each mode's top-terms CSV
+# with every term, and the digest of each mode's extracts' ``sha256sum`` lines
+REPORT = {
+    "comparison.csv": "400b9045d62a311f70a4a0aa9370334adb836685c385039c07196687f191f624",
+    "top_terms_standard.csv": "4a951c87dc84007c5374b009932e6f5bb367756f64e7f5b607083356cabb848c",
+    "top_terms_modified.csv": "99fa7de943b981244f37ff4def7f9e8a13f1951dc9e601b684eeac61e8f4a997",
+    "extracts_standard": "f9310ed44f73522633af5f983e334a45581199fd5ca27d4c083ec785f6e59116",
+    "extracts_modified": "7cd0193830266ddb82835db72031d9ea38a1ac0270fef3b6393a02b0d8b1e96e",
+}
+
+# "comparable" is in the top 10 terms of one cluster of each fit
+REPORT_QUERY = ["comparable", "vaccine"]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def drawn_points(seed: int, n: int = 120, dim: int = 3, centers: int = 4) -> list[WeightedPoint]:
+def drawn_points(
+    seed: int, n: int = 120, dim: int = 3, centers: int = 4, ids: list[str] | None = None
+) -> list[WeightedPoint]:
     """Gaussian blobs with query-like weights in (0.05, 1), all from one
-    ``random.Random``, whose draws are the same on every platform."""
+    ``random.Random``, whose draws are the same on every platform. The
+    points are ``ids``, when given, else ``n`` ids of their own."""
     rng = random.Random(seed)
     middles = [[rng.uniform(-4.0, 4.0) for _ in range(dim)] for _ in range(centers)]
     return [
         WeightedPoint(
-            f"p{i:03d}",
+            cid,
             np.array([rng.gauss(m, 1.5) for m in middles[i % centers]]),
             rng.uniform(0.05, 1.0),
         )
-        for i in range(n)
+        for i, cid in enumerate(ids or [f"p{i:03d}" for i in range(n)])
     ]
 
 
@@ -119,3 +143,33 @@ def fit_digests(name: str, out: Path) -> tuple[str, str, str]:
 @pytest.mark.parametrize("name", list(FITS))
 def test_fit_bytes(tmp_path, name):
     assert fit_digests(name, tmp_path) == FITS[name]
+
+
+def report_digests(stage_dir: Path, out: Path) -> dict[str, str]:
+    table = StageStore(stage_dir, "chunks").load_with_meta(
+        "chunk", lambda records, _: TokenTable.from_records(records)
+    )[0]
+    documents = StageStore(stage_dir, "documents").load_with_meta("document")[0]
+    doc_labels = {d.doc_id: d.corpus_label for d in map(Document.from_record, documents)}
+    points = drawn_points(seed=13, ids=table.point_ids)
+    models = {name: run(points, CONFIGS[name]) for name in ("standard", "modified")}
+    assert (models["modified"].secondary >= 0).any()
+    reports = {name: cluster_reports(model, table, n=None) for name, model in models.items()}
+    rows = comparison_table(
+        table, REPORT_QUERY, models["standard"], models["modified"], doc_labels, reports
+    )
+    write_comparison_csv(out / "comparison.csv", rows)
+    digests = {"comparison.csv": sha256((out / "comparison.csv").read_bytes())}
+    for name, model in models.items():
+        path = out / f"top_terms_{name}.csv"
+        write_top_terms_csv(path, reports[name])
+        digests[path.name] = sha256(path.read_bytes())
+        extracts = sorted(write_extracts(out / "extracts" / name, model, table))
+        lines = "".join(f"{sha256(p.read_bytes())}  {p.name}\n" for p in extracts)
+        digests[f"extracts_{name}"] = sha256(lines.encode())
+    return digests
+
+
+@pytest.mark.parametrize("name", list(REPORT))
+def test_report_bytes(stage_dir, tmp_path, name):
+    assert report_digests(stage_dir, tmp_path)[name] == REPORT[name]

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from keyclust.cluster import Assignment, ClusterConfig, ClusterModel, IterationSnapshot, run
 from keyclust.errors import InvalidClusterIndex
+from keyclust.preprocess import Chunk
 from keyclust.report import (
+    TOP_TERMS_DEFAULT,
     ComparisonRow,
+    TokenTable,
     cluster_reports,
     comparison_table,
     extract_cluster_text,
@@ -25,7 +28,7 @@ from keyclust.report import (
 )
 from keyclust.weighting import WeightedPoint
 
-from conftest import toy_chunk
+from conftest import token_table, toy_chunk
 from oracles import term_count_oracle, write_iteration_csv_oracle, write_iteration_svgs_oracle
 
 
@@ -59,17 +62,23 @@ def asg(cid, primary, secondary=None, d1=0.1, d2=0.2):
     return Assignment(cid, primary, secondary, d1, d2)
 
 
+def member_top_terms(members, n=TOP_TERMS_DEFAULT):
+    """``top_terms`` of the members' summed token counts."""
+    table = token_table(members)
+    return top_terms(np.bincount(table.term_ids, minlength=len(table.terms)), table.terms, n)
+
+
 class TestTopTerms:
     def test_counts_and_tie_break(self):
         members = [toy_chunk("c1", ["a", "a", "b"]), toy_chunk("c2", ["b", "c"])]
-        assert top_terms(members) == [("a", 2), ("b", 2), ("c", 1)]
+        assert member_top_terms(members) == [("a", 2), ("b", 2), ("c", 1)]
 
     def test_empty_members(self):
-        assert top_terms([]) == []
+        assert member_top_terms([]) == []
 
     def test_limit(self):
         members = [toy_chunk("c1", [f"t{i}" for i in range(20)])]
-        assert len(top_terms(members, 10)) == 10
+        assert len(member_top_terms(members, 10)) == 10
 
     def test_planted_frequencies_match_brute_force(self):
         rng = random.Random(5)
@@ -79,7 +88,7 @@ class TestTopTerms:
         ]
         members = [toy_chunk(f"c{i}", toks) for i, toks in enumerate(lists)]
         oracle = term_count_oracle(lists)
-        got = top_terms(members, n=len(oracle))
+        got = member_top_terms(members, n=len(oracle))
         assert dict(got) == dict(oracle)
         counts = [c for _, c in got]
         assert counts == sorted(counts, reverse=True)
@@ -93,32 +102,95 @@ class TestTopTerms:
     @settings(max_examples=60)
     def test_prefix_property(self, lists, n):
         members = [toy_chunk(f"c{i}", toks) for i, toks in enumerate(lists)]
-        assert top_terms(members, n) == top_terms(members, n + 1)[:n]
+        assert member_top_terms(members, n) == member_top_terms(members, n + 1)[:n]
+
+
+class TestTokenTable:
+    # few terms, so that counts tie; non-ASCII ones, whose order is by code point
+    TERMS = ["a", "b", "B", "é", "e", "ß", "ss", "日本", "z", "Ω"]
+
+    @given(
+        lists=st.lists(st.lists(st.sampled_from(TERMS), max_size=8), min_size=1, max_size=25),
+        k=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cluster_top_terms_equal_the_counted_members(self, lists, k, seed):
+        """Each cluster's terms, counted over its members' tokens (primary or
+        secondary) by one bincount, equal the brute-force counts sorted by
+        (-count, term)."""
+        chunks = [toy_chunk(f"c{i:02d}", toks) for i, toks in enumerate(lists)]
+        table = token_table(chunks)
+        ids = [c.chunk_id for c in chunks if c.tokens]
+        assert table.point_ids == ids
+        rng = random.Random(seed)
+        primary = [rng.randrange(k) for _ in ids]
+        secondary = [rng.choice([None, *(c for c in range(k) if c != p)]) for p in primary]
+        model = make_model(
+            [asg(cid, p, s) for cid, p, s in zip(ids, primary, secondary)], k=k
+        )
+        tokens = {c.chunk_id: c.tokens for c in chunks}
+        for rep in cluster_reports(model, table, n=None):
+            members = [
+                cid for cid, p, s in zip(ids, primary, secondary) if rep.cluster_index in (p, s)
+            ]
+            oracle = term_count_oracle([tokens[cid] for cid in members])
+            assert rep.top_terms == sorted(oracle.items(), key=lambda kv: (-kv[1], kv[0]))
+            assert rep.member_count == len(members)
+
+    def test_terms_in_string_order_and_rows_with_tokens_are_points(self):
+        chunks = [toy_chunk("c1", ["é", "b", "é"]), toy_chunk("c2", []), toy_chunk("c3", ["B", "b"])]
+        table = token_table(chunks)
+        assert table.terms == ["B", "b", "é"]
+        assert table.term_ids.tolist() == [2, 1, 2, 0, 1]
+        assert table.offsets.tolist() == [0, 3, 3, 5]
+        assert table.point_ids == ["c1", "c3"]
+
+    def test_tokens_that_are_not_a_list_are_a_type_error(self):
+        record = {"chunk_id": "c1", "doc_id": "d", "raw_text": "vaccine", "tokens": "vaccine"}
+        with pytest.raises(TypeError, match="'c1' has tokens of type str"):
+            TokenTable.from_records([record])
+
+    def test_chunk_without_tokens_counts_in_the_total_and_no_extract(self, tmp_path):
+        chunks = [
+            toy_chunk("c1", ["vaccine", "dose"], doc_id="d1"),
+            Chunk("c2", "d1", "It is the of and.", 1, ()),
+            toy_chunk("c3", ["vaccine", "trial"], doc_id="d2"),
+        ]
+        table = token_table(chunks)
+        model = make_model([asg("c1", 0, secondary=1), asg("c3", 1)])
+        rows = comparison_table(table, "vaccine", model, model, {"d1": "a", "d2": "b"})
+        assert [(r.corpus_label, r.total_paragraphs, r.search_count) for r in rows] == [
+            ("a", 2, 1), ("b", 1, 1)
+        ]
+        assert [r.modified_kmeans_count for r in rows] == [1, 1]
+        texts = [p.read_text() for p in write_extracts(tmp_path, model, table)]
+        assert texts == [chunks[0].raw_text + "\n", chunks[0].raw_text + "\n\n" + chunks[2].raw_text + "\n"]
 
 
 class TestKeywordSearchCount:
     def test_direct_count(self):
         chunks = [toy_chunk(f"c{i}", ["q"] if i < 4 else ["x"]) for i in range(10)]
-        assert keyword_search_count(chunks, "q") == 4
+        assert keyword_search_count(token_table(chunks), "q") == 4
 
     def test_no_match(self):
-        assert keyword_search_count([toy_chunk("c", ["x"])], "q") == 0
+        assert keyword_search_count(token_table([toy_chunk("c", ["x"])]), "q") == 0
 
     def test_multiword_any(self):
         chunks = [toy_chunk("c1", ["a"]), toy_chunk("c2", ["b"]), toy_chunk("c3", ["c"])]
-        assert keyword_search_count(chunks, ["a", "b"]) == 2
+        assert keyword_search_count(token_table(chunks), ["a", "b"]) == 2
 
     def test_counts_chunk_once_despite_repeats(self):
-        assert keyword_search_count([toy_chunk("c", ["q", "q", "q"])], "q") == 1
+        assert keyword_search_count(token_table([toy_chunk("c", ["q", "q", "q"])]), "q") == 1
 
 
 class TestClusterMembership:
     def test_reports_and_relevance(self):
-        chunks = {
-            "c1": toy_chunk("c1", ["vaccine", "trial"]),
-            "c2": toy_chunk("c2", ["vaccine", "dose"]),
-            "c3": toy_chunk("c3", ["economy", "market"]),
-        }
+        chunks = token_table([
+            toy_chunk("c1", ["vaccine", "trial"]),
+            toy_chunk("c2", ["vaccine", "dose"]),
+            toy_chunk("c3", ["economy", "market"]),
+        ])
         model = make_model([asg("c1", 0), asg("c2", 0), asg("c3", 1)])
         reps = cluster_reports(model, chunks)
         assert reps[0].member_count == 2
@@ -131,40 +203,41 @@ class TestClusterMembership:
             toy_chunk("c2", ["vaccine", "dose", "dose"], doc_id="d2"),
             toy_chunk("c3", ["economy", "market", "vaccine"], doc_id="d2"),
         ]
-        by_id = {c.chunk_id: c for c in chunks}
+        table = token_table(chunks)
         standard = make_model([asg("c1", 0), asg("c2", 0), asg("c3", 1)])
         modified = make_model([asg("c1", 1), asg("c2", 0, secondary=1), asg("c3", 1)])
         labels = {"d1": "a", "d2": "b"}
-        full = {name: cluster_reports(m, by_id, n=None)
+        full = {name: cluster_reports(m, table, n=None)
                 for name, m in (("standard", standard), ("modified", modified))}
         for query in ("vaccine", "dose", ["market", "absent"]):
-            assert comparison_table(chunks, query, standard, modified, labels, full) == \
-                comparison_table(chunks, query, standard, modified, labels)
+            assert comparison_table(table, query, standard, modified, labels, full) == \
+                comparison_table(table, query, standard, modified, labels)
         for n in (1, 2, 10):
             write_top_terms_csv(tmp_path / "full.csv", full["modified"], n)
-            write_top_terms_csv(tmp_path / "top.csv", cluster_reports(modified, by_id, n))
+            write_top_terms_csv(tmp_path / "top.csv", cluster_reports(modified, table, n))
             assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "top.csv").read_bytes()
 
     def test_extract_in_corpus_order(self):
         chunks = [toy_chunk("c1", ["x"]), toy_chunk("c2", ["y"]), toy_chunk("c3", ["z"])]
         model = make_model([asg("c1", 0), asg("c2", 1), asg("c3", 0)])
-        got = extract_cluster_text(model, 0, chunks)
+        got = extract_cluster_text(model, 0, token_table(chunks))
         assert got == [chunks[0].raw_text, chunks[2].raw_text]
 
     def test_dual_assigned_appears_in_both_extracts(self):
         chunks = [toy_chunk("c1", ["x"]), toy_chunk("c2", ["y"])]
         model = make_model([asg("c1", 0, secondary=1), asg("c2", 1)])
-        assert chunks[0].raw_text in extract_cluster_text(model, 0, chunks)
-        assert chunks[0].raw_text in extract_cluster_text(model, 1, chunks)
+        table = token_table(chunks)
+        assert chunks[0].raw_text in extract_cluster_text(model, 0, table)
+        assert chunks[0].raw_text in extract_cluster_text(model, 1, table)
 
     def test_empty_cluster_extract(self):
         model = make_model([asg("c1", 0)], k=2)
-        assert extract_cluster_text(model, 1, [toy_chunk("c1", ["x"])]) == []
+        assert extract_cluster_text(model, 1, token_table([toy_chunk("c1", ["x"])])) == []
 
     def test_invalid_cluster_index(self):
         model = make_model([asg("c1", 0)])
         with pytest.raises(InvalidClusterIndex):
-            extract_cluster_text(model, 5, [])
+            extract_cluster_text(model, 5, token_table([]))
 
 
 class TestComparisonTable:
@@ -182,7 +255,7 @@ class TestComparisonTable:
             [asg("c1", 0), asg("c2", 0), asg("c3", 1), asg("c4", 1)]
         )
         rows = comparison_table(
-            chunks, "vaccine", model, model, {"d1": "alpha", "d2": "beta"}
+            token_table(chunks), "vaccine", model, model, {"d1": "alpha", "d2": "beta"}
         )
         by_label = {r.corpus_label: r for r in rows}
         assert by_label["alpha"].total_paragraphs == 2
@@ -195,7 +268,7 @@ class TestComparisonTable:
     def test_identical_models_give_equal_counts(self):
         chunks = self._chunks()
         model = make_model([asg("c1", 0), asg("c2", 0), asg("c3", 1), asg("c4", 1)])
-        rows = comparison_table(chunks, "vaccine", model, model)
+        rows = comparison_table(token_table(chunks), "vaccine", model, model)
         for row in rows:
             assert row.standard_kmeans_count == row.modified_kmeans_count
 
@@ -204,7 +277,7 @@ class TestComparisonTable:
         model = make_model(
             [asg("c1", 0, secondary=1), asg("c2", 0), asg("c3", 1), asg("c4", 1)]
         )
-        rows = comparison_table(chunks, "vaccine", model, model, {"d1": "a", "d2": "b"})
+        rows = comparison_table(token_table(chunks), "vaccine", model, model, {"d1": "a", "d2": "b"})
         for row in rows:
             assert row.search_count <= row.total_paragraphs
             assert row.standard_kmeans_count <= row.total_paragraphs
@@ -217,13 +290,13 @@ class TestComparisonTable:
         ]
         # both clusters relevant; c1 is in both -> still one count
         model = make_model([asg("c1", 0, secondary=1), asg("c2", 1)])
-        rows = comparison_table(chunks, "vaccine", model, model)
+        rows = comparison_table(token_table(chunks), "vaccine", model, model)
         assert rows[0].modified_kmeans_count == 2
 
     def test_no_relevant_cluster_yields_zero_row(self, caplog):
         chunks = self._chunks()
         model = make_model([asg("c1", 0), asg("c2", 0), asg("c3", 1), asg("c4", 1)])
-        rows = comparison_table(chunks, ["absent"], model, model)
+        rows = comparison_table(token_table(chunks), ["absent"], model, model)
         assert rows[0].standard_kmeans_count == 0
         assert rows[0].modified_kmeans_count == 0
 
@@ -242,7 +315,7 @@ class TestComparisonTable:
             for a in assignments
         ]
         modified = make_model(dualed)
-        rows = comparison_table(chunks, "vaccine", standard, modified)
+        rows = comparison_table(token_table(chunks), "vaccine", standard, modified)
         assert rows[0].standard_kmeans_count == 40
         assert rows[0].modified_kmeans_count == 45
         assert rows[0].modified_kmeans_count >= rows[0].standard_kmeans_count
@@ -266,7 +339,7 @@ class TestWriters:
         assert float(got[2][1]) == 3.0000000000000004
 
     def test_top_terms_csv(self, tmp_path):
-        chunks = {"c1": toy_chunk("c1", ["a", "a", "b"])}
+        chunks = token_table([toy_chunk("c1", ["a", "a", "b"])])
         model = make_model([asg("c1", 0)])
         reps = cluster_reports(model, chunks)
         path = tmp_path / "tt.csv"
@@ -277,7 +350,7 @@ class TestWriters:
     def test_extracts_files(self, tmp_path):
         chunks = [toy_chunk("c1", ["x"]), toy_chunk("c2", ["y"])]
         model = make_model([asg("c1", 0), asg("c2", 1)])
-        paths = write_extracts(tmp_path, model, chunks)
+        paths = write_extracts(tmp_path, model, token_table(chunks))
         assert [p.name for p in paths] == ["cluster_00.txt", "cluster_01.txt"]
         assert paths[0].read_text().strip() == chunks[0].raw_text
 
@@ -285,7 +358,7 @@ class TestWriters:
         for name in ("cluster_02.txt", "cluster_07.txt", "cluster_123.txt", "notes.txt"):
             (tmp_path / name).write_text("old\n")
         chunks = [toy_chunk("c1", ["x"]), toy_chunk("c2", ["y"])]
-        write_extracts(tmp_path, make_model([asg("c1", 0), asg("c2", 1)]), chunks)
+        write_extracts(tmp_path, make_model([asg("c1", 0), asg("c2", 1)]), token_table(chunks))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "cluster_00.txt", "cluster_01.txt", "notes.txt"
         ]

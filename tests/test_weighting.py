@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,18 @@ from keyclust.weighting import (
     weighted_points,
 )
 
-from conftest import toy_chunk
+from keyclust.cli import _query_weights, _Stages, main
+from keyclust.corpus import StageStore
+from keyclust.preprocess import Chunk, chunk_tokens
+
+from conftest import toy_chunk, write_corpus_dir
+from corpus_gen import TOPIC_KEYWORDS
+from oracles import query_weights_oracle
+
+
+def id_tokens(chunks):
+    """The ``(chunk_id, tokens)`` pairs that ``assign_weights`` scores."""
+    return [(c.chunk_id, c.tokens) for c in chunks]
 
 
 def three_chunk_corpus():
@@ -31,23 +44,23 @@ def three_chunk_corpus():
 class TestAssignWeights:
     def test_absent_chunk_gets_floor(self):
         chunks, vocab = three_chunk_corpus()
-        weights = assign_weights(chunks, "vaccine", vocab)
+        weights = assign_weights(id_tokens(chunks), "vaccine", vocab)
         assert weights["cC"] == FLOOR_WEIGHT
 
     def test_max_score_chunk_gets_exactly_one(self):
         chunks, vocab = three_chunk_corpus()
-        weights = assign_weights(chunks, "vaccine", vocab)
+        weights = assign_weights(id_tokens(chunks), "vaccine", vocab)
         assert weights["cA"] == 1.0
 
     def test_half_score_gives_0505(self):
         # frozen: 0.01 + 0.99 * 0.5 == 0.505 (idf cancels, tf ratio is 1/2)
         chunks, vocab = three_chunk_corpus()
-        weights = assign_weights(chunks, "vaccine", vocab)
+        weights = assign_weights(id_tokens(chunks), "vaccine", vocab)
         assert weights["cB"] == pytest.approx(0.505, abs=1e-15)
 
     def test_weight_floor_iff_no_occurrence(self):
         chunks, vocab = three_chunk_corpus()
-        weights = assign_weights(chunks, "vaccine", vocab)
+        weights = assign_weights(id_tokens(chunks), "vaccine", vocab)
         for chunk in chunks:
             if "vaccine" in chunk.tokens:
                 assert weights[chunk.chunk_id] > FLOOR_WEIGHT
@@ -57,12 +70,12 @@ class TestAssignWeights:
     def test_query_not_in_vocabulary(self):
         chunks, vocab = three_chunk_corpus()
         with pytest.raises(QueryNotInVocabulary):
-            assign_weights(chunks, "nonexistent", vocab)
+            assign_weights(id_tokens(chunks), "nonexistent", vocab)
 
     def test_multi_word_query_takes_max(self):
         chunks, vocab = three_chunk_corpus()
-        single = assign_weights(chunks, "vaccine", vocab)
-        multi = assign_weights(chunks, ["vaccine", "protocol"], vocab)
+        single = assign_weights(id_tokens(chunks), "vaccine", vocab)
+        multi = assign_weights(id_tokens(chunks), ["vaccine", "protocol"], vocab)
         # cC contains "protocol" so it now scores above the floor
         assert multi["cC"] > FLOOR_WEIGHT
         assert multi["cA"] == single["cA"] == 1.0
@@ -70,7 +83,7 @@ class TestAssignWeights:
     def test_multi_word_all_oov(self):
         chunks, vocab = three_chunk_corpus()
         with pytest.raises(QueryNotInVocabulary):
-            assign_weights(chunks, ["zzz", "qqq"], vocab)
+            assign_weights(id_tokens(chunks), ["zzz", "qqq"], vocab)
 
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=25)
@@ -84,7 +97,7 @@ class TestAssignWeights:
             for i, c in enumerate(counts)
         ]
         vocab = build_vocabulary(chunks, min_df=1, max_df_ratio=1.0)
-        weights = assign_weights(chunks, "query", vocab)
+        weights = assign_weights(id_tokens(chunks), "query", vocab)
         values = list(weights.values())
         assert all(FLOOR_WEIGHT <= w <= 1.0 for w in values)
         assert max(values) == 1.0
@@ -96,7 +109,7 @@ class TestAssignWeights:
 
     def test_no_weight_is_ever_zero(self):
         chunks, vocab = three_chunk_corpus()
-        weights = assign_weights(chunks, "vaccine", vocab)
+        weights = assign_weights(id_tokens(chunks), "vaccine", vocab)
         assert all(w >= FLOOR_WEIGHT > 0.0 for w in weights.values())
 
 
@@ -117,3 +130,36 @@ class TestHelpers:
     def test_unit_points(self):
         points = [ReducedPoint(chunk_id="a", coords=np.array([1.0]))]
         assert unit_points(points)[0].weight == 1.0
+
+
+@pytest.fixture(scope="module")
+def reference_stages(tmp_path_factory):
+    """The ``chunks`` and ``vocabulary`` stages of the 20-article reference corpus."""
+    root = tmp_path_factory.mktemp("streamed")
+    write_corpus_dir(root / "corpus", n_articles=20, seed=0, n_sentences=90)
+    out = ["--out", str(root / "out")]
+    assert main(["ingest", *out, "--corpus", f"{root / 'corpus'}:synthetic"]) == 0
+    assert main(["vectorize", *out]) == 0
+    return root / "out"
+
+
+@pytest.mark.parametrize("query", [*TOPIC_KEYWORDS, "vaccine genome"])
+def test_streamed_weights_equal_whole_chunk_weights(reference_stages, query):
+    """``cluster`` scores each chunk record as it is parsed; the weights equal,
+    bit for bit and in order, those of the decoded chunks with tokens."""
+    stages = _Stages(str(reference_stages))
+    words, weights = _query_weights(argparse.Namespace(query=query), stages)
+    records = StageStore(reference_stages / "stages", "chunks").load_with_meta("chunk")[0]
+    chunks = [c for c in map(Chunk.from_record, records) if c.tokens]
+    vocab = stages.load("vocabulary")
+    want = query_weights_oracle(chunks, {w: vocab.idf(w) for w in words if w in vocab})
+    assert len(words) == len(query.split())
+    assert [(cid, w.hex()) for cid, w in weights.items()] == [(cid, w.hex()) for cid, w in want.items()]
+    assert len(weights) == len(records) and sum(w > FLOOR_WEIGHT for w in weights.values()) > 0
+
+
+def test_chunk_tokens_skip_chunks_without_tokens_and_need_lists():
+    records = [{"chunk_id": "a", "tokens": ["x"]}, {"chunk_id": "b", "tokens": []}]
+    assert list(chunk_tokens(records)) == [("a", ["x"])]
+    with pytest.raises(TypeError, match="'c' has tokens of type str"):
+        list(chunk_tokens([{"chunk_id": "c", "tokens": "vaccine"}]))
