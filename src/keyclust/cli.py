@@ -60,20 +60,6 @@ def _decode_vocab(records: Iterator[dict[str, Any]], meta: dict[str, Any]) -> ve
     return vectorization.Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
 
 
-def _decode_points(records: Iterator[dict[str, Any]], _: dict[str, Any]) -> list[reduction.ReducedPoint]:
-    """Every point's coordinates are one row of the first point's length."""
-    points: list[reduction.ReducedPoint] = []
-    for r in records:
-        point = reduction.ReducedPoint.from_record(r)
-        width = len(points[0].coords) if points else point.coords.size
-        if point.coords.shape != (width,):
-            raise ValueError(
-                f"point {point.chunk_id!r} has coordinates of shape {point.coords.shape}, not ({width},)"
-            )
-        points.append(point)
-    return points
-
-
 def _decode_model(records: Iterator[dict[str, Any]], _: dict[str, Any]) -> clustering.ClusterModel:
     return clustering.ClusterModel.from_record(list(records)[0])
 
@@ -96,7 +82,10 @@ STAGES = {
         lambda rs, _: [vectorization.row_from_record(r) for r in rs],
     ),
     "pca": ("pca-model", "keyclust reduce", ("vectors",), None),
-    "points": ("reduced-point", "keyclust reduce", ("vectors", "pca"), _decode_points),
+    "points": (
+        "reduced-point", "keyclust reduce", ("vectors", "pca"),
+        lambda rs, _: reduction.ReducedPoint.from_records(rs),
+    ),
     "weights": ("weight", "keyclust cluster --mode modified", ("chunks", "vocabulary"), None),
     "model_standard": ("cluster-model-2", "keyclust cluster --mode standard", ("points",), _decode_model),
     "model_modified": ("cluster-model-2", "keyclust cluster --mode modified", ("points", "weights"), _decode_model),
@@ -387,9 +376,9 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
     points = stages.load("points")
     wpoints = weighting.weighted_points(points, weights) if weights else weighting.unit_points(points)
     model = clustering.run(wpoints, config)
-    coords_by_id = {p.chunk_id: p.coords for p in points}
-    reporting.write_iteration_csv(reports / f"iterations_{mode}.csv", model, coords_by_id)
-    reporting.write_iteration_svgs(reports, model, coords_by_id, prefix=f"iteration_{mode}")
+    xy = reporting.plot_xy([p.coords for p in points])
+    reporting.write_iteration_csv(reports / f"iterations_{mode}.csv", model, xy)
+    reporting.write_iteration_svgs(reports, model, xy, prefix=f"iteration_{mode}")
     # written last: its header vouches for the reports above
     record = encode_record(model.to_record())
     outputs = {

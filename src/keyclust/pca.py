@@ -9,9 +9,10 @@ right singular vectors are the same eigenvectors.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,8 +66,34 @@ class ReducedPoint:
         return {"chunk_id": self.chunk_id, "coords": self.coords.tolist()}
 
     @classmethod
-    def from_record(cls, rec: Mapping[str, Any]) -> "ReducedPoint":
-        return cls(chunk_id=rec["chunk_id"], coords=np.asarray(rec["coords"], dtype=np.float64))
+    def from_records(cls, records: Iterable[Mapping[str, Any]]) -> list["ReducedPoint"]:
+        """The points of ``records``, whose coordinates must each be one row of
+        the first point's length. The rows are read into one float64 array as
+        the records are taken, and each point's ``coords`` is a view of its row."""
+        records = iter(records)
+        first = next(records, None)
+        if first is None:
+            return []
+        ids: list[str] = []
+        width = np.asarray(first["coords"], dtype=np.float64).size
+
+        def rows() -> Iterator[list[float]]:
+            for rec in itertools.chain([first], records):
+                ids.append(rec["chunk_id"])
+                coords = rec["coords"]
+                if type(coords) is not list or len(coords) != width:
+                    shape = np.asarray(coords, dtype=np.float64).shape
+                    if shape != (width,):
+                        raise ValueError(
+                            f"point {ids[-1]!r} has coordinates of shape {shape}, not ({width},)"
+                        )
+                yield coords
+
+        # copied into an array allocated once at its final size: keeping the
+        # buffer that fromiter grew left a process that sets up and scans
+        # three times (perfbench's kscan) peaking 1-2 MB higher
+        X = np.fromiter(rows(), dtype=np.dtype((np.float64, width))).copy()
+        return [cls(chunk_id=cid, coords=row) for cid, row in zip(ids, X)]
 
 
 def fit_pca(vectors: np.ndarray, d: int, *, in_place: bool = False) -> PcaModel:

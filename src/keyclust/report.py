@@ -274,37 +274,47 @@ def write_extracts(
     return paths
 
 
-def _coords_2d(coords: np.ndarray) -> tuple[float, float]:
-    x = float(coords[0])
-    y = float(coords[1]) if coords.shape[0] > 1 else 0.0
-    return x, y
+def plot_xy(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The (n, 2) plane the iteration files plot: each row's first two
+    coordinates, y = 0.0 for 1-D rows."""
+    xy = np.zeros((len(rows), 2))
+    if len(rows):
+        width = min(2, len(rows[0]))
+        xy[:, :width] = [row[:width] for row in rows]
+    return xy
 
 
-def write_iteration_csv(
-    path: str | Path, model: ClusterModel, coords_by_id: Mapping[str, np.ndarray]
-) -> None:
-    """Scatter data per iteration: the assignments recorded in history,
-    projected onto the first two reduced dimensions.
+# ids the csv writer quotes; it writes every other id as it is
+_QUOTED = re.compile('[,"\r\n]')
 
-    Each point's ``chunk_id,x,y`` fields are formatted once, by the same
-    ``csv`` writer, and reused on every iteration's row for that point."""
+
+def write_iteration_csv(path: str | Path, model: ClusterModel, xy: np.ndarray) -> None:
+    """Scatter data per iteration: the assignments recorded in history, at
+    ``xy``, the (n, 2) ``plot_xy`` of ``model.point_ids``' coordinates.
+
+    Each point's ``chunk_id,x,y,`` prefix is formatted once; only an id
+    holding a comma, a quote, a CR or a LF goes through the ``csv`` writer,
+    which quotes it. A row is then one f-string of its iteration, its
+    point's prefix and one of the k·(k+1) ``primary,secondary`` endings."""
     buf = io.StringIO()
-    fields = csv.writer(buf, lineterminator="\n")  # the file's dialect, so quoting matches
+    quote = csv.writer(buf, lineterminator="\n")  # the file's dialect, so quoting matches
     prefixes = []
-    for cid in model.point_ids:
-        fields.writerow([cid, *map(repr, _coords_2d(coords_by_id[cid]))])
-        prefixes.append(buf.getvalue()[:-1])
-        buf.seek(0)
-        buf.truncate()
-    # index -1 (no secondary) selects the empty last label
-    labels = [str(i) for i in range(model.config.k)] + [""]
+    for cid, (x, y) in zip(model.point_ids, xy.tolist()):
+        if _QUOTED.search(cid):
+            quote.writerow([cid])
+            cid = buf.getvalue()[:-1]
+            buf.seek(0)
+            buf.truncate()
+        prefixes.append(f"{cid},{x!r},{y!r},")
+    # ending p * (k + 1) + s + 1; secondary -1 (none) is the empty label
+    k = model.config.k
+    labels = [str(i) for i in range(k)] + [""]
+    endings = [f"{p},{labels[s]}\n" for p in range(k) for s in range(-1, k)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("iteration,chunk_id,x,y,primary,secondary\n")
         for it, snap in enumerate(model.history, start=1):
-            fh.write("".join([
-                f"{it},{pre},{labels[p]},{labels[s]}\n"
-                for pre, p, s in zip(prefixes, snap.primary.tolist(), snap.secondary.tolist())
-            ]))
+            head, cells = f"{it},", (snap.primary * (k + 1) + snap.secondary + 1).tolist()
+            fh.write("".join([f"{head}{pre}{endings[c]}" for pre, c in zip(prefixes, cells)]))
 
 
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 20.0
@@ -330,13 +340,14 @@ def _palette(k: int) -> list[str]:
 def write_iteration_svgs(
     out_dir: str | Path,
     model: ClusterModel,
-    coords_by_id: Mapping[str, np.ndarray],
+    xy: np.ndarray,
     prefix: str = "iteration",
 ) -> list[Path]:
-    """One scatter SVG per iteration; dual-assigned points are drawn as a
-    distinct black series over the per-cluster colors. Files of this prefix
-    numbered past the last iteration, left by an earlier longer run, are
-    removed.
+    """One scatter SVG per iteration of the points at ``xy``, the (n, 2)
+    ``plot_xy`` of ``model.point_ids``' coordinates; dual-assigned points are
+    drawn as a distinct black series over the per-cluster colors. Files of
+    this prefix numbered past the last iteration, left by an earlier longer
+    run, are removed.
 
     The plot spans the points and that iteration's centroids. The points
     never move, so their markup is formatted again only when a centroid
@@ -346,15 +357,13 @@ def write_iteration_svgs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     colors = _palette(model.config.k)
-    xy = np.array([_coords_2d(coords_by_id[cid]) for cid in model.point_ids], dtype=np.float64)
     xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
     hull = (min(xs), max(xs), min(ys), max(ys))
     bounds = None
     opened: list[str] = []  # each point's circle up to its fill color
     paths = []
     for it, snap in enumerate(model.history, start=1):
-        cents = [_coords_2d(c) for c in snap.centroids]
-        cx, cy = [c[0] for c in cents], [c[1] for c in cents]
+        cx, cy = plot_xy(snap.centroids).T.tolist()
         x_lo, x_hi = min(hull[0], min(cx)), max(hull[1], max(cx))
         y_lo, y_hi = min(hull[2], min(cy)), max(hull[3], max(cy))
         x_span = (x_hi - x_lo) or 1.0
@@ -383,7 +392,7 @@ def write_iteration_svgs(
         parts += [
             f'<circle cx="{_svg_x(a, x_lo, x_span):.2f}" cy="{_svg_y(b, y_lo, y_span):.2f}" '
             f'r="6" fill="none" stroke="black" stroke-width="1.5"/>'
-            for a, b in cents
+            for a, b in zip(cx, cy)
         ]
         parts.append("</svg>")
         path = out / f"{prefix}_{it:03d}.svg"

@@ -11,7 +11,8 @@ best-matching chunk pulls its centroid with weight exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from json.encoder import encode_basestring
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,5 +89,12 @@ def unit_points(points: Sequence[ReducedPoint]) -> list[WeightedPoint]:
     return [WeightedPoint(chunk_id=p.chunk_id, coords=p.coords, weight=1.0) for p in points]
 
 
-def export_records(weights: Mapping[str, float]) -> list[dict[str, Any]]:
-    return [{"chunk_id": cid, "weight": w} for cid, w in sorted(weights.items())]
+def export_records(weights: Mapping[str, float]) -> list[str]:
+    """The weights stage's record lines, by chunk id: each is
+    ``encode_record({"chunk_id": cid, "weight": w})``, spelt out. The id is
+    escaped by the function that encoder applies to a str, and the weight,
+    finite by construction, is written as JSON writes a finite float."""
+    return [
+        f'{{"chunk_id":{encode_basestring(cid)},"weight":{float.__repr__(w)}}}'
+        for cid, w in sorted(weights.items())
+    ]

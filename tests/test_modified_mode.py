@@ -42,7 +42,7 @@ def points_and_weights(tmp_path_factory):
     def load(name, schema):
         return StageStore(root / "out" / "stages", name).load_with_meta(schema)
 
-    points = [ReducedPoint.from_record(r) for r in load("points", "reduced-point")[0]]
+    points = ReducedPoint.from_records(load("points", "reduced-point")[0])
     chunks = [c for c in map(Chunk.from_record, load("chunks", "chunk")[0]) if c.tokens]
     records, meta = load("vocabulary", "vocab-term")
     vocab = Vocabulary.from_records(records, n_chunks=meta["n_chunks"])

@@ -6,7 +6,9 @@ the sha256 of outputs whose bits do not come from LAPACK, so they hold for
 every numpy build the package allows:
 
 - the ``documents``, ``chunks``, ``vocabulary`` and ``vectors`` stages of
-  the 20-article reference corpus (ingest and tf-idf are plain Python);
+  the 20-article reference corpus (ingest and tf-idf are plain Python), and
+  its ``weights`` stage for the query "vaccine", computed from the chunks
+  and the vocabulary only;
 - the model record, iteration CSV and iteration SVGs of library ``run``
   fits on points drawn by Python's ``random``. K-means results do not
   depend on BLAS (the determinism contract in ``cluster.py``);
@@ -30,7 +32,7 @@ from keyclust.cli import main
 from keyclust.cluster import ClusterConfig, run
 from keyclust.corpus import Document, StageStore, encode_record
 from keyclust.report import (
-    TokenTable, cluster_reports, comparison_table, write_comparison_csv, write_extracts,
+    TokenTable, cluster_reports, comparison_table, plot_xy, write_comparison_csv, write_extracts,
     write_iteration_csv, write_iteration_svgs, write_top_terms_csv,
 )
 from keyclust.weighting import WeightedPoint
@@ -43,6 +45,10 @@ STAGES = {
     "vocabulary": "da2fb6842172351ea81d42de291044b346d3076e6f3f5d86ecead9702dff0ad0",
     "vectors": "7bd854d7d6e2e45e56b35a147bb8c59bd0b64eaed0b243f1e28f8ded13fc59be",
 }
+
+# the weights stage of ``cluster --mode modified --query vaccine`` on the
+# same corpus: the weights come from the chunks and the vocabulary alone
+WEIGHTS = "81e7a3cc88f3c866a28bab41a2b941e0c64f7ed80409c1f18f602275d8100ccd"
 
 # per fit: the encoded model record, the iteration CSV, and the digest of
 # the SVG files' ``sha256sum`` lines
@@ -124,12 +130,19 @@ def test_stage_bytes(stage_dir, name):
     assert sha256((stage_dir / f"{name}.jsonl").read_bytes()) == STAGES[name]
 
 
+def test_weights_stage_bytes(stage_dir):
+    out = ["--out", str(stage_dir.parent)]
+    assert main(["reduce", *out]) == 0
+    assert main(["cluster", *out, "--mode", "modified", "--query", "vaccine"]) == 0
+    assert sha256((stage_dir / "weights.jsonl").read_bytes()) == WEIGHTS
+
+
 def fit_digests(name: str, out: Path) -> tuple[str, str, str]:
     points = drawn_points(seed=11)
     model = run(points, CONFIGS[name])
-    coords = {p.chunk_id: p.coords for p in points}
-    write_iteration_csv(out / "iterations.csv", model, coords)
-    svgs = sorted(write_iteration_svgs(out, model, coords))
+    xy = plot_xy([p.coords for p in points])
+    write_iteration_csv(out / "iterations.csv", model, xy)
+    svgs = sorted(write_iteration_svgs(out, model, xy))
     lines = "".join(f"{sha256(p.read_bytes())}  {p.name}\n" for p in svgs)
     if name == "modified":
         assert (model.secondary >= 0).any() and all((s.secondary >= 0).any() for s in model.history)

@@ -17,6 +17,7 @@ from keyclust.report import (
     comparison_table,
     extract_cluster_text,
     keyword_search_count,
+    plot_xy,
     relevant_clusters,
     top_terms,
     write_comparison_csv,
@@ -377,15 +378,15 @@ class TestWriters:
 
     def test_iteration_csv_and_svg(self, tmp_path):
         model = self._history_model()
-        coords = {"c1": np.array([0.0, 0.5]), "c2": np.array([1.0, 0.25])}
+        xy = np.array([[0.0, 0.5], [1.0, 0.25]])  # c1, c2
         csv_path = tmp_path / "iters.csv"
-        write_iteration_csv(csv_path, model, coords)
+        write_iteration_csv(csv_path, model, xy)
         got = list(csv.reader(csv_path.open()))
         assert got[0] == ["iteration", "chunk_id", "x", "y", "primary", "secondary"]
         assert got[1] == ["1", "c1", "0.0", "0.5", "0", ""]
         assert got[2] == ["1", "c2", "1.0", "0.25", "1", "0"]
 
-        svgs = write_iteration_svgs(tmp_path, model, coords)
+        svgs = write_iteration_svgs(tmp_path, model, xy)
         assert [p.name for p in svgs] == ["iteration_001.svg"]
         body = svgs[0].read_text()
         assert body.startswith("<svg")
@@ -393,12 +394,12 @@ class TestWriters:
 
     def test_writers_byte_deterministic(self, tmp_path):
         model = self._history_model()
-        coords = {"c1": np.array([0.0, 0.5]), "c2": np.array([1.0, 0.25])}
+        xy = np.array([[0.0, 0.5], [1.0, 0.25]])  # c1, c2
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()
         for d in (a, b):
-            write_iteration_csv(d / "i.csv", model, coords)
-            write_iteration_svgs(d, model, coords)
+            write_iteration_csv(d / "i.csv", model, xy)
+            write_iteration_svgs(d, model, xy)
             write_comparison_csv(d / "c.csv", [ComparisonRow("l", 1, 1, 1, 1)])
         assert (a / "i.csv").read_bytes() == (b / "i.csv").read_bytes()
         assert (a / "iteration_001.svg").read_bytes() == (b / "iteration_001.svg").read_bytes()
@@ -436,9 +437,9 @@ def _awkward_ids_case():
     return snapshot_model(ids, 3, snaps), coords
 
 
-def _run_case(cfg, n=30, offset=0.0, weight=1.0, seed=9):
+def _run_case(cfg, n=30, offset=0.0, weight=1.0, seed=9, dim=2):
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, 2)) + offset
+    X = rng.standard_normal((n, dim)) + offset
     points = [WeightedPoint(f"p{i:02d}", X[i], weight) for i in range(n)]
     return run(points, cfg), {p.chunk_id: p.coords for p in points}
 
@@ -473,8 +474,36 @@ def _hull_exits_case():
     return snapshot_model(ids, 2, snaps), coords
 
 
+def _two_digit_labels_case():
+    # k = 12: labels 10 and 11 as primaries and secondaries, beside -1
+    rng = np.random.default_rng(7)
+    ids = [f"t{i:02d}" for i in range(40)]
+    coords = {cid: rng.standard_normal(2) for cid in ids}
+    snaps = []
+    for _ in range(3):
+        prim = rng.integers(0, 12, 40)
+        prim[:2] = 10, 11
+        sec = np.where(rng.random(40) < 0.5, -1, (prim + rng.integers(1, 12, 40)) % 12)
+        sec[:3] = 11, 10, -1
+        snaps.append((rng.standard_normal((12, 2)), prim, sec))
+    return snapshot_model(ids, 12, snaps), coords
+
+
+def _text_ids_case():
+    # ids the csv writer leaves unquoted: a leading space, a tab, non-ASCII text
+    rng = np.random.default_rng(8)
+    ids = [" lead", "tab\there", "naïve café", "日本語", "\tboth ", "Ωmega"]
+    coords = {cid: rng.standard_normal(4) for cid in ids}
+    snaps = [(rng.standard_normal((2, 4)), rng.integers(0, 2, 6), [-1, 0, 1, -1, -1, 0]) for _ in range(2)]
+    return snapshot_model(ids, 2, snaps), coords
+
+
 ITERATION_CASES = {
     "awkward-chunk-ids": _awkward_ids_case,
+    "two-digit-labels": _two_digit_labels_case,
+    "text-chunk-ids": _text_ids_case,
+    # a fit on 1-D points, plotted at y = 0.0
+    "one-dimensional-run": lambda: _run_case(ClusterConfig(k=3, threshold=0.3, seed=3), n=25, dim=1),
     "k-equals-1": lambda: _run_case(ClusterConfig(k=1, seed=2)),
     "all-dual": _all_dual_case,
     "single-point": _single_point_case,
@@ -492,11 +521,13 @@ class TestIterationWritersMatchOracle:
     @pytest.mark.parametrize("case", sorted(ITERATION_CASES))
     def test_same_bytes_as_oracle(self, case, tmp_path):
         model, coords = ITERATION_CASES[case]()
+        # the writers take the points' plotted plane; the oracles their coordinates
+        xy = plot_xy([coords[cid] for cid in model.point_ids])
         new, old = tmp_path / "new", tmp_path / "old"
-        write_iteration_csv(tmp_path / "new.csv", model, coords)
+        write_iteration_csv(tmp_path / "new.csv", model, xy)
         write_iteration_csv_oracle(tmp_path / "old.csv", model, coords)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        paths = write_iteration_svgs(new, model, coords)
+        paths = write_iteration_svgs(new, model, xy)
         want = write_iteration_svgs_oracle(old, model, coords)
         assert [p.name for p in paths] == [p.name for p in want]
         for got, ref in zip(paths, want):

@@ -2,7 +2,7 @@ import argparse
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyclust.errors import QueryNotInVocabulary
@@ -11,13 +11,14 @@ from keyclust.vectorize import build_vocabulary
 from keyclust.weighting import (
     FLOOR_WEIGHT,
     assign_weights,
+    export_records,
     normalize_query,
     unit_points,
     weighted_points,
 )
 
 from keyclust.cli import _query_weights, _Stages, main
-from keyclust.corpus import StageStore
+from keyclust.corpus import StageStore, encode_record
 from keyclust.preprocess import Chunk, chunk_tokens
 
 from conftest import toy_chunk, write_corpus_dir
@@ -163,3 +164,22 @@ def test_chunk_tokens_skip_chunks_without_tokens_and_need_lists():
     assert list(chunk_tokens(records)) == [("a", ["x"])]
     with pytest.raises(TypeError, match="'c' has tokens of type str"):
         list(chunk_tokens([{"chunk_id": "c", "tokens": "vaccine"}]))
+
+
+@given(st.dictionaries(st.text(st.characters(exclude_categories=())), st.floats(FLOOR_WEIGHT, 1.0)))
+@example({
+    'say "hi"': FLOOR_WEIGHT,
+    "back\\slash": 1.0,
+    "controls \x00\x01\x1f\t\n\r\x7f": 0.5,
+    "naïve café 日本語 \U0001f600": 0.123456789012345678,
+    "lone \ud800 surrogate": 1e-05,
+    "\u2028\u2029": 0.7,
+    "numpy scalar": np.float64(1 / 3),
+    "": 0.01 + 0.99 * (2.0 / 3.0),
+})
+@settings(max_examples=200, deadline=None)
+def test_weight_lines_are_encoded_records(weights):
+    # surrogates included: the lines are compared as text, never written
+    assert export_records(weights) == [
+        encode_record({"chunk_id": cid, "weight": w}) for cid, w in sorted(weights.items())
+    ]
