@@ -8,7 +8,7 @@ standard K-means baseline.
 
 from .cluster import Assignment, ClusterConfig, ClusterModel, elbow_scan, run
 from .corpus import Document, LoadReport, StageStore, batch_iter, load_corpus
-from .pca import PcaModel, ReducedPoint, fit_pca, pca_transform
+from .pca import PcaModel, fit_pca, pca_transform
 from .preprocess import Chunk, CleaningConfig, chunk_document
 from .vectorize import TfIdfVector, Vocabulary, build_vocabulary, tfidf_vector
 from .weighting import WeightedPoint, assign_weights
@@ -22,7 +22,6 @@ __all__ = [
     "Document",
     "LoadReport",
     "PcaModel",
-    "ReducedPoint",
     "StageStore",
     "TfIdfVector",
     "Vocabulary",

@@ -41,7 +41,6 @@ from .corpus import (
 )
 from .errors import EmptyCorpus, KeyclustError, SchemaMismatch, StageIoError
 from .preprocess import (
-    Chunk,
     CleaningConfig,
     chunk_document,
     chunk_tokens,
@@ -75,16 +74,16 @@ STAGES = {
         "document", "keyclust ingest", (),
         lambda rs, _: {d.doc_id: d.corpus_label for d in map(Document.from_record, rs)},
     ),
-    "chunks": ("chunk", "keyclust ingest", (), lambda rs, _: [Chunk.from_record(r) for r in rs]),
+    "chunks": ("chunk", "keyclust ingest", (), lambda rs, _: list(chunk_tokens(rs))),
     "vocabulary": ("vocab-term", "keyclust vectorize", ("chunks",), _decode_vocab),
     "vectors": (
         "tfidf", "keyclust vectorize", ("chunks", "vocabulary"),
-        lambda rs, _: [vectorization.row_from_record(r) for r in rs],
+        lambda rs, _: vectorization.read_rows(rs),
     ),
     "pca": ("pca-model", "keyclust reduce", ("vectors",), None),
     "points": (
         "reduced-point", "keyclust reduce", ("vectors", "pca"),
-        lambda rs, _: reduction.ReducedPoint.from_records(rs),
+        lambda rs, _: reduction.read_points(rs),
     ),
     "weights": ("weight", "keyclust cluster --mode modified", ("chunks", "vocabulary"), None),
     "model_standard": ("cluster-model-2", "keyclust cluster --mode standard", ("points",), _decode_model),
@@ -98,7 +97,7 @@ def _record_shape(name: str) -> Iterator[None]:
     SchemaMismatch naming the stage."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaMismatch(
             f"stage {name!r} holds a record of the wrong shape ({type(exc).__name__}: {exc})"
         ) from exc
@@ -257,20 +256,20 @@ def _max_df_ratio(args: argparse.Namespace) -> float:
 def cmd_vectorize(args: argparse.Namespace) -> int:
     max_df_ratio = _max_df_ratio(args)
     stages = _Stages(args.out)
-    chunks = stages.load("chunks")
-    nonempty = [c for c in chunks if c.tokens]
-    if not nonempty:
+    chunks = stages.load("chunks")  # (chunk_id, tokens) of each chunk with tokens
+    if not chunks:
         raise EmptyCorpus("every chunk has an empty token list")
-    vocab = vectorization.build_vocabulary(
-        nonempty, min_df=args.min_df, max_df_ratio=max_df_ratio
-    )
+    with _record_shape("chunks"):  # a token that is not a string fails here
+        vocab = vectorization.build_vocabulary(
+            [tokens for _, tokens in chunks], min_df=args.min_df, max_df_ratio=max_df_ratio
+        )
     stages.save("vocabulary", vocab.to_records(), n_chunks=vocab.n_chunks)
     empty_vectors = 0
 
     def records() -> Iterator[dict[str, Any]]:
         nonlocal empty_vectors
-        for c in nonempty:
-            vector = vectorization.tfidf_vector(c, vocab)
+        for chunk_id, tokens in chunks:
+            vector = vectorization.tfidf_vector(chunk_id, tokens, vocab)
             empty_vectors += vector.is_empty
             yield vector.to_record()
 
@@ -296,10 +295,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             "the vocabulary is empty: no term passed vectorize's --min-df and --max-df-ratio "
             "— re-run 'keyclust vectorize' with a lower --min-df or a higher --max-df-ratio"
         )
-    rows = stages.load("vectors")
+    rows = stages.load("vectors")  # chunk ids and CSR arrays
     with _record_shape("vectors"):
-        matrix = vectorization.scatter_rows(rows, vocab_size)
-    chunk_ids = [chunk_id for chunk_id, _, _ in rows]
+        matrix = vectorization.scatter_rows(*rows, vocab_size)
+    chunk_ids = rows[0]
     del rows
     cap = min(vocab_size, len(chunk_ids) - 1)
     dim = min(pca_dim, cap)
@@ -311,10 +310,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     stages.save("pca", [model.to_record()])
     coords = matrix @ model.components.T
     del matrix
-    stages.save(
-        "points",
-        (reduction.ReducedPoint(chunk_id=cid, coords=row).to_record() for cid, row in zip(chunk_ids, coords)),
-    )
+    stages.save("points", reduction.point_records(chunk_ids, coords))
     log.info(
         "reduced %d vectors to %d dimensions (top variance %.6f)",
         len(chunk_ids), dim, float(model.explained_variance[0]),
@@ -373,10 +369,10 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
     if _model_current(stages, mode, inputs, reports):
         log.info("%s model is current; reused", mode)
         return 0
-    points = stages.load("points")
-    wpoints = weighting.weighted_points(points, weights) if weights else weighting.unit_points(points)
+    ids, X = stages.load("points")
+    wpoints = weighting.weighted_points(ids, X, weights) if weights else weighting.unit_points(ids, X)
     model = clustering.run(wpoints, config)
-    xy = reporting.plot_xy([p.coords for p in points])
+    xy = reporting.plot_xy(X)
     reporting.write_iteration_csv(reports / f"iterations_{mode}.csv", model, xy)
     reporting.write_iteration_svgs(reports, model, xy, prefix=f"iteration_{mode}")
     # written last: its header vouches for the reports above
@@ -396,13 +392,13 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
 
 def cmd_elbow(args: argparse.Namespace) -> int:
     stages = _Stages(args.out)
-    points = stages.load("points")
+    ids, X = stages.load("points")
     if args.mode == "modified":
         if not args.query:
             raise KeyclustError("--query is required for a modified-mode elbow scan")
-        wpoints = weighting.weighted_points(points, _query_weights(args, stages)[1])
+        wpoints = weighting.weighted_points(ids, X, _query_weights(args, stages)[1])
     else:
-        wpoints = weighting.unit_points(points)
+        wpoints = weighting.unit_points(ids, X)
     config = _cluster_config(args, mode=args.mode, k=args.k_min)
     try:
         results = clustering.elbow_scan(

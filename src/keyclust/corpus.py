@@ -17,7 +17,6 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import cache
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -49,18 +48,9 @@ class Document:
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "Document":
-        return cls(**record_fields(cls, rec))
-
-
-def record_fields(cls: type, rec: Mapping[str, Any]) -> dict[str, Any]:
-    """``rec``'s value of each field of dataclass ``cls``, read by name: a
-    missing field is a KeyError naming it, and other keys are ignored."""
-    return {name: rec[name] for name in _field_names(cls)}
-
-
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+        """Each field of ``rec`` read by name: a missing one is a KeyError
+        naming it, and other keys are ignored."""
+        return cls(**{f.name: rec[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)

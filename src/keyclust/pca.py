@@ -57,43 +57,40 @@ class PcaModel:
         )
 
 
-@dataclass(eq=False)
-class ReducedPoint:
-    chunk_id: str
-    coords: np.ndarray
+def read_points(records: Iterable[Mapping[str, Any]]) -> tuple[list[str], np.ndarray]:
+    """The points stage as its chunk ids and an (n, d) float64 array, whose
+    rows are the coordinates, each of the first point's length. The rows are
+    read into the array as the records are taken."""
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        return [], np.zeros((0, 0))
+    ids: list[str] = []
+    width = np.asarray(first["coords"], dtype=np.float64).size
 
-    def to_record(self) -> dict[str, Any]:
-        return {"chunk_id": self.chunk_id, "coords": self.coords.tolist()}
+    def rows() -> Iterator[list[float]]:
+        for rec in itertools.chain([first], records):
+            ids.append(rec["chunk_id"])
+            coords = rec["coords"]
+            if type(coords) is not list or len(coords) != width:
+                shape = np.asarray(coords, dtype=np.float64).shape
+                if shape != (width,):
+                    raise ValueError(
+                        f"point {ids[-1]!r} has coordinates of shape {shape}, not ({width},)"
+                    )
+            yield coords
 
-    @classmethod
-    def from_records(cls, records: Iterable[Mapping[str, Any]]) -> list["ReducedPoint"]:
-        """The points of ``records``, whose coordinates must each be one row of
-        the first point's length. The rows are read into one float64 array as
-        the records are taken, and each point's ``coords`` is a view of its row."""
-        records = iter(records)
-        first = next(records, None)
-        if first is None:
-            return []
-        ids: list[str] = []
-        width = np.asarray(first["coords"], dtype=np.float64).size
+    # copied into an array allocated once at its final size: keeping the
+    # buffer that fromiter grew left a process that sets up and scans
+    # three times (perfbench's kscan) peaking 1-2 MB higher
+    X = np.fromiter(rows(), dtype=np.dtype((np.float64, width))).copy()
+    return ids, X
 
-        def rows() -> Iterator[list[float]]:
-            for rec in itertools.chain([first], records):
-                ids.append(rec["chunk_id"])
-                coords = rec["coords"]
-                if type(coords) is not list or len(coords) != width:
-                    shape = np.asarray(coords, dtype=np.float64).shape
-                    if shape != (width,):
-                        raise ValueError(
-                            f"point {ids[-1]!r} has coordinates of shape {shape}, not ({width},)"
-                        )
-                yield coords
 
-        # copied into an array allocated once at its final size: keeping the
-        # buffer that fromiter grew left a process that sets up and scans
-        # three times (perfbench's kscan) peaking 1-2 MB higher
-        X = np.fromiter(rows(), dtype=np.dtype((np.float64, width))).copy()
-        return [cls(chunk_id=cid, coords=row) for cid, row in zip(ids, X)]
+def point_records(chunk_ids: Sequence[str], coords: np.ndarray) -> Iterator[dict[str, Any]]:
+    """The points stage's records: each chunk id with its row of ``coords``."""
+    for cid, row in zip(chunk_ids, coords):
+        yield {"chunk_id": cid, "coords": row.tolist()}
 
 
 def fit_pca(vectors: np.ndarray, d: int, *, in_place: bool = False) -> PcaModel:
@@ -164,6 +161,6 @@ def pca_transform(vector: np.ndarray, model: PcaModel) -> np.ndarray:
 
 def reduce_points(
     chunk_ids: Sequence[str], vectors: np.ndarray, model: PcaModel
-) -> list[ReducedPoint]:
-    coords = pca_transform(vectors, model)
-    return [ReducedPoint(chunk_id=cid, coords=coords[i]) for i, cid in enumerate(chunk_ids)]
+) -> tuple[list[str], np.ndarray]:
+    """The points of ``vectors``: their chunk ids and projected (n, d) coordinates."""
+    return list(chunk_ids), pca_transform(vectors, model)

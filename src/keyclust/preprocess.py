@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Pattern, Sequence
 
-from .corpus import Document, record_fields
+from .corpus import Document
 from .errors import InvalidPattern
 
 _TERMINAL = ".!?"
@@ -114,10 +114,6 @@ class Chunk:
 
     def to_record(self) -> dict[str, Any]:
         return dict(vars(self))
-
-    @classmethod
-    def from_record(cls, rec: Mapping[str, Any]) -> "Chunk":
-        return cls(**{**record_fields(cls, rec), "tokens": tuple(rec["tokens"])})
 
 
 def chunk_tokens(records: Iterable[Mapping[str, Any]]) -> Iterator[tuple[str, list[str]]]:

@@ -274,13 +274,11 @@ def write_extracts(
     return paths
 
 
-def plot_xy(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """The (n, 2) plane the iteration files plot: each row's first two
-    coordinates, y = 0.0 for 1-D rows."""
-    xy = np.zeros((len(rows), 2))
-    if len(rows):
-        width = min(2, len(rows[0]))
-        xy[:, :width] = [row[:width] for row in rows]
+def plot_xy(X: np.ndarray) -> np.ndarray:
+    """The (n, 2) plane the iteration files plot: the first two columns of
+    the (n, d) array ``X``, y = 0.0 where d = 1."""
+    xy = np.zeros((len(X), 2))
+    xy[:, : X.shape[1]] = X[:, :2]
     return xy
 
 

@@ -8,6 +8,7 @@ chunk becomes an outlier by sheer length.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
@@ -15,7 +16,6 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyCorpus
-from .preprocess import Chunk
 
 
 @dataclass
@@ -78,20 +78,21 @@ class TfIdfVector:
 
 
 def build_vocabulary(
-    chunks: Sequence[Chunk], min_df: int = 2, max_df_ratio: float = 0.95
+    token_lists: Sequence[Sequence[str]], min_df: int = 2, max_df_ratio: float = 0.95
 ) -> Vocabulary:
-    """Count document frequencies and keep terms with min_df <= df <= max_df_ratio*N.
+    """Count document frequencies over the chunks' token lists and keep terms
+    with min_df <= df <= max_df_ratio*N.
 
     Pruning both ends curbs the dimensionality blow-up from hapax typos and
     from boilerplate present in nearly every chunk. Index assignment is in
     sorted term order, so identical input always yields the same vocabulary.
     """
-    if not chunks:
+    if not token_lists:
         raise EmptyCorpus("cannot build a vocabulary from zero chunks")
     df: Counter[str] = Counter()
-    for chunk in chunks:
-        df.update(set(chunk.tokens))
-    n = len(chunks)
+    for tokens in token_lists:
+        df.update(set(tokens))
+    n = len(token_lists)
     kept = sorted(t for t, c in df.items() if c >= min_df and c <= max_df_ratio * n)
     return Vocabulary(
         term_to_index={t: i for i, t in enumerate(kept)},
@@ -100,34 +101,43 @@ def build_vocabulary(
     )
 
 
-def tfidf_vector(chunk: Chunk, vocab: Vocabulary) -> TfIdfVector:
-    """tf * idf per vocabulary term, L2-normalized.
+def tfidf_vector(chunk_id: str, tokens: Sequence[str], vocab: Vocabulary) -> TfIdfVector:
+    """tf * idf per vocabulary term of a chunk's tokens, L2-normalized.
 
     Out-of-vocabulary tokens are ignored; a chunk with no in-vocabulary
     token yields a zero vector (``is_empty``), left for the caller to flag.
     """
-    tf = Counter(t for t in chunk.tokens if t in vocab)
+    tf = Counter(t for t in tokens if t in vocab)
     if not tf:
-        return TfIdfVector(chunk_id=chunk.chunk_id)
+        return TfIdfVector(chunk_id=chunk_id)
     weights = {vocab.term_to_index[t]: c * vocab.idf(t) for t, c in tf.items()}
     raw_norm = math.sqrt(sum(w * w for w in weights.values()))
     entries = {i: w / raw_norm for i, w in sorted(weights.items())}
     norm = math.sqrt(sum(w * w for w in entries.values()))
-    return TfIdfVector(chunk_id=chunk.chunk_id, entries=entries, norm=norm)
+    return TfIdfVector(chunk_id=chunk_id, entries=entries, norm=norm)
 
 
-# a tf-idf vector as a stage row: its chunk id, column indices and weights
-SparseRow = tuple[str, np.ndarray, np.ndarray]
-
-
-def row_from_record(rec: Mapping[str, Any]) -> SparseRow:
-    """The row of a vectors-stage record (:meth:`TfIdfVector.to_record`); its
-    indices are checked against the vocabulary where the rows are scattered."""
-    entries, _norm = rec["entries"], rec["norm"]  # a record without its norm is malformed
+def read_rows(
+    records: Iterable[Mapping[str, Any]],
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The vectors stage (records of :meth:`TfIdfVector.to_record`) as CSR
+    arrays: chunk ids, row offsets, column indices and weights. Row r's
+    entries are ``indices[offsets[r]:offsets[r + 1]]`` and the same slice of
+    ``weights``. The indices are checked against the vocabulary where the
+    rows are scattered; a record without its norm is malformed."""
+    chunk_ids: list[str] = []
+    offsets, indices, weights = array("q", [0]), array("q"), array("d")
+    for rec in records:
+        entries, _norm = rec["entries"], rec["norm"]
+        chunk_ids.append(rec["chunk_id"])
+        indices.extend([i for i, _w in entries])
+        weights.extend([w for _i, w in entries])
+        offsets.append(len(indices))
     return (
-        rec["chunk_id"],
-        np.array([int(i) for i, _w in entries], dtype=np.intp),
-        np.array([float(w) for _i, w in entries], dtype=np.float64),
+        chunk_ids,
+        np.frombuffer(offsets, dtype=np.int64),
+        np.frombuffer(indices, dtype=np.int64),
+        np.frombuffer(weights, dtype=np.float64),
     )
 
 
@@ -140,22 +150,23 @@ def densify(vectors: Sequence[TfIdfVector], vocab_size: int) -> np.ndarray:
     return out
 
 
-def scatter_rows(rows: Sequence[SparseRow], vocab_size: int) -> np.ndarray:
-    """Stack sparse rows into a dense (n, V) float64 matrix, as :func:`densify`
-    stacks vectors. A column index outside [0, V) is an IndexError naming the
-    chunk, never a write to another column."""
-
-    def outside(indices: np.ndarray) -> bool:
-        return bool(indices.size) and not (0 <= indices.min() and indices.max() < vocab_size)
-
-    # one check over every index, before the matrix exists; a row at a time only to name one
-    if rows and outside(np.concatenate([indices for _, indices, _ in rows])):
-        chunk_id, indices, _ = next(row for row in rows if outside(row[1]))
+def scatter_rows(
+    chunk_ids: Sequence[str], offsets: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+    vocab_size: int,
+) -> np.ndarray:
+    """Stack the CSR rows of :func:`read_rows` into a dense (n, V) float64
+    matrix, as :func:`densify` stacks vectors. A column index outside [0, V)
+    is an IndexError naming the first chunk that holds one, never a write to
+    another column."""
+    # one check over every index, before the matrix exists
+    if indices.size and not (0 <= indices.min() and indices.max() < vocab_size):
+        first = np.flatnonzero((indices < 0) | (indices >= vocab_size))[0]
+        row = int(np.searchsorted(offsets, first, side="right")) - 1
+        bad = indices[offsets[row] : offsets[row + 1]]
         raise IndexError(
-            f"chunk {chunk_id!r} has a column index outside [0, {vocab_size}): "
-            f"{indices.min()} .. {indices.max()}"
+            f"chunk {chunk_ids[row]!r} has a column index outside [0, {vocab_size}): "
+            f"{bad.min()} .. {bad.max()}"
         )
-    out = np.zeros((len(rows), vocab_size), dtype=np.float64)
-    for row, (_, indices, values) in enumerate(rows):
-        out[row, indices] = values
+    out = np.zeros((len(chunk_ids), vocab_size), dtype=np.float64)
+    out[np.repeat(np.arange(len(chunk_ids)), np.diff(offsets)), indices] = weights
     return out

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import QueryNotInVocabulary
-from .pca import ReducedPoint
 from .preprocess import CleaningConfig, clean_text
 from .vectorize import Vocabulary
 
@@ -75,18 +74,18 @@ def assign_weights(
 
 
 def weighted_points(
-    points: Sequence[ReducedPoint], weights: Mapping[str, float]
+    chunk_ids: Sequence[str], X: np.ndarray, weights: Mapping[str, float]
 ) -> list[WeightedPoint]:
-    """Attach weights to reduced points; every point must have a weight."""
+    """The points with ids ``chunk_ids`` and coordinates the rows of ``X``,
+    each as a view of its row, weighted by ``weights``; every point must have a weight."""
     return [
-        WeightedPoint(chunk_id=p.chunk_id, coords=p.coords, weight=weights[p.chunk_id])
-        for p in points
+        WeightedPoint(chunk_id=cid, coords=row, weight=weights[cid]) for cid, row in zip(chunk_ids, X)
     ]
 
 
-def unit_points(points: Sequence[ReducedPoint]) -> list[WeightedPoint]:
+def unit_points(chunk_ids: Sequence[str], X: np.ndarray) -> list[WeightedPoint]:
     """All-ones weights, for baseline runs that need no query."""
-    return [WeightedPoint(chunk_id=p.chunk_id, coords=p.coords, weight=1.0) for p in points]
+    return [WeightedPoint(chunk_id=cid, coords=row, weight=1.0) for cid, row in zip(chunk_ids, X)]
 
 
 def export_records(weights: Mapping[str, float]) -> list[str]:

@@ -21,7 +21,7 @@ from keyclust.cluster import (
     run,
     update_centroids,
 )
-from keyclust.pca import ReducedPoint, fit_pca
+from keyclust.pca import fit_pca
 from keyclust.report import comparison_table
 from keyclust.vectorize import build_vocabulary, tfidf_vector
 from keyclust.weighting import WeightedPoint, assign_weights, weighted_points
@@ -197,13 +197,13 @@ def test_criterion_05_tfidf_contract():
             for _ in range(200)
         ]
         chunks = [toy_chunk(f"c{i}", toks) for i, toks in enumerate(lists)]
-        vocab = build_vocabulary(chunks, min_df=1, max_df_ratio=1.0)
+        vocab = build_vocabulary([c.tokens for c in chunks], min_df=1, max_df_ratio=1.0)
         for chunk in chunks:
-            vec = tfidf_vector(chunk, vocab)
+            vec = tfidf_vector(chunk.chunk_id, chunk.tokens, vocab)
             assert abs(vec.norm - 1.0) < 1e-9
 
         shared = [toy_chunk(f"s{i}", ["everywhere", f"unique{i}"]) for i in range(7)]
-        vocab_shared = build_vocabulary(shared, min_df=1, max_df_ratio=1.0)
+        vocab_shared = build_vocabulary([c.tokens for c in shared], min_df=1, max_df_ratio=1.0)
         assert vocab_shared.idf("everywhere") == 1.0
 
         corpus = [
@@ -211,14 +211,14 @@ def test_criterion_05_tfidf_contract():
             toy_chunk("c2", ["vaccine", "mask"]),
             toy_chunk("c3", ["mask", "trial", "mask", "distancing"]),
         ]
-        vocab3 = build_vocabulary(corpus, min_df=1, max_df_ratio=1.0)
+        vocab3 = build_vocabulary([c.tokens for c in corpus], min_df=1, max_df_ratio=1.0)
         expected = {
             "c1": {2: 0.4472135954999579, 3: 0.8944271909999159},
             "c2": {1: 0.7071067811865476, 3: 0.7071067811865476},
             "c3": {0: 0.5068900148458076, 1: 0.7710058432202013, 2: 0.38550292161010064},
         }
         for chunk in corpus:
-            vec = tfidf_vector(chunk, vocab3)
+            vec = tfidf_vector(chunk.chunk_id, chunk.tokens, vocab3)
             assert set(vec.entries) == set(expected[chunk.chunk_id])
             for idx, want in expected[chunk.chunk_id].items():
                 assert abs(vec.entries[idx] - want) < 1e-12
@@ -272,7 +272,7 @@ def _planted_corpus():
 
     def add(cid, tokens, xy):
         chunks.append(toy_chunk(cid, tokens))
-        points.append(ReducedPoint(chunk_id=cid, coords=np.asarray(xy, float)))
+        points.append(xy)
 
     for i in range(45):
         tokens = ["vaccine"] * (20 if i == 0 else 2) + ["dose", "trial"]
@@ -282,15 +282,15 @@ def _planted_corpus():
     terms = [f"t0w{j:02d}" for j in range(12)]
     for i in range(440):
         add(f"top_{i:03d}", terms * 3, rng.normal((1.2, 0.0), 0.05, 2))
-    return chunks, points
+    return chunks, np.array(points, dtype=float)
 
 
 def test_criterion_08_comparison_table_surrogate():
     with criterion(8, "modified count >= standard in >=80% of seeds, never > planted 60"):
-        chunks, points = _planted_corpus()
-        vocab = build_vocabulary(chunks, min_df=2, max_df_ratio=0.95)
+        chunks, X = _planted_corpus()
+        vocab = build_vocabulary([c.tokens for c in chunks], min_df=2, max_df_ratio=0.95)
         weights = assign_weights([(c.chunk_id, c.tokens) for c in chunks], "vaccine", vocab)
-        wpts = weighted_points(points, weights)
+        wpts = weighted_points([c.chunk_id for c in chunks], X, weights)
         table = token_table(chunks)
         ground_truth = 60
         wins = 0

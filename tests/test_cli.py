@@ -711,6 +711,36 @@ class TestFailureModes:
         )
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (" ".join, "chunk {!r} has tokens of type str"),
+            (lambda tokens: dict.fromkeys(tokens, 1), "chunk {!r} has tokens of type dict"),
+            (lambda tokens: [tokens], "unhashable type: 'list'"),
+        ],
+        ids=["str", "dict", "list-in-list"],
+    )
+    def test_chunk_tokens_that_are_not_a_list_of_strings_exit_1(self, corpus_dir, tmp_path, capsys, edit, message):
+        # tokens held as one string were read as its characters and those of
+        # an object as its keys, and vectorize wrote both stages; a list among
+        # the tokens ended vectorize in a traceback
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        chunks = out / "stages" / "chunks.jsonl"
+        head, first, rest = chunks.read_text(encoding="utf-8").split("\n", 2)
+        record = json.loads(first)
+        assert record["tokens"]
+        record["tokens"] = edit(record["tokens"])
+        chunks.write_text("\n".join([head, json.dumps(record), rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["vectorize", "--out", str(out)]) == 1
+        assert self.only_error_line(capsys) == (
+            "error: stage 'chunks' holds a record of the wrong shape "
+            f"(TypeError: {message.format(record['chunk_id'])})"
+        )
+        assert not (out / "stages" / "vocabulary.jsonl").exists()
+        assert not (out / "stages" / "vectors.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "field, edit, message",
         [
             (
@@ -777,6 +807,23 @@ class TestFailureModes:
         line = self.only_error_line(capsys)
         assert line.startswith("error: stage 'vectors' holds a record of the wrong shape")
         assert record["chunk_id"] in line
+        assert not (out / "stages" / "points.jsonl").exists()
+
+    def test_vector_column_index_past_int64_exits_1(self, corpus_dir, tmp_path, capsys):
+        # JSON reads 2**64 - 1 as an int, which no int64 index array holds
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert main(["vectorize", "--out", str(out)]) == 0
+        vectors = out / "stages" / "vectors.jsonl"
+        head, first, rest = vectors.read_text(encoding="utf-8").split("\n", 2)
+        record = json.loads(first)
+        record["entries"][0][0] = 2**64 - 1
+        vectors.write_text("\n".join([head, json.dumps(record), rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["reduce", "--out", str(out), "--pca-dim", "8"]) == 1
+        assert self.only_error_line(capsys).startswith(
+            "error: stage 'vectors' holds a record of the wrong shape (OverflowError:"
+        )
         assert not (out / "stages" / "points.jsonl").exists()
 
     @pytest.mark.parametrize(

@@ -49,14 +49,24 @@ def test_points_decode_holds_little_beside_the_coordinates(outs, chunks):
     # scanned first, so that the peak is the decode's and not the hash's
     # fixed-size read block (HASH_BLOCK_BYTES)
     stages.check("points")
-    points, peak = traced_peak(lambda: stages.load("points"))
-    assert len(points) == chunks
-    coordinate_bytes = sum(p.coords.nbytes for p in points)
+    (ids, X), peak = traced_peak(lambda: stages.load("points"))
+    assert len(ids) == chunks and X.shape == (chunks, 50) and X.flags.c_contiguous
     # 2.2x at 3000 chunks: the rows are read into one array as the records
     # are parsed, and copied once. Collecting every record's list of floats
     # before making the array peaks at 5.4x (6.5 MB against 2.6 MB)
-    assert peak <= 2.5 * coordinate_bytes, (peak, coordinate_bytes)
-    assert all(p.coords.base is points[0].coords.base for p in points)
+    assert peak <= 2.5 * X.nbytes, (peak, X.nbytes)
+
+
+def test_vectors_decode_holds_little_beside_its_arrays(outs):
+    stages = _Stages(str(outs[3000]))
+    stages.check("vectors")
+    (ids, offsets, indices, weights), peak = traced_peak(lambda: stages.load("vectors"))
+    assert len(ids) == 3000 and offsets[-1] == len(indices) == len(weights)
+    csr_bytes = offsets.nbytes + indices.nbytes + weights.nbytes
+    # about 1.3x: the arrays, the ids, and the buffers' spare room as they
+    # grow. Two small arrays per row peaked at 2.0x, and reading the indices
+    # and weights into Python lists before making arrays peaks at 3.9x
+    assert peak <= 3 * csr_bytes, (peak, csr_bytes)
 
 
 def test_query_weights_keep_no_chunk(outs):
@@ -73,7 +83,7 @@ def test_query_weights_keep_no_chunk(outs):
 
 def test_reduce_holds_little_beside_the_dense_matrix(outs):
     stages = _Stages(str(outs[3000]))
-    matrix_bytes = 8 * len(stages.load("vocabulary")) * len(stages.load("points"))
+    matrix_bytes = 8 * len(stages.load("vocabulary")) * len(stages.load("points")[0])
     rc, peak = traced_peak(lambda: main(["reduce", "--out", str(outs[3000]), "--pca-dim", "50"]))
     assert rc == 0
     # about 1.4x; a second (n, V) array, such as a centred copy, makes it 2.3x
@@ -85,8 +95,9 @@ def test_vectorize_holds_little_beside_its_vectors(outs):
     rc, peak = traced_peak(lambda: main(["vectorize", "--out", str(out)]))
     assert rc == 0
     stage_bytes = (out / "stages" / "vectors.jsonl").stat().st_size
-    # about 4.5x; holding every chunk's TfIdfVector until the stage is written makes it 6.8x
-    assert peak <= 5.5 * stage_bytes, (peak, stage_bytes)
+    # about 3.7x; decoding each chunk whole, raw text included, made it 4.5x, and
+    # holding every chunk's TfIdfVector until the stage is written 6.8x
+    assert peak <= 4.0 * stage_bytes, (peak, stage_bytes)
 
 
 def test_fitted_model_keeps_labels_not_distances_per_iteration():

@@ -20,8 +20,8 @@ import pytest
 from keyclust.cli import main
 from keyclust.cluster import ClusterConfig, run
 from keyclust.corpus import StageStore
-from keyclust.pca import ReducedPoint
-from keyclust.preprocess import Chunk
+from keyclust.pca import read_points
+from keyclust.preprocess import chunk_tokens
 from keyclust.vectorize import Vocabulary
 from keyclust.weighting import FLOOR_WEIGHT, assign_weights, unit_points, weighted_points
 
@@ -42,11 +42,10 @@ def points_and_weights(tmp_path_factory):
     def load(name, schema):
         return StageStore(root / "out" / "stages", name).load_with_meta(schema)
 
-    points = ReducedPoint.from_records(load("points", "reduced-point")[0])
-    chunks = [c for c in map(Chunk.from_record, load("chunks", "chunk")[0]) if c.tokens]
+    points = read_points(load("points", "reduced-point")[0])
     records, meta = load("vocabulary", "vocab-term")
     vocab = Vocabulary.from_records(records, n_chunks=meta["n_chunks"])
-    return points, assign_weights([(c.chunk_id, c.tokens) for c in chunks], ["vaccine"], vocab)
+    return points, assign_weights(chunk_tokens(load("chunks", "chunk")[0]), ["vaccine"], vocab)
 
 
 def largest_clusters(points, **config):
@@ -55,19 +54,19 @@ def largest_clusters(points, **config):
 
 @pytest.mark.parametrize("threshold", [None, 0.0], ids=["duals", "no-duals"])
 def test_query_weights_leave_a_residual_cluster(points_and_weights, threshold):
-    points, weights = points_and_weights
-    n = len(points)
+    (ids, X), weights = points_and_weights
+    n = len(ids)
     assert n == 600
     matched = sum(w > FLOOR_WEIGHT for w in weights.values())
     assert matched < n / 10  # the query's chunks are few
     config = {} if threshold is None else {"threshold": threshold}
-    largest = largest_clusters(weighted_points(points, weights), **config)
+    largest = largest_clusters(weighted_points(ids, X, weights), **config)
     # every seed: one cluster holds over a third of the points; in the median, most
     assert min(largest) > 0.3 * n, largest
     assert np.median(largest) > 0.6 * n, largest
 
 
 def test_unit_weights_leave_no_residual_cluster(points_and_weights):
-    points, _ = points_and_weights
-    largest = largest_clusters(unit_points(points))
-    assert max(largest) < 0.2 * len(points), largest
+    (ids, X), _ = points_and_weights
+    largest = largest_clusters(unit_points(ids, X))
+    assert max(largest) < 0.2 * len(ids), largest

@@ -226,8 +226,8 @@ class TestPcaTransform:
         write_corpus_dir(tmp_path, n_articles=100, seed=0, n_sentences=90)
         docs = load_corpus(tmp_path, "synthetic").documents
         chunks = [c for doc in docs for c in chunk_document(doc, clean_config) if c.tokens]
-        vocab = build_vocabulary(chunks)
-        X = densify([tfidf_vector(c, vocab) for c in chunks], len(vocab))
+        vocab = build_vocabulary([c.tokens for c in chunks])
+        X = densify([tfidf_vector(c.chunk_id, c.tokens, vocab) for c in chunks], len(vocab))
         assert X.shape[0] >= 2500 and X.shape[0] > X.shape[1]
         coords = pca_transform(X, fit_pca(X, 50))[::6]
         mean, comps, _ = eigh_pca_oracle(X, 50)

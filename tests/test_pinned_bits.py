@@ -140,7 +140,7 @@ def test_weights_stage_bytes(stage_dir):
 def fit_digests(name: str, out: Path) -> tuple[str, str, str]:
     points = drawn_points(seed=11)
     model = run(points, CONFIGS[name])
-    xy = plot_xy([p.coords for p in points])
+    xy = plot_xy(np.array([p.coords for p in points]))
     write_iteration_csv(out / "iterations.csv", model, xy)
     svgs = sorted(write_iteration_svgs(out, model, xy))
     lines = "".join(f"{sha256(p.read_bytes())}  {p.name}\n" for p in svgs)

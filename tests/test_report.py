@@ -323,6 +323,12 @@ class TestComparisonTable:
 
 
 class TestWriters:
+    def test_plot_xy_takes_the_first_two_columns(self):
+        X = np.arange(12.0).reshape(4, 3)
+        assert plot_xy(X).tolist() == X[:, :2].tolist()
+        assert plot_xy(X[:, :1]).tolist() == [[0.0, 0.0], [3.0, 0.0], [6.0, 0.0], [9.0, 0.0]]
+        assert plot_xy(np.zeros((0, 0))).shape == (0, 2)
+
     def test_comparison_csv(self, tmp_path):
         rows = [ComparisonRow("lab", 10, 5, 3, 4)]
         path = tmp_path / "cmp.csv"
@@ -522,7 +528,7 @@ class TestIterationWritersMatchOracle:
     def test_same_bytes_as_oracle(self, case, tmp_path):
         model, coords = ITERATION_CASES[case]()
         # the writers take the points' plotted plane; the oracles their coordinates
-        xy = plot_xy([coords[cid] for cid in model.point_ids])
+        xy = plot_xy(np.array([coords[cid] for cid in model.point_ids]))
         new, old = tmp_path / "new", tmp_path / "old"
         write_iteration_csv(tmp_path / "new.csv", model, xy)
         write_iteration_csv_oracle(tmp_path / "old.csv", model, coords)

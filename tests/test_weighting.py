@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyclust.errors import QueryNotInVocabulary
-from keyclust.pca import ReducedPoint
 from keyclust.vectorize import build_vocabulary
 from keyclust.weighting import (
     FLOOR_WEIGHT,
@@ -19,7 +18,7 @@ from keyclust.weighting import (
 
 from keyclust.cli import _query_weights, _Stages, main
 from keyclust.corpus import StageStore, encode_record
-from keyclust.preprocess import Chunk, chunk_tokens
+from keyclust.preprocess import chunk_tokens
 
 from conftest import toy_chunk, write_corpus_dir
 from corpus_gen import TOPIC_KEYWORDS
@@ -38,7 +37,7 @@ def three_chunk_corpus():
         toy_chunk("cB", ["vaccine", "mask"]),
         toy_chunk("cC", ["mask", "protocol"]),
     ]
-    vocab = build_vocabulary(chunks, min_df=1, max_df_ratio=1.0)
+    vocab = build_vocabulary([c.tokens for c in chunks], min_df=1, max_df_ratio=1.0)
     return chunks, vocab
 
 
@@ -97,7 +96,7 @@ class TestAssignWeights:
             toy_chunk(f"c{i}", ["query"] * c + ["filler"] * (10 - c))
             for i, c in enumerate(counts)
         ]
-        vocab = build_vocabulary(chunks, min_df=1, max_df_ratio=1.0)
+        vocab = build_vocabulary([c.tokens for c in chunks], min_df=1, max_df_ratio=1.0)
         weights = assign_weights(id_tokens(chunks), "query", vocab)
         values = list(weights.values())
         assert all(FLOOR_WEIGHT <= w <= 1.0 for w in values)
@@ -123,14 +122,19 @@ class TestHelpers:
             normalize_query("the of 42", clean_config)
 
     def test_weighted_points_attaches_weights(self):
-        points = [ReducedPoint(chunk_id="a", coords=np.array([0.0, 1.0]))]
-        got = weighted_points(points, {"a": 0.25})
-        assert got[0].weight == 0.25
-        assert got[0].chunk_id == "a"
+        X = np.array([[0.0, 1.0], [2.0, 3.0]])
+        got = weighted_points(["a", "b"], X, {"b": 0.5, "a": 0.25})
+        assert [(p.chunk_id, p.weight) for p in got] == [("a", 0.25), ("b", 0.5)]
+        assert all(p.coords.base is X for p in got)  # each point's row, not a copy
+        assert got[1].coords.tolist() == [2.0, 3.0]
+        with pytest.raises(KeyError):
+            weighted_points(["a", "c"], X, {"a": 0.25})
 
     def test_unit_points(self):
-        points = [ReducedPoint(chunk_id="a", coords=np.array([1.0]))]
-        assert unit_points(points)[0].weight == 1.0
+        X = np.array([[1.0], [2.0]])
+        got = unit_points(["a", "b"], X)
+        assert [(p.chunk_id, p.weight) for p in got] == [("a", 1.0), ("b", 1.0)]
+        assert all(p.coords.base is X for p in got)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +155,7 @@ def test_streamed_weights_equal_whole_chunk_weights(reference_stages, query):
     stages = _Stages(str(reference_stages))
     words, weights = _query_weights(argparse.Namespace(query=query), stages)
     records = StageStore(reference_stages / "stages", "chunks").load_with_meta("chunk")[0]
-    chunks = [c for c in map(Chunk.from_record, records) if c.tokens]
+    chunks = [toy_chunk(r["chunk_id"], r["tokens"]) for r in records if r["tokens"]]
     vocab = stages.load("vocabulary")
     want = query_weights_oracle(chunks, {w: vocab.idf(w) for w in words if w in vocab})
     assert len(words) == len(query.split())
