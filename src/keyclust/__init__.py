@@ -11,7 +11,7 @@ from .corpus import Document, LoadReport, StageStore, batch_iter, load_corpus
 from .pca import PcaModel, fit_pca, pca_transform
 from .preprocess import Chunk, CleaningConfig, chunk_document
 from .vectorize import TfIdfVector, Vocabulary, build_vocabulary, tfidf_vector
-from .weighting import WeightedPoint, assign_weights
+from .weighting import assign_weights
 
 __all__ = [
     "Assignment",
@@ -25,7 +25,6 @@ __all__ = [
     "StageStore",
     "TfIdfVector",
     "Vocabulary",
-    "WeightedPoint",
     "assign_weights",
     "batch_iter",
     "build_vocabulary",

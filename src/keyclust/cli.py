@@ -370,8 +370,8 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
         log.info("%s model is current; reused", mode)
         return 0
     ids, X = stages.load("points")
-    wpoints = weighting.weighted_points(ids, X, weights) if weights else weighting.unit_points(ids, X)
-    model = clustering.run(wpoints, config)
+    w = weighting.weighted_points(ids, weights) if weights else weighting.unit_points(ids)
+    model = clustering.run(ids, X, w, config)
     xy = reporting.plot_xy(X)
     reporting.write_iteration_csv(reports / f"iterations_{mode}.csv", model, xy)
     reporting.write_iteration_svgs(reports, model, xy, prefix=f"iteration_{mode}")
@@ -396,13 +396,13 @@ def cmd_elbow(args: argparse.Namespace) -> int:
     if args.mode == "modified":
         if not args.query:
             raise KeyclustError("--query is required for a modified-mode elbow scan")
-        wpoints = weighting.weighted_points(ids, X, _query_weights(args, stages)[1])
+        w = weighting.weighted_points(ids, _query_weights(args, stages)[1])
     else:
-        wpoints = weighting.unit_points(ids, X)
+        w = weighting.unit_points(ids)
     config = _cluster_config(args, mode=args.mode, k=args.k_min)
     try:
         results = clustering.elbow_scan(
-            wpoints, config, (args.k_min, args.k_max), restarts=args.restarts, threads=args.threads
+            ids, X, w, config, (args.k_min, args.k_max), restarts=args.restarts, threads=args.threads
         )
     except ValueError as exc:
         raise KeyclustError(str(exc)) from exc

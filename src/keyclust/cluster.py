@@ -41,7 +41,6 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import NonFiniteInput, TooFewDistinctPoints
-from .weighting import WeightedPoint
 
 log = logging.getLogger(__name__)
 
@@ -237,13 +236,21 @@ class ClusterModel:
 # array core
 
 
-def _as_arrays(points: Sequence[WeightedPoint]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    ids = [p.chunk_id for p in points]
-    X = np.ascontiguousarray([p.coords for p in points], dtype=np.float64)
-    w = np.asarray([p.weight for p in points], dtype=np.float64)
+def _checked(ids: Sequence[str], X: Any, w: Any) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The points ``ids`` with coordinates the rows of ``X`` and weights
+    ``w``, as one id list, a C-contiguous float64 ``X`` (``X`` itself when it
+    is one) and a float64 ``w``. A ValueError unless ``X`` is 2-D with one
+    id and one weight per row; NonFiniteInput for a NaN or infinity."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if X.ndim != 2 or len(ids) != X.shape[0] or w.shape != (X.shape[0],):
+        raise ValueError(
+            f"need an (n, d) X with n ids and n weights; got X of shape {X.shape}, "
+            f"{len(ids)} ids and w of shape {w.shape}"
+        )
     if not np.isfinite(X).all() or not np.isfinite(w).all():
         raise NonFiniteInput("points contain NaN or infinite coordinates/weights")
-    return ids, X, w
+    return list(ids), X, w
 
 
 def _distinct_row_indices(X: np.ndarray) -> list[int]:
@@ -498,56 +505,53 @@ def _repair_empty(centroids: np.ndarray, empties: Sequence[int], X: np.ndarray) 
 
 
 def assign_point(
-    point: WeightedPoint, centroids: np.ndarray, threshold: float
+    chunk_id: str, coords: Any, centroids: np.ndarray, threshold: float
 ) -> Assignment:
     """Assign one point: primary is the nearest centroid (ties to the lowest
     index), secondary the second-nearest iff the distance gap is strictly
     below ``threshold``."""
-    X = np.asarray([point.coords], dtype=np.float64)
+    X = np.asarray([coords], dtype=np.float64)
     prim, sec, d1, d2 = _assign_arrays(
         X, _squared_norms(X), np.asarray(centroids, dtype=np.float64), threshold
     )
     return Assignment(
-        point.chunk_id, int(prim[0]), None if sec[0] < 0 else int(sec[0]), float(d1[0]), float(d2[0])
+        chunk_id, int(prim[0]), None if sec[0] < 0 else int(sec[0]), float(d1[0]), float(d2[0])
     )
 
 
 def update_centroids(
-    members: Sequence[Sequence[WeightedPoint]],
+    X: np.ndarray,
+    w: np.ndarray,
+    labels: np.ndarray,
     previous: np.ndarray,
     damping_weight: float,
     raw_denominator: bool = False,
 ) -> tuple[np.ndarray, list[int]]:
-    """Update every centroid from its member list (see ``_update_arrays``).
+    """Update every centroid from the rows of ``X`` labelled with it, each
+    weighted by its entry of ``w`` (see ``_update_arrays``).
 
     Returns the new centroids and the indices of empty clusters, which keep
     their previous centroid and are flagged for reseeding by the caller.
+    A ValueError unless there is one weight and one label in [0, k) per row.
     """
-    previous = np.asarray(previous, dtype=np.float64)
-    if len(members) != previous.shape[0]:
-        raise ValueError("one member list per centroid required")
-    flat = [p for mem in members for p in mem]
-    if not flat:
-        return previous.copy(), list(range(previous.shape[0]))
-    _, X, w = _as_arrays(flat)
-    labels = np.concatenate(
-        [np.full(len(mem), i, dtype=np.int64) for i, mem in enumerate(members)]
-    )
-    no_sec = np.full(len(flat), -1, dtype=np.int64)
+    X, w, previous = (np.asarray(a, dtype=np.float64) for a in (X, w, previous))
+    labels = np.asarray(labels, dtype=np.int64)
+    k = previous.shape[0]
+    if not w.shape == labels.shape == (len(X),) or ((labels < 0) | (labels >= k)).any():
+        raise ValueError(f"need one weight and one label in [0, {k}) per row of X")
+    no_sec = np.full(len(labels), -1, dtype=np.int64)
     return _update_arrays(X, w, labels, no_sec, previous, damping_weight, raw_denominator)
 
 
-def init_centroids(points: Sequence[WeightedPoint], config: ClusterConfig) -> np.ndarray:
-    """Initial centroids: k distinct input points chosen by the seeded RNG,
+def init_centroids(X: np.ndarray, config: ClusterConfig) -> np.ndarray:
+    """Initial centroids: k distinct rows of ``X`` chosen by the seeded RNG,
     or (partial seeding) the final centroids of a standard K-means run on a
     seeded random 20% subset (at least 2k points)."""
-    ids, X, _ = _as_arrays(points)
-    return _seed_centroids(ids, X, _distinct_row_indices(X), config)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    return _seed_centroids(X, _distinct_row_indices(X), config)
 
 
-def _seed_centroids(
-    ids: Sequence[str], X: np.ndarray, distinct: Sequence[int], config: ClusterConfig
-) -> np.ndarray:
+def _seed_centroids(X: np.ndarray, distinct: Sequence[int], config: ClusterConfig) -> np.ndarray:
     if len(distinct) < config.k:
         raise TooFewDistinctPoints(
             f"{len(distinct)} distinct points < k={config.k}"
@@ -556,16 +560,11 @@ def _seed_centroids(
     if config.seeding == "random_distinct":
         pick = rng.choice(len(distinct), size=config.k, replace=False)
         return X[[distinct[i] for i in pick]].copy()
-    return _partial_seed(ids, X, config, rng)
+    return _partial_seed(X, config, rng)
 
 
-def _partial_seed(
-    ids: Sequence[str],
-    X: np.ndarray,
-    config: ClusterConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    n = len(ids)
+def _partial_seed(X: np.ndarray, config: ClusterConfig, rng: np.random.Generator) -> np.ndarray:
+    n = X.shape[0]
     size = min(n, max(math.ceil(PARTIAL_FRACTION * n), min(2 * config.k, n)))
     while True:
         idx = np.sort(rng.choice(n, size=size, replace=False))
@@ -579,13 +578,12 @@ def _partial_seed(
         seeding="random_distinct",
         seed=int(rng.integers(2**63)),
     )
-    # ``run`` on the subset's points, without rebuilding their arrays;
-    # standard mode takes no weights
-    sub_ids = [ids[i] for i in idx.tolist()]
-    return _fit(sub_ids, X[idx], None, distinct, inner).centroids.copy()
+    # ``run`` on the subset's rows, whose ids are their row indices: only the
+    # centroids are kept, and standard mode takes no weights
+    return _fit(idx.tolist(), X[idx], None, distinct, inner).centroids.copy()
 
 
-def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
+def run(ids: Sequence[str], X: np.ndarray, w: np.ndarray, config: ClusterConfig) -> ClusterModel:
     """Iterate assign-all / update-centroids until the summed centroid
     movement drops below epsilon or max_iter is reached.
 
@@ -594,8 +592,12 @@ def run(points: Sequence[WeightedPoint], config: ClusterConfig) -> ClusterModel:
     points" of that iteration), without their distances. The final reported
     assignments are a fresh pass against the final centroids, with their
     distances, and the distortion dual-counts them.
+
+    The points are ``ids``, the rows of the (n, d) array ``X`` and the
+    weights ``w``, one per row, which a standard fit ignores. ``X`` is used
+    in place when it is C-contiguous float64.
     """
-    ids, X, w = _as_arrays(points)
+    ids, X, w = _checked(ids, X, w)
     return _fit(ids, X, w, _distinct_row_indices(X), config)
 
 
@@ -612,7 +614,7 @@ def _fit(
     concurrent threads."""
     if config.mode == "standard":
         w = None  # every weight is 1 (see ``_update_arrays``)
-    centroids = _seed_centroids(ids, X, distinct, config)
+    centroids = _seed_centroids(X, distinct, config)
     history: list[IterationSnapshot] = []
     converged = False
     xx = _squared_norms(X)
@@ -642,20 +644,12 @@ def _fit(
     return model
 
 
-def distortion(
-    model: ClusterModel,
-    points: Sequence[WeightedPoint] | None = None,
-    include_secondary: bool = True,
-) -> float:
+def distortion(model: ClusterModel, include_secondary: bool = True) -> float:
     """Sum of squared distances from points to their assigned centroids.
 
     Dual-assigned points contribute one term per cluster, so this is never
-    below the primary-only score. ``points`` is only validated against the
-    model's assignment ids when given.
+    below the primary-only score.
     """
-    if points is not None:
-        if [p.chunk_id for p in points] != model.point_ids:
-            raise ValueError("model assignments do not cover the given points")
     return _distortion(model, include_secondary)
 
 
@@ -670,7 +664,9 @@ def _distortion(model: ClusterModel, include_secondary: bool = True) -> float:
 
 
 def elbow_scan(
-    points: Sequence[WeightedPoint],
+    ids: Sequence[str],
+    X: np.ndarray,
+    w: np.ndarray,
     config: ClusterConfig,
     k_range: tuple[int, int],
     restarts: int = 10,
@@ -678,9 +674,10 @@ def elbow_scan(
 ) -> list[tuple[int, float]]:
     """Best-of-``restarts`` distortion for every k in the inclusive range.
 
-    Restart seeds derive deterministically from (config.seed, k, restart),
-    so a scan is reproducible and individual runs remain independent. The
-    runs share one set of input arrays and go to a pool of up to
+    The points are as ``run`` takes them. Restart seeds derive
+    deterministically from (config.seed, k, restart), so a scan is
+    reproducible and individual runs remain independent. The runs share
+    one set of input arrays and go to a pool of up to
     ``threads`` threads; each run is computed alone in one thread, so the
     result does not depend on ``threads``.
     """
@@ -691,7 +688,7 @@ def elbow_scan(
         raise ValueError("restarts must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    ids, X, w = _as_arrays(points)
+    ids, X, w = _checked(ids, X, w)
     distinct = _distinct_row_indices(X)
     if k_max > len(distinct):
         raise TooFewDistinctPoints(f"{len(distinct)} distinct points < k_max={k_max}")

@@ -11,6 +11,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +36,11 @@ class Vocabulary:
     def idf(self, term: str) -> float:
         """Smoothed inverse document frequency: ln((1+N)/(1+df)) + 1."""
         return math.log((1 + self.n_chunks) / (1 + self.document_frequency[term])) + 1.0
+
+    @cached_property
+    def idfs(self) -> dict[str, float]:
+        """``idf(term)`` of every term, computed once per vocabulary."""
+        return {term: self.idf(term) for term in self.term_to_index}
 
     def to_records(self) -> list[dict[str, Any]]:
         return [
@@ -110,7 +116,8 @@ def tfidf_vector(chunk_id: str, tokens: Sequence[str], vocab: Vocabulary) -> TfI
     tf = Counter(t for t in tokens if t in vocab)
     if not tf:
         return TfIdfVector(chunk_id=chunk_id)
-    weights = {vocab.term_to_index[t]: c * vocab.idf(t) for t, c in tf.items()}
+    idfs = vocab.idfs
+    weights = {vocab.term_to_index[t]: c * idfs[t] for t, c in tf.items()}
     raw_norm = math.sqrt(sum(w * w for w in weights.values()))
     entries = {i: w / raw_norm for i, w in sorted(weights.items())}
     norm = math.sqrt(sum(w * w for w in entries.values()))

@@ -10,7 +10,6 @@ best-matching chunk pulls its centroid with weight exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Iterable, Mapping, Sequence
 
@@ -21,15 +20,6 @@ from .preprocess import CleaningConfig, clean_text
 from .vectorize import Vocabulary
 
 FLOOR_WEIGHT = 0.01
-
-
-@dataclass(eq=False)
-class WeightedPoint:
-    """A reduced chunk coordinate plus its query-relevance weight in [0.01, 1]."""
-
-    chunk_id: str
-    coords: np.ndarray
-    weight: float = 1.0
 
 
 def normalize_query(query: str, config: CleaningConfig) -> list[str]:
@@ -73,19 +63,15 @@ def assign_weights(
     }
 
 
-def weighted_points(
-    chunk_ids: Sequence[str], X: np.ndarray, weights: Mapping[str, float]
-) -> list[WeightedPoint]:
-    """The points with ids ``chunk_ids`` and coordinates the rows of ``X``,
-    each as a view of its row, weighted by ``weights``; every point must have a weight."""
-    return [
-        WeightedPoint(chunk_id=cid, coords=row, weight=weights[cid]) for cid, row in zip(chunk_ids, X)
-    ]
+def weighted_points(chunk_ids: Sequence[str], weights: Mapping[str, float]) -> np.ndarray:
+    """The weight of each of ``chunk_ids``, in order: the ``w`` that
+    ``cluster.run`` takes. Every point must have a weight (else KeyError)."""
+    return np.array([weights[cid] for cid in chunk_ids], dtype=np.float64)
 
 
-def unit_points(chunk_ids: Sequence[str], X: np.ndarray) -> list[WeightedPoint]:
+def unit_points(chunk_ids: Sequence[str]) -> np.ndarray:
     """All-ones weights, for baseline runs that need no query."""
-    return [WeightedPoint(chunk_id=cid, coords=row, weight=1.0) for cid, row in zip(chunk_ids, X)]
+    return np.ones(len(chunk_ids))
 
 
 def export_records(weights: Mapping[str, float]) -> list[str]:

@@ -6,7 +6,6 @@ import pytest
 
 from keyclust.preprocess import Chunk, default_cleaning_config
 from keyclust.report import TokenTable
-from keyclust.weighting import WeightedPoint
 
 # ---------------------------------------------------------------------------
 # synthetic article text
@@ -32,27 +31,20 @@ def blob_points(
     std: float = 0.5,
     weight: float = 1.0,
     prefix: str = "p",
-) -> list[WeightedPoint]:
-    points = []
-    for b, center in enumerate(centers):
-        coords = rng.normal(loc=center, scale=std, size=(n_per, len(center)))
-        for i in range(n_per):
-            points.append(
-                WeightedPoint(
-                    chunk_id=f"{prefix}{b:02d}_{i:04d}", coords=coords[i], weight=weight
-                )
-            )
-    return points
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(ids, X, w)`` of ``n_per`` normal points around each center."""
+    X = np.concatenate(
+        [rng.normal(loc=center, scale=std, size=(n_per, len(center))) for center in centers]
+    )
+    ids = [f"{prefix}{b:02d}_{i:04d}" for b in range(len(centers)) for i in range(n_per)]
+    return ids, X, np.full(len(ids), weight)
 
 
 def random_points(
     rng: np.random.Generator, n: int, dim: int, weight: float = 1.0
-) -> list[WeightedPoint]:
-    coords = rng.standard_normal((n, dim))
-    return [
-        WeightedPoint(chunk_id=f"r{i:04d}", coords=coords[i], weight=weight)
-        for i in range(n)
-    ]
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(ids, X, w)`` of ``n`` standard normal points."""
+    return [f"r{i:04d}" for i in range(n)], rng.standard_normal((n, dim)), np.full(n, weight)
 
 
 def toy_chunk(chunk_id: str, tokens: list[str], doc_id: str = "doc") -> Chunk:

@@ -170,9 +170,9 @@ def add_at_update_oracle(X, w, prim, sec, previous, damping_weight, raw_denomina
 
 
 def elbow_scan_oracle(points, config, k_range, restarts):
-    """The elbow scan as first written: one ``run`` after another, each
-    building its own arrays, seeds drawn per (config.seed, k, restart), and
-    the best distortion kept per k. Returns [(k, distortion)]."""
+    """The elbow scan as first written: one ``run`` after another on the
+    ``(ids, X, w)`` of ``points``, seeds drawn per (config.seed, k, restart),
+    and the best distortion kept per k. Returns [(k, distortion)]."""
     from dataclasses import replace
 
     from keyclust.cluster import run
@@ -183,7 +183,7 @@ def elbow_scan_oracle(points, config, k_range, restarts):
         best = math.inf
         for r in range(restarts):
             seed = int(np.random.default_rng((config.seed, k, r)).integers(2**63))
-            best = min(best, run(points, replace(config, k=k, seed=seed)).distortion)
+            best = min(best, run(*points, replace(config, k=k, seed=seed)).distortion)
         out.append((k, best))
     return out
 

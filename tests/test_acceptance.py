@@ -24,7 +24,7 @@ from keyclust.cluster import (
 from keyclust.pca import fit_pca
 from keyclust.report import comparison_table
 from keyclust.vectorize import build_vocabulary, tfidf_vector
-from keyclust.weighting import WeightedPoint, assign_weights, weighted_points
+from keyclust.weighting import assign_weights, weighted_points
 
 from conftest import blob_points, random_points, token_table, toy_chunk, write_corpus_dir
 from oracles import eigh_pca_oracle, lloyd_oracle
@@ -41,10 +41,6 @@ def criterion(number: int, label: str):
         print(f"\nFAIL  criterion {number:02d}: {label}")
         raise
     print(f"\nPASS  criterion {number:02d}: {label}")
-
-
-def wp(chunk_id, coords, weight=1.0):
-    return WeightedPoint(chunk_id=chunk_id, coords=np.asarray(coords, float), weight=weight)
 
 
 def models_identical(a: ClusterModel, b: ClusterModel) -> bool:
@@ -81,12 +77,12 @@ def test_criterion_01_lloyd_oracle_equivalence():
             dim = int(master.integers(2, 6))
             k = int(master.integers(2, 9))
             rng = np.random.default_rng((1234, case))
-            pts = random_points(rng, n, dim)
+            ids, X, w = random_points(rng, n, dim)
             cfg = ClusterConfig(k=k, mode="standard", seed=case)
-            init = init_centroids(pts, cfg)
-            model = run(pts, cfg)
+            init = init_centroids(X, cfg)
+            model = run(ids, X, w, cfg)
             cents, labels, iters, converged, _ = lloyd_oracle(
-                [p.coords.tolist() for p in pts],
+                X.tolist(),
                 init.tolist(),
                 epsilon=cfg.epsilon,
                 max_iter=cfg.max_iter,
@@ -109,10 +105,10 @@ def test_criterion_02_modified_degenerates_to_standard():
             n = int(rng.integers(20, 120))
             dim = int(rng.integers(2, 5))
             k = int(rng.integers(2, 7))
-            pts = random_points(np.random.default_rng((778, case)), n, dim)
-            standard = run(pts, ClusterConfig(k=k, mode="standard", seed=case))
+            points = random_points(np.random.default_rng((778, case)), n, dim)
+            standard = run(*points, ClusterConfig(k=k, mode="standard", seed=case))
             degenerate = run(
-                pts,
+                *points,
                 ClusterConfig(
                     k=k, mode="modified", threshold=0.0, damping_weight=0.0, seed=case
                 ),
@@ -124,10 +120,10 @@ def test_criterion_02_modified_degenerates_to_standard():
 def test_criterion_03_two_cluster_assignment_rule():
     with criterion(3, "secondary assignment iff distance gap < threshold"):
         # the worked examples: gap 0.005 < 0.01 dual; gap 0.02 >= 0.01 single
-        dual = assign_point(wp("p", [0.0]), np.array([[0.5], [-0.505]]), 0.01)
+        dual = assign_point("p", [0.0], np.array([[0.5], [-0.505]]), 0.01)
         assert dual.secondary_cluster == 1
         assert dual.d_primary == 0.5 and dual.d_secondary == 0.505
-        single = assign_point(wp("p", [0.0]), np.array([[0.5], [-0.52]]), 0.01)
+        single = assign_point("p", [0.0], np.array([[0.5], [-0.52]]), 0.01)
         assert single.secondary_cluster is None
 
         rng = np.random.default_rng(4242)
@@ -137,7 +133,7 @@ def test_criterion_03_two_cluster_assignment_rule():
             point = rng.uniform(-5, 5, dim)
             centroids = rng.uniform(-5, 5, (k, dim))
             threshold = float(rng.uniform(0, 2))
-            a = assign_point(wp("p", point), centroids, threshold)
+            a = assign_point("p", point, centroids, threshold)
             dists = np.sqrt(np.sum((centroids - point) ** 2, axis=1))
             order = np.lexsort((np.arange(k), dists))
             assert a.primary_cluster == order[0]
@@ -150,7 +146,7 @@ def test_criterion_03_two_cluster_assignment_rule():
         for _ in range(100):
             point = rng.uniform(-5, 5, 2)
             centroids = rng.uniform(-5, 5, (4, 2))
-            assert assign_point(wp("p", point), centroids, 0.0).secondary_cluster is None
+            assert assign_point("p", point, centroids, 0.0).secondary_cluster is None
 
 
 def test_criterion_04_centroid_update_convexity():
@@ -160,23 +156,21 @@ def test_criterion_04_centroid_update_convexity():
         for _ in range(100):
             x = rng.uniform(-10, 10, 3)
             c = rng.uniform(-10, 10, 3)
-            new, _ = update_centroids(
-                [[wp("m", x)]], np.array([c]), damping_weight=0.01
-            )
+            new, _ = update_centroids([x], [1.0], [0], np.array([c]), damping_weight=0.01)
             assert np.abs(new[0] - (x + 0.01 * c) / 1.01).max() < 1e-12
 
         for case in range(1000):
             rng = np.random.default_rng((99, case))
             m = int(rng.integers(1, 11))
             dim = int(rng.integers(1, 5))
-            members = [
-                wp(f"m{i}", rng.uniform(-5, 5, dim), float(rng.uniform(0.01, 1.0)))
-                for i in range(m)
-            ]
+            members = [(rng.uniform(-5, 5, dim), float(rng.uniform(0.01, 1.0))) for _ in range(m)]
+            X = np.array([x for x, _ in members])
             prev = rng.uniform(-5, 5, (1, dim))
-            new, _ = update_centroids([members], prev, damping_weight=0.01)
+            new, _ = update_centroids(
+                X, [v for _, v in members], np.zeros(m, dtype=int), prev, damping_weight=0.01
+            )
             # hull membership solved as an LP feasibility problem
-            vertices = np.array([p.coords for p in members] + [prev[0]])
+            vertices = np.concatenate([X, prev])
             a_eq = np.vstack([vertices.T, np.ones(len(vertices))])
             b_eq = np.concatenate([new[0], [1.0]])
             res = linprog(
@@ -252,15 +246,15 @@ def test_criterion_07_elbow_on_three_blobs():
     with criterion(7, "distortion non-increasing over k=1..10, >3x drop by k=3"):
         started = time.perf_counter()
         rng = np.random.default_rng(303)
-        pts = blob_points(rng, [(0.0, 0.0), (10.0, 0.0), (5.0, 8.7)], 200, std=0.7)
+        points = blob_points(rng, [(0.0, 0.0), (10.0, 0.0), (5.0, 8.7)], 200, std=0.7)
         cfg = ClusterConfig(k=1, mode="standard", seed=11)
-        results = elbow_scan(pts, cfg, (1, 10), restarts=10)
+        results = elbow_scan(*points, cfg, (1, 10), restarts=10)
         values = [d for _, d in results]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
         assert values[0] / values[2] > 3.0
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"elbow scan took {elapsed:.1f}s"
-        FITTED_MODELS.append(run(pts, replace(cfg, k=3)))
+        FITTED_MODELS.append(run(*points, replace(cfg, k=3)))
 
 
 def _planted_corpus():
@@ -290,19 +284,20 @@ def test_criterion_08_comparison_table_surrogate():
         chunks, X = _planted_corpus()
         vocab = build_vocabulary([c.tokens for c in chunks], min_df=2, max_df_ratio=0.95)
         weights = assign_weights([(c.chunk_id, c.tokens) for c in chunks], "vaccine", vocab)
-        wpts = weighted_points([c.chunk_id for c in chunks], X, weights)
+        ids = [c.chunk_id for c in chunks]
+        w = weighted_points(ids, weights)
         table = token_table(chunks)
         ground_truth = 60
         wins = 0
         for seed in range(20):
             standard = run(
-                wpts,
+                ids, X, w,
                 ClusterConfig(
                     k=2, mode="standard", seed=seed, seeding="partial", epsilon=1e-6
                 ),
             )
             modified = run(
-                wpts,
+                ids, X, w,
                 ClusterConfig(
                     k=2, mode="modified", threshold=0.6, seed=seed,
                     seeding="partial", epsilon=1e-6,
@@ -323,9 +318,9 @@ def test_criterion_09_dual_counting_bound():
         models = list(FITTED_MODELS)
         rng = np.random.default_rng(909)
         for threshold in (0.05, 0.3, 1.0):
-            pts = random_points(rng, 150, 3)
+            points = random_points(rng, 150, 3)
             models.append(
-                run(pts, ClusterConfig(k=5, mode="modified", threshold=threshold, seed=1))
+                run(*points, ClusterConfig(k=5, mode="modified", threshold=threshold, seed=1))
             )
         assert len(models) >= 10
         dual_seen = 0

@@ -925,9 +925,9 @@ class TestModelReuse:
         calls = []
         real_run = cluster.run
 
-        def counting_run(points, config):
+        def counting_run(ids, X, w, config):
             calls.append(config.mode)
-            return real_run(points, config)
+            return real_run(ids, X, w, config)
 
         monkeypatch.setattr(cluster, "run", counting_run)
         return calls
@@ -935,7 +935,7 @@ class TestModelReuse:
     def test_standard_model_reused_for_a_new_query(self, out, monkeypatch, caplog):
         from keyclust import cluster
 
-        def no_fit(points, config):
+        def no_fit(ids, X, w, config):
             raise AssertionError("the standard model was fitted again")
 
         monkeypatch.setattr(cluster, "run", no_fit)

@@ -27,7 +27,6 @@ from keyclust.cluster import (
     update_centroids,
 )
 from keyclust.errors import NonFiniteInput, TooFewDistinctPoints
-from keyclust.weighting import WeightedPoint
 
 from conftest import blob_points, random_points
 from oracles import (
@@ -40,8 +39,12 @@ from oracles import (
 )
 
 
-def wp(chunk_id, coords, weight=1.0):
-    return WeightedPoint(chunk_id=chunk_id, coords=np.asarray(coords, float), weight=weight)
+def pts(rows, weights=None, ids=None):
+    """``(ids, X, w)`` of the coordinate rows ``rows``: ids p0, p1, ... and
+    unit weights unless given."""
+    X = np.asarray(rows, dtype=float)
+    ids = ids or [f"p{i}" for i in range(len(X))]
+    return ids, X, np.ones(len(X)) if weights is None else np.asarray(weights, dtype=float)
 
 
 def same_bits(got, want) -> bool:
@@ -148,7 +151,7 @@ class TestAssignPoint:
     def test_dual_at_gap_below_threshold(self):
         # distances 0.500 and 0.505: gap 0.005 < 0.01 -> both clusters
         centroids = np.array([[0.5], [-0.505]])
-        a = assign_point(wp("c", [0.0]), centroids, threshold=0.01)
+        a = assign_point("c", [0.0], centroids, threshold=0.01)
         assert a.primary_cluster == 0
         assert a.secondary_cluster == 1
         assert a.d_primary == pytest.approx(0.5, abs=1e-15)
@@ -156,23 +159,23 @@ class TestAssignPoint:
 
     def test_single_when_gap_exceeds_threshold(self):
         centroids = np.array([[0.5], [-0.52]])
-        a = assign_point(wp("c", [0.0]), centroids, threshold=0.01)
+        a = assign_point("c", [0.0], centroids, threshold=0.01)
         assert a.primary_cluster == 0
         assert a.secondary_cluster is None
 
     def test_threshold_zero_never_dual(self):
         centroids = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
-        a = assign_point(wp("c", [1.0, 0.0]), centroids, threshold=0.0)
+        a = assign_point("c", [1.0, 0.0], centroids, threshold=0.0)
         assert a.primary_cluster == 0  # tie broken to lowest index
         assert a.secondary_cluster is None
 
     def test_tie_breaks_to_lowest_index(self):
         centroids = np.array([[2.0], [-2.0]])
-        a = assign_point(wp("c", [0.0]), centroids, threshold=0.0)
+        a = assign_point("c", [0.0], centroids, threshold=0.0)
         assert a.primary_cluster == 0
 
     def test_k_equals_one(self):
-        a = assign_point(wp("c", [1.0]), np.array([[0.0]]), threshold=0.5)
+        a = assign_point("c", [1.0], np.array([[0.0]]), threshold=0.5)
         assert a.secondary_cluster is None
         assert math.isinf(a.d_secondary)
 
@@ -185,7 +188,7 @@ class TestAssignPoint:
     )
     @settings(max_examples=150)
     def test_secondary_iff_gap_below_threshold(self, point, cents, threshold):
-        a = assign_point(wp("c", point), np.asarray(cents), threshold)
+        a = assign_point("c", point, np.asarray(cents), threshold)
         dists = sorted(
             (math.sqrt(sqdist(point, c)), j) for j, c in enumerate(cents)
         )
@@ -352,7 +355,7 @@ class TestAssignArrays:
         C = rng.standard_normal((k, 3))
         prim, sec, d1, d2 = _assign_arrays(X, _squared_norms(X), C, 0.3)
         for i in range(X.shape[0]):
-            a = assign_point(wp(f"p{i}", X[i]), C, 0.3)
+            a = assign_point(f"p{i}", X[i], C, 0.3)
             assert (a.primary_cluster, a.secondary_cluster) == (
                 int(prim[i]), None if sec[i] < 0 else int(sec[i])
             )
@@ -374,12 +377,11 @@ class TestLabelsPassFallback:
     def test_well_separated_fit_computes_exact_sums_only_in_the_final_pass(self, exact_rows, mode):
         rng = np.random.default_rng(8)
         centers = [tuple(20.0 * rng.standard_normal(5)) for _ in range(10)]
-        pts = blob_points(rng, centers, 30)
-        model = run(pts, ClusterConfig(k=10, mode=mode, seed=2, max_iter=12))
+        ids, X, w = blob_points(rng, centers, 30)
+        model = run(ids, X, w, ClusterConfig(k=10, mode=mode, seed=2, max_iter=12))
         assert model.iterations > 1
         assert exact_rows == []
         # the final pass's distances are still the exact sums, bit for bit
-        X = np.asarray([p.coords for p in pts])
         want = assign_arrays_oracle(X, model.centroids, model.config.threshold)
         assert same_bits((model.primary, model.secondary, model.d1, model.d2), want)
 
@@ -394,40 +396,36 @@ class TestLabelsPassFallback:
 class TestUpdateCentroids:
     def test_single_member_damped_formula(self):
         prev = np.array([[3.0, -1.0]])
-        new, empties = update_centroids([[wp("x", [1.0, 2.0])]], prev, damping_weight=0.01)
+        new, empties = update_centroids(np.array([[1.0, 2.0]]), [1.0], [0], prev, damping_weight=0.01)
         # (x + 0.01 c) / 1.01, frozen by hand
         assert new[0] == pytest.approx([1.0198019801980198, 1.9702970297029703], abs=1e-15)
         assert empties == []
 
     def test_unit_weights_no_damping_is_arithmetic_mean(self):
-        members = [[wp("a", [0.0, 0.0]), wp("b", [2.0, 4.0]), wp("c", [4.0, 2.0])]]
-        new, _ = update_centroids(members, np.array([[9.0, 9.0]]), damping_weight=0.0)
+        _, X, w = pts([[0.0, 0.0], [2.0, 4.0], [4.0, 2.0]])
+        new, _ = update_centroids(X, w, [0, 0, 0], np.array([[9.0, 9.0]]), damping_weight=0.0)
         assert new[0] == pytest.approx([2.0, 2.0], abs=0)
 
     def test_three_member_weighted_hand_value(self):
         # frozen: weights (1.0, 0.01, 0.5), prev (0,0), damping 0.01
-        members = [[
-            wp("a", [1.0, 2.0], 1.0),
-            wp("b", [-3.0, 0.5], 0.01),
-            wp("c", [2.0, -1.0], 0.5),
-        ]]
-        new, _ = update_centroids(members, np.array([[0.0, 0.0]]), damping_weight=0.01)
+        X = np.array([[1.0, 2.0], [-3.0, 0.5], [2.0, -1.0]])
+        prev = np.array([[0.0, 0.0]])
+        new, _ = update_centroids(X, [1.0, 0.01, 0.5], [0, 0, 0], prev, damping_weight=0.01)
         assert new[0] == pytest.approx(
             [1.2960526315789473, 0.9901315789473684], abs=1e-15
         )
 
     def test_empty_cluster_keeps_previous_and_flags(self):
         prev = np.array([[1.0, 1.0], [5.0, 5.0]])
-        new, empties = update_centroids(
-            [[wp("a", [0.0, 0.0])], []], prev, damping_weight=0.01
-        )
+        new, empties = update_centroids(np.array([[0.0, 0.0]]), [1.0], [0], prev, damping_weight=0.01)
         assert empties == [1]
         assert new[1].tolist() == [5.0, 5.0]
 
     def test_raw_denominator_mode(self):
-        members = [[wp("a", [1.0], 0.5), wp("b", [3.0], 0.5)]]
         prev = np.array([[2.0]])
-        new, _ = update_centroids(members, prev, damping_weight=0.01, raw_denominator=True)
+        new, _ = update_centroids(
+            np.array([[1.0], [3.0]]), [0.5, 0.5], [0, 0], prev, damping_weight=0.01, raw_denominator=True
+        )
         # (0.5*1 + 0.5*3 + 0.01*2) / (2 + 1)
         assert new[0][0] == pytest.approx((0.5 + 1.5 + 0.02) / 3.0, abs=1e-15)
 
@@ -435,11 +433,12 @@ class TestUpdateCentroids:
         rng = np.random.default_rng(0)
         for _ in range(50):
             m = int(rng.integers(1, 8))
-            pts = [wp(f"p{i}", rng.uniform(-5, 5, 3), float(rng.uniform(0.01, 1))) for i in range(m)]
+            rows = [(rng.uniform(-5, 5, 3), float(rng.uniform(0.01, 1))) for _ in range(m)]
+            X, w = np.array([x for x, _ in rows]), np.array([v for _, v in rows])
             prev = rng.uniform(-5, 5, (1, 3))
-            new, _ = update_centroids([pts], prev, damping_weight=0.01)
-            lo = np.minimum(np.min([p.coords for p in pts], axis=0), prev[0])
-            hi = np.maximum(np.max([p.coords for p in pts], axis=0), prev[0])
+            new, _ = update_centroids(X, w, np.zeros(m, dtype=int), prev, damping_weight=0.01)
+            lo = np.minimum(np.min(X, axis=0), prev[0])
+            hi = np.maximum(np.max(X, axis=0), prev[0])
             assert np.all(new[0] >= lo - 1e-12) and np.all(new[0] <= hi + 1e-12)
 
 
@@ -476,55 +475,52 @@ class TestUpdateCentroids:
 
 class TestInitCentroids:
     def test_k_equals_n_is_permutation_of_points(self):
-        pts = [wp(f"p{i}", [float(i), float(-i)]) for i in range(5)]
-        cents = init_centroids(pts, ClusterConfig(k=5, seed=3))
+        X = np.array([[float(i), float(-i)] for i in range(5)])
+        cents = init_centroids(X, ClusterConfig(k=5, seed=3))
         got = {tuple(c) for c in cents}
-        assert got == {tuple(p.coords) for p in pts}
+        assert got == {tuple(x) for x in X}
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(1)
-        pts = random_points(rng, 40, 3)
+        _, X, _ = random_points(rng, 40, 3)
         cfg = ClusterConfig(k=4, seed=11)
-        a = init_centroids(pts, cfg)
-        b = init_centroids(pts, cfg)
+        a = init_centroids(X, cfg)
+        b = init_centroids(X, cfg)
         assert np.array_equal(a, b)
 
     def test_too_few_distinct_points(self):
-        pts = [wp(f"p{i}", [1.0, 2.0]) for i in range(10)]
+        X = np.array([[1.0, 2.0]] * 10)
         with pytest.raises(TooFewDistinctPoints):
-            init_centroids(pts, ClusterConfig(k=2, seed=0))
+            init_centroids(X, ClusterConfig(k=2, seed=0))
 
     def test_centroids_are_distinct_input_points(self):
-        pts = [wp("a", [0.0]), wp("b", [0.0]), wp("c", [1.0]), wp("d", [2.0])]
-        cents = init_centroids(pts, ClusterConfig(k=3, seed=5))
+        X = np.array([[0.0], [0.0], [1.0], [2.0]])
+        cents = init_centroids(X, ClusterConfig(k=3, seed=5))
         assert len({tuple(c) for c in cents}) == 3
 
     def test_partial_seeding_finds_separated_blobs(self):
         rng = np.random.default_rng(7)
-        pts = blob_points(rng, [(0.0, 0.0), (20.0, 20.0)], 60, std=0.5)
+        ids, X, w = blob_points(rng, [(0.0, 0.0), (20.0, 20.0)], 60, std=0.5)
         cfg = ClusterConfig(k=2, seed=13, seeding="partial", mode="standard")
-        cents = init_centroids(pts, cfg)
+        cents = init_centroids(X, cfg)
         # one centroid per blob, each within a few std of its center
         d_to = sorted(min(np.linalg.norm(c - b) for c in cents) for b in
                       [np.zeros(2), np.full(2, 20.0)])
         assert all(d < 2.0 for d in d_to)
         # and a full-data standard run from those seeds lands on the blob means
-        model = run(pts, cfg)
-        oracle_cents, labels, *_ = lloyd_oracle(
-            [p.coords for p in pts], cents, epsilon=cfg.epsilon
-        )
+        model = run(ids, X, w, cfg)
+        oracle_cents, labels, *_ = lloyd_oracle(list(X), cents, epsilon=cfg.epsilon)
         assert np.array_equal(model.centroids, np.asarray(oracle_cents))
 
     def test_partial_seeding_grows_a_subset_with_too_few_distinct_rows(self, monkeypatch):
         # 3 distinct rows among 20: a 20% subset (6 rows) almost never holds all three
         coords = [(0.0, 0.0)] * 18 + [(1.0, 0.0), (0.0, 1.0)]
-        pts = [wp(f"p{i}", c) for i, c in enumerate(coords)]
         sizes = []
         distinct = cluster_module._distinct_row_indices
         monkeypatch.setattr(
             cluster_module, "_distinct_row_indices", lambda X: sizes.append(len(X)) or distinct(X)
         )
-        cents = init_centroids(pts, ClusterConfig(k=3, seed=0, seeding="partial"))
+        cents = init_centroids(np.array(coords), ClusterConfig(k=3, seed=0, seeding="partial"))
         assert sizes[0] == 20 and sizes[1] == 6  # all points, then the first subset
         assert sizes[2:] and sizes[1:] == sorted(set(sizes[1:]))  # grown, never shrunk
         assert sorted(map(tuple, cents.tolist())) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
@@ -532,13 +528,8 @@ class TestInitCentroids:
 
 class TestRun:
     def test_two_tight_pairs(self):
-        pts = [
-            wp("a", [0.0, 0.0]),
-            wp("b", [0.1, 0.0]),
-            wp("c", [10.0, 10.0]),
-            wp("d", [10.1, 10.0]),
-        ]
-        model = run(pts, ClusterConfig(k=2, mode="standard", seed=0))
+        points = pts([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]], ids=["a", "b", "c", "d"])
+        model = run(*points, ClusterConfig(k=2, mode="standard", seed=0))
         assert model.converged
         assert model.iterations <= 3
         got = sorted(tuple(c) for c in model.centroids)
@@ -550,13 +541,11 @@ class TestRun:
 
     def test_standard_matches_lloyd_oracle(self):
         rng = np.random.default_rng(21)
-        pts = random_points(rng, 80, 3)
+        ids, X, w = random_points(rng, 80, 3)
         cfg = ClusterConfig(k=4, mode="standard", seed=2)
-        init = init_centroids(pts, cfg)
-        model = run(pts, cfg)
-        cents, labels, iters, converged, _ = lloyd_oracle(
-            [p.coords.tolist() for p in pts], init.tolist(), epsilon=cfg.epsilon
-        )
+        init = init_centroids(X, cfg)
+        model = run(ids, X, w, cfg)
+        cents, labels, iters, converged, _ = lloyd_oracle(X.tolist(), init.tolist(), epsilon=cfg.epsilon)
         assert [a.primary_cluster for a in model.assignments] == labels
         assert model.iterations == iters
         assert model.converged == converged
@@ -564,10 +553,10 @@ class TestRun:
 
     def test_modified_with_degenerate_knobs_is_bitwise_standard(self):
         rng = np.random.default_rng(5)
-        pts = random_points(rng, 60, 2)
-        standard = run(pts, ClusterConfig(k=3, mode="standard", seed=8))
+        points = random_points(rng, 60, 2)
+        standard = run(*points, ClusterConfig(k=3, mode="standard", seed=8))
         modified = run(
-            pts,
+            *points,
             ClusterConfig(k=3, mode="modified", threshold=0.0, damping_weight=0.0, seed=8),
         )
         assert models_equal(
@@ -576,15 +565,15 @@ class TestRun:
 
     def test_history_matches_iterations_and_records_duals(self):
         rng = np.random.default_rng(9)
-        pts = blob_points(rng, [(0.0, 0.0), (6.0, 0.0)], 30, std=1.0)
-        model = run(pts, ClusterConfig(k=2, threshold=0.5, seed=4))
+        ids, X, w = blob_points(rng, [(0.0, 0.0), (6.0, 0.0)], 30, std=1.0)
+        model = run(ids, X, w, ClusterConfig(k=2, threshold=0.5, seed=4))
         assert len(model.history) == model.iterations
         # each snapshot's labels are the assignment pass against the
         # centroids before that iteration's update
-        previous = init_centroids(pts, model.config)
+        previous = init_centroids(X, model.config)
         for snap in model.history:
             assert snap.centroids.shape == (2, 2)
-            want = [assign_point(p, previous, model.config.threshold) for p in pts]
+            want = [assign_point(cid, x, previous, model.config.threshold) for cid, x in zip(ids, X)]
             assert snap.primary.tolist() == [a.primary_cluster for a in want]
             assert snap.secondary.tolist() == [
                 -1 if a.secondary_cluster is None else a.secondary_cluster for a in want
@@ -595,56 +584,87 @@ class TestRun:
     def test_weights_pull_centroid(self):
         # same init: the weighted run drags the near centroid to the heavy
         # point while the standard run sits at the arithmetic mean (1, 1)
-        pts = [
-            wp("heavy", [0.0, 0.0], 1.0),
-            wp("light1", [2.0, 0.0], 0.01),
-            wp("light2", [2.0, 2.0], 0.01),
-            wp("light3", [0.0, 2.0], 0.01),
-        ]
-        pts += [wp(f"far{i}", [100.0 + i, 100.0], 0.01) for i in range(4)]
-        std = run(pts, ClusterConfig(k=2, mode="standard", seed=2))
-        mod = run(pts, ClusterConfig(k=2, mode="modified", threshold=0.0, seed=2))
+        # heavy, light1, light2, light3, then far0 .. far3
+        rows = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]] + [[100.0 + i, 100.0] for i in range(4)]
+        points = pts(rows, weights=[1.0] + [0.01] * 7)
+        std = run(*points, ClusterConfig(k=2, mode="standard", seed=2))
+        mod = run(*points, ClusterConfig(k=2, mode="modified", threshold=0.0, seed=2))
         std_near = min(std.centroids, key=np.linalg.norm)
         mod_near = min(mod.centroids, key=np.linalg.norm)
         assert np.linalg.norm(std_near - [1.0, 1.0]) < 1e-9
         assert np.linalg.norm(mod_near) < 0.3
 
     def test_non_finite_rejected(self):
-        pts = [wp("a", [0.0]), wp("b", [np.nan])]
         with pytest.raises(NonFiniteInput):
-            run(pts, ClusterConfig(k=1, seed=0))
+            run(*pts([[0.0], [np.nan]]), ClusterConfig(k=1, seed=0))
+
+    @staticmethod
+    def both_entries(ids, X, w):
+        """``run`` and ``elbow_scan`` each raise a ValueError on these points."""
+        with pytest.raises(ValueError):
+            run(ids, X, w, ClusterConfig(k=1, seed=0))
+        with pytest.raises(ValueError):
+            elbow_scan(ids, X, w, ClusterConfig(k=1, seed=0), (1, 1), restarts=1)
+
+    def test_x_not_two_dimensional_rejected(self):
+        self.both_entries(["a", "b"], np.array([0.0, 1.0]), np.ones(2))
+        self.both_entries(["a", "b"], np.zeros((2, 1, 1)), np.ones(2))
+
+    def test_one_id_per_row_required(self):
+        self.both_entries(["a"], np.array([[0.0], [1.0]]), np.ones(2))
+        self.both_entries(["a", "b", "c"], np.array([[0.0], [1.0]]), np.ones(2))
+
+    def test_one_weight_per_row_required(self):
+        self.both_entries(["a", "b"], np.array([[0.0], [1.0]]), np.ones(3))
+        self.both_entries(["a", "b"], np.array([[0.0], [1.0]]), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("labels, weights", [([0, 2], 2), ([-1, 0], 2), ([0], 2), ([0, 1], 1)])
+    def test_update_needs_a_weight_and_a_label_in_range_per_row(self, labels, weights):
+        with pytest.raises(ValueError):
+            update_centroids(np.array([[0.0], [1.0]]), np.ones(weights), labels, np.zeros((2, 1)), 0.01)
+        # k = 2 and a weight and a label per row: accepted
+        update_centroids(np.array([[0.0], [1.0]]), np.ones(2), [0, 1], np.zeros((2, 1)), 0.01)
+
+    def test_contiguous_float64_points_used_in_place(self, monkeypatch):
+        ids, X, w = random_points(np.random.default_rng(0), 30, 2)
+        seen = []
+        fit = cluster_module._fit
+        monkeypatch.setattr(cluster_module, "_fit", lambda ids, X, *a: seen.append(X) or fit(ids, X, *a))
+        run(ids, X, w, ClusterConfig(k=2, seed=0))
+        run(ids, np.asfortranarray(X), w, ClusterConfig(k=2, seed=0))
+        assert seen[0] is X
+        assert seen[1] is not X and seen[1].flags.c_contiguous and np.array_equal(seen[1], X)
 
     def test_too_few_distinct(self):
-        pts = [wp("a", [1.0]), wp("b", [1.0])]
         with pytest.raises(TooFewDistinctPoints):
-            run(pts, ClusterConfig(k=2, seed=0))
+            run(*pts([[1.0], [1.0]]), ClusterConfig(k=2, seed=0))
 
     def test_deterministic_and_thread_invariant(self):
         rng = np.random.default_rng(17)
-        pts = random_points(rng, 120, 4)
+        points = random_points(rng, 120, 4)
         cfg = ClusterConfig(k=5, threshold=0.2, seed=6)
-        one = run(pts, cfg)
-        again = run(pts, cfg)
+        one = run(*points, cfg)
+        again = run(*points, cfg)
         assert models_equal(one, again)
 
     def test_standard_mode_ignores_weights(self):
         rng = np.random.default_rng(3)
-        base = random_points(rng, 40, 2)
-        reweighted = [wp(p.chunk_id, p.coords, 0.01 + 0.5 * (i % 2)) for i, p in enumerate(base)]
-        a = run(base, ClusterConfig(k=3, mode="standard", seed=2))
-        b = run(reweighted, ClusterConfig(k=3, mode="standard", seed=2))
+        ids, X, w = random_points(rng, 40, 2)
+        reweighted = np.array([0.01 + 0.5 * (i % 2) for i in range(40)])
+        a = run(ids, X, w, ClusterConfig(k=3, mode="standard", seed=2))
+        b = run(ids, X, reweighted, ClusterConfig(k=3, mode="standard", seed=2))
         assert models_equal(a, b)
 
     def test_model_record_round_trip(self):
         rng = np.random.default_rng(31)
-        pts = random_points(rng, 30, 2)
+        points = random_points(rng, 30, 2)
         # a dual-assigning modified run, a k == 1 run, and a standard run
         for cfg in (
             ClusterConfig(k=3, threshold=0.3, seed=12),
             ClusterConfig(k=1, seed=12),
             ClusterConfig(k=3, mode="standard", seed=12),
         ):
-            model = run(pts, cfg)
+            model = run(*points, cfg)
             rec = model.to_record()
             back = ClusterModel.from_record(json.loads(json.dumps(rec)))
             # the final pass keeps its distances; history keeps labels only,
@@ -662,10 +682,9 @@ class TestRun:
 
     def test_standard_distortion_non_increasing_across_iterations(self):
         rng = np.random.default_rng(41)
-        pts = random_points(rng, 150, 3)
+        ids, X, w = random_points(rng, 150, 3)
         cfg = ClusterConfig(k=6, mode="standard", seed=7)
-        model = run(pts, cfg)
-        X = np.array([p.coords for p in pts])
+        model = run(ids, X, w, cfg)
         scores = []
         for snap in model.history:
             total = 0.0
@@ -678,14 +697,12 @@ class TestRun:
 
 class TestDistortion:
     def test_one_dimensional_pair(self):
-        pts = [wp("a", [0.0]), wp("b", [2.0])]
-        model = run(pts, ClusterConfig(k=1, mode="standard", seed=0))
+        model = run(*pts([[0.0], [2.0]]), ClusterConfig(k=1, mode="standard", seed=0))
         assert model.centroids[0][0] == pytest.approx(1.0, abs=0)
         assert model.distortion == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_when_points_sit_on_centroids(self):
-        pts = [wp("a", [0.0, 0.0]), wp("b", [5.0, 5.0])]
-        model = run(pts, ClusterConfig(k=2, mode="standard", seed=1))
+        model = run(*pts([[0.0, 0.0], [5.0, 5.0]]), ClusterConfig(k=2, mode="standard", seed=1))
         assert model.distortion == 0.0
 
     def test_dual_counting_hand_value(self):
@@ -708,21 +725,20 @@ class TestDistortion:
 
     def test_dual_counting_never_below_primary_only(self):
         rng = np.random.default_rng(51)
-        pts = random_points(rng, 100, 2)
-        model = run(pts, ClusterConfig(k=4, threshold=0.5, seed=3))
+        model = run(*random_points(rng, 100, 2), ClusterConfig(k=4, threshold=0.5, seed=3))
         assert distortion(model) >= distortion(model, include_secondary=False)
 
     def test_equals_per_point_loop_bitwise(self):
         # the array sum must add terms in the order of the per-point loop:
         # primary term, then the secondary term of a dual-assigned point
         rng = np.random.default_rng(53)
-        pts = random_points(rng, 200, 3)
+        points = random_points(rng, 200, 3)
         for cfg in (
             ClusterConfig(k=1, seed=2),
             ClusterConfig(k=5, threshold=0.4, seed=2),
             ClusterConfig(k=5, mode="standard", seed=2),
         ):
-            model = run(pts, cfg)
+            model = run(*points, cfg)
             for include_secondary in (True, False):
                 total = 0.0
                 for a in model.assignments:
@@ -731,47 +747,39 @@ class TestDistortion:
                         total += a.d_secondary * a.d_secondary
                 assert distortion(model, include_secondary=include_secondary) == total
 
-    def test_points_validated_when_given(self):
-        pts = [wp("a", [0.0]), wp("b", [2.0])]
-        model = run(pts, ClusterConfig(k=1, mode="standard", seed=0))
-        with pytest.raises(ValueError):
-            distortion(model, points=list(reversed(pts)))
-
 
 class TestElbowScan:
     def test_k_equals_n_reaches_zero(self):
-        pts = [wp(f"p{i}", [float(i)]) for i in range(6)]
         cfg = ClusterConfig(k=1, mode="standard", seed=0)
-        results = elbow_scan(pts, cfg, (1, 6), restarts=8)
+        results = elbow_scan(*pts([[float(i)] for i in range(6)]), cfg, (1, 6), restarts=8)
         assert results[-1][0] == 6
         assert results[-1][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_blobs_show_elbow_drop(self):
         rng = np.random.default_rng(19)
-        pts = blob_points(rng, [(0.0, 0.0), (12.0, 0.0)], 60, std=0.6)
+        points = blob_points(rng, [(0.0, 0.0), (12.0, 0.0)], 60, std=0.6)
         cfg = ClusterConfig(k=1, mode="standard", seed=5)
-        results = dict(elbow_scan(pts, cfg, (1, 3), restarts=5))
+        results = dict(elbow_scan(*points, cfg, (1, 3), restarts=5))
         assert results[1] / results[2] > 5.0
 
     def test_non_increasing_over_k(self):
         rng = np.random.default_rng(23)
-        pts = random_points(rng, 60, 2)
+        points = random_points(rng, 60, 2)
         cfg = ClusterConfig(k=1, mode="standard", seed=9)
-        results = elbow_scan(pts, cfg, (1, 8), restarts=10)
+        results = elbow_scan(*points, cfg, (1, 8), restarts=10)
         values = [d for _, d in results]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_k_max_bounded_by_distinct_points(self):
-        pts = [wp("a", [0.0]), wp("b", [1.0])]
         with pytest.raises(TooFewDistinctPoints):
-            elbow_scan(pts, ClusterConfig(k=1, seed=0), (1, 3), restarts=2)
+            elbow_scan(*pts([[0.0], [1.0]]), ClusterConfig(k=1, seed=0), (1, 3), restarts=2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(29)
-        pts = random_points(rng, 50, 2)
+        points = random_points(rng, 50, 2)
         cfg = ClusterConfig(k=1, mode="standard", seed=4)
-        assert elbow_scan(pts, cfg, (1, 4), restarts=3) == elbow_scan(
-            pts, cfg, (1, 4), restarts=3
+        assert elbow_scan(*points, cfg, (1, 4), restarts=3) == elbow_scan(
+            *points, cfg, (1, 4), restarts=3
         )
 
     @pytest.mark.parametrize("threads, workers", [(1, 1), (4, 4), (10_000, 6)])
@@ -784,20 +792,21 @@ class TestElbowScan:
                 super().__init__(max_workers=min(max_workers, 2))
 
         monkeypatch.setattr(cluster_module, "ThreadPoolExecutor", Recording)
-        pts = random_points(np.random.default_rng(31), 30, 2)
-        elbow_scan(pts, ClusterConfig(k=1, mode="standard", seed=1), (1, 3), restarts=2, threads=threads)
+        points = random_points(np.random.default_rng(31), 30, 2)
+        elbow_scan(*points, ClusterConfig(k=1, mode="standard", seed=1), (1, 3), restarts=2, threads=threads)
         assert requested == [workers]
 
 
-def _weighted_random_points(seed: int, n: int, dim: int) -> list[WeightedPoint]:
+def _weighted_random_points(seed: int, n: int, dim: int):
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.05, 1.0, n)
-    return [wp(p.chunk_id, p.coords, float(w)) for p, w in zip(random_points(rng, n, dim), weights)]
+    ids, X, _ = random_points(rng, n, dim)
+    return ids, X, weights
 
 
-def _duplicated_points() -> list[WeightedPoint]:
-    base = random_points(np.random.default_rng(5), 20, 2)
-    return [wp(f"d{i:03d}", base[i % 20].coords) for i in range(200)]
+def _duplicated_points():
+    _, base, _ = random_points(np.random.default_rng(5), 20, 2)
+    return pts(base[np.arange(200) % 20], ids=[f"d{i:03d}" for i in range(200)])
 
 
 # name -> (points, config, k range, restarts)
@@ -830,24 +839,24 @@ class TestElbowScanMatchesOracle:
 
     @pytest.mark.parametrize("case", sorted(ELBOW_CASES))
     def test_bitwise_equal_for_one_and_three_threads(self, case, caplog):
-        pts, cfg, k_range, restarts = ELBOW_CASES[case]()
+        points, cfg, k_range, restarts = ELBOW_CASES[case]()
         with caplog.at_level(logging.INFO, logger="keyclust.cluster"):
-            expected = self.bits(elbow_scan_oracle(pts, cfg, k_range, restarts))
+            expected = self.bits(elbow_scan_oracle(points, cfg, k_range, restarts))
         if case == "reseed-duplicates":
             assert any("reseeded empty cluster" in r.getMessage() for r in caplog.records)
         for threads in (1, 3):
-            got = elbow_scan(pts, cfg, k_range, restarts, threads=threads)
+            got = elbow_scan(*points, cfg, k_range, restarts, threads=threads)
             assert self.bits(got) == expected, threads
 
     def test_bitwise_equal_with_more_threads_than_cores_and_frequent_switches(self):
         # runs share their input arrays read-only; a write to them from one
         # thread would show as changed bits in another run's distortion
-        pts, cfg, k_range, restarts = ELBOW_CASES["modified-weighted"]()
-        expected = self.bits(elbow_scan_oracle(pts, cfg, k_range, restarts))
+        points, cfg, k_range, restarts = ELBOW_CASES["modified-weighted"]()
+        expected = self.bits(elbow_scan_oracle(points, cfg, k_range, restarts))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = elbow_scan(pts, cfg, k_range, restarts, threads=8)
+            got = elbow_scan(*points, cfg, k_range, restarts, threads=8)
         finally:
             sys.setswitchinterval(interval)
         assert self.bits(got) == expected

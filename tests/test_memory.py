@@ -100,12 +100,22 @@ def test_vectorize_holds_little_beside_its_vectors(outs):
     assert peak <= 4.0 * stage_bytes, (peak, stage_bytes)
 
 
+def test_fit_reads_the_points_in_place():
+    ids, X, w = random_points(np.random.default_rng(0), 3000, 50)
+    model, peak = traced_peak(lambda: run(ids, X, w, ClusterConfig(k=10, seed=7, max_iter=12)))
+    assert model.iterations == 12
+    # about 1.8x of X (1.2 MB): the twelve snapshots' labels, the screen's
+    # (k, n) tables and the final pass. Stacking the points into a copy of X
+    # before the fit peaked at 2.8x
+    assert peak <= 2.3 * X.nbytes, (peak, X.nbytes)
+
+
 def test_fitted_model_keeps_labels_not_distances_per_iteration():
     n = 3000
     points = random_points(np.random.default_rng(0), n, 50)
     tracemalloc.start()
     try:
-        model = run(points, ClusterConfig(k=10, seed=7, max_iter=12))
+        model = run(*points, ClusterConfig(k=10, seed=7, max_iter=12))
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -126,7 +136,7 @@ def test_one_centroid_fit_holds_no_copy_of_the_points():
 
     def fit_peak(k):
         config = ClusterConfig(k=k, seed=7, max_iter=12, mode="standard")
-        return traced_peak(lambda: run(points, config))[1]
+        return traced_peak(lambda: run(*points, config))[1]
 
     one, two = fit_peak(1), fit_peak(2)
     assert one <= two + 200_000, (one, two)

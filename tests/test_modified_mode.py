@@ -48,8 +48,9 @@ def points_and_weights(tmp_path_factory):
     return points, assign_weights(chunk_tokens(load("chunks", "chunk")[0]), ["vaccine"], vocab)
 
 
-def largest_clusters(points, **config):
-    return [int(np.bincount(run(points, ClusterConfig(k=10, seed=s, **config)).primary).max()) for s in SEEDS]
+def largest_clusters(ids, X, w, **config):
+    fits = (run(ids, X, w, ClusterConfig(k=10, seed=s, **config)) for s in SEEDS)
+    return [int(np.bincount(model.primary).max()) for model in fits]
 
 
 @pytest.mark.parametrize("threshold", [None, 0.0], ids=["duals", "no-duals"])
@@ -60,7 +61,7 @@ def test_query_weights_leave_a_residual_cluster(points_and_weights, threshold):
     matched = sum(w > FLOOR_WEIGHT for w in weights.values())
     assert matched < n / 10  # the query's chunks are few
     config = {} if threshold is None else {"threshold": threshold}
-    largest = largest_clusters(weighted_points(ids, X, weights), **config)
+    largest = largest_clusters(ids, X, weighted_points(ids, weights), **config)
     # every seed: one cluster holds over a third of the points; in the median, most
     assert min(largest) > 0.3 * n, largest
     assert np.median(largest) > 0.6 * n, largest
@@ -68,5 +69,5 @@ def test_query_weights_leave_a_residual_cluster(points_and_weights, threshold):
 
 def test_unit_weights_leave_no_residual_cluster(points_and_weights):
     (ids, X), _ = points_and_weights
-    largest = largest_clusters(unit_points(ids, X))
+    largest = largest_clusters(ids, X, unit_points(ids))
     assert max(largest) < 0.2 * len(ids), largest

@@ -35,7 +35,6 @@ from keyclust.report import (
     TokenTable, cluster_reports, comparison_table, plot_xy, write_comparison_csv, write_extracts,
     write_iteration_csv, write_iteration_svgs, write_top_terms_csv,
 )
-from keyclust.weighting import WeightedPoint
 
 from conftest import write_corpus_dir
 
@@ -99,20 +98,19 @@ def sha256(data: bytes) -> str:
 
 def drawn_points(
     seed: int, n: int = 120, dim: int = 3, centers: int = 4, ids: list[str] | None = None
-) -> list[WeightedPoint]:
-    """Gaussian blobs with query-like weights in (0.05, 1), all from one
-    ``random.Random``, whose draws are the same on every platform. The
-    points are ``ids``, when given, else ``n`` ids of their own."""
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(ids, X, w)`` of Gaussian blobs with query-like weights in (0.05, 1),
+    all from one ``random.Random``, whose draws are the same on every
+    platform: each point's coordinates, then its weight. The points are
+    ``ids``, when given, else ``n`` ids of their own."""
     rng = random.Random(seed)
     middles = [[rng.uniform(-4.0, 4.0) for _ in range(dim)] for _ in range(centers)]
-    return [
-        WeightedPoint(
-            cid,
-            np.array([rng.gauss(m, 1.5) for m in middles[i % centers]]),
-            rng.uniform(0.05, 1.0),
-        )
-        for i, cid in enumerate(ids or [f"p{i:03d}" for i in range(n)])
+    ids = ids or [f"p{i:03d}" for i in range(n)]
+    rows = [
+        ([rng.gauss(m, 1.5) for m in middles[i % centers]], rng.uniform(0.05, 1.0))
+        for i in range(len(ids))
     ]
+    return ids, np.array([x for x, _ in rows]), np.array([v for _, v in rows])
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +136,9 @@ def test_weights_stage_bytes(stage_dir):
 
 
 def fit_digests(name: str, out: Path) -> tuple[str, str, str]:
-    points = drawn_points(seed=11)
-    model = run(points, CONFIGS[name])
-    xy = plot_xy(np.array([p.coords for p in points]))
+    ids, X, w = drawn_points(seed=11)
+    model = run(ids, X, w, CONFIGS[name])
+    xy = plot_xy(X)
     write_iteration_csv(out / "iterations.csv", model, xy)
     svgs = sorted(write_iteration_svgs(out, model, xy))
     lines = "".join(f"{sha256(p.read_bytes())}  {p.name}\n" for p in svgs)
@@ -165,7 +163,7 @@ def report_digests(stage_dir: Path, out: Path) -> dict[str, str]:
     documents = StageStore(stage_dir, "documents").load_with_meta("document")[0]
     doc_labels = {d.doc_id: d.corpus_label for d in map(Document.from_record, documents)}
     points = drawn_points(seed=13, ids=table.point_ids)
-    models = {name: run(points, CONFIGS[name]) for name in ("standard", "modified")}
+    models = {name: run(*points, CONFIGS[name]) for name in ("standard", "modified")}
     assert (models["modified"].secondary >= 0).any()
     reports = {name: cluster_reports(model, table, n=None) for name, model in models.items()}
     rows = comparison_table(

@@ -27,7 +27,6 @@ from keyclust.report import (
     write_iteration_svgs,
     write_top_terms_csv,
 )
-from keyclust.weighting import WeightedPoint
 
 from conftest import token_table, toy_chunk
 from oracles import term_count_oracle, write_iteration_csv_oracle, write_iteration_svgs_oracle
@@ -446,8 +445,8 @@ def _awkward_ids_case():
 def _run_case(cfg, n=30, offset=0.0, weight=1.0, seed=9, dim=2):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, dim)) + offset
-    points = [WeightedPoint(f"p{i:02d}", X[i], weight) for i in range(n)]
-    return run(points, cfg), {p.chunk_id: p.coords for p in points}
+    ids = [f"p{i:02d}" for i in range(n)]
+    return run(ids, X, np.full(n, weight), cfg), dict(zip(ids, X))
 
 
 def _all_dual_case():

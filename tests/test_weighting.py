@@ -122,19 +122,15 @@ class TestHelpers:
             normalize_query("the of 42", clean_config)
 
     def test_weighted_points_attaches_weights(self):
-        X = np.array([[0.0, 1.0], [2.0, 3.0]])
-        got = weighted_points(["a", "b"], X, {"b": 0.5, "a": 0.25})
-        assert [(p.chunk_id, p.weight) for p in got] == [("a", 0.25), ("b", 0.5)]
-        assert all(p.coords.base is X for p in got)  # each point's row, not a copy
-        assert got[1].coords.tolist() == [2.0, 3.0]
+        got = weighted_points(["a", "b"], {"b": 0.5, "a": 0.25})
+        # one float64 weight per id, in the ids' order
+        assert got.dtype == np.float64 and got.tolist() == [0.25, 0.5]
         with pytest.raises(KeyError):
-            weighted_points(["a", "c"], X, {"a": 0.25})
+            weighted_points(["a", "c"], {"a": 0.25})
 
     def test_unit_points(self):
-        X = np.array([[1.0], [2.0]])
-        got = unit_points(["a", "b"], X)
-        assert [(p.chunk_id, p.weight) for p in got] == [("a", 1.0), ("b", 1.0)]
-        assert all(p.coords.base is X for p in got)
+        got = unit_points(["a", "b"])
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 1.0]
 
 
 @pytest.fixture(scope="module")
