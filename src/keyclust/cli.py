@@ -406,6 +406,16 @@ def cmd_elbow(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise KeyclustError(str(exc)) from exc
+    runs = len(results) * args.restarts
+    workers = clustering.scan_workers(args.threads, runs)
+    if workers == 1:
+        log.info("elbow: %d runs in this process", runs)
+    else:
+        peak = _peak_rss_mb(children=True)
+        log.info(
+            "elbow: %d runs on %d worker processes%s", runs, workers,
+            "" if peak is None else f", largest worker peak RSS {peak:.1f} MB",
+        )
     reporting.write_elbow_csv(_reports_dir(args.out) / "elbow.csv", results)
     for k, d in results:
         log.info("k=%d distortion %.6f", k, d)
@@ -520,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_flags.add_argument("--seed", type=int, default=0)
     cluster_flags.add_argument(
         "--threads", type=int, default=1, metavar="N",
-        help="elbow: run the independent K-means runs on up to N threads "
-        "(same output for every N); other commands ignore it",
+        help="elbow: run the independent K-means runs on up to N worker processes, "
+        "at most one per usable CPU (same output for every N); other commands ignore it",
     )
     cluster_flags.add_argument("--raw-denominator", action="store_true")
 
@@ -572,11 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _peak_rss_mb() -> float | None:
-    """This process's peak resident set size in MB, None where it is unknown."""
+def _peak_rss_mb(children: bool = False) -> float | None:
+    """This process's peak resident set size in MB, or with ``children``
+    the largest of its waited-for child processes', None where it is unknown."""
     if resource is None:
         return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    peak = resource.getrusage(who).ru_maxrss
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6  # bytes, else KiB
 
 

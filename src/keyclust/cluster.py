@@ -26,15 +26,18 @@ it: a point's nearest, second and secondary labels come from the screen
 where the margin proves them, and from the exact reference otherwise. The
 iterations keep the labels; the final pass adds the exact sums for the
 nearest and the second centroid only. So results do not depend on BLAS or
-its threads. The elbow scan runs its independent runs on a thread pool, one
-run per thread at a time, so its result does not depend on the pool.
+its threads. The elbow scan runs its independent runs on a pool of worker
+processes (forked on Linux), each run computed alone in one worker, so its
+result does not depend on the pool.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
@@ -610,8 +613,8 @@ def _fit(
 ) -> ClusterModel:
     """``run`` on prepared arrays: ``distinct`` holds the first index of
     every distinct row of ``X``; a standard fit ignores ``w``. Reads its
-    arguments and writes nothing shared, so independent fits may run on
-    concurrent threads."""
+    arguments and writes nothing shared, so each of the elbow scan's
+    independent fits is computed alone in one worker."""
     if config.mode == "standard":
         w = None  # every weight is 1 (see ``_update_arrays``)
     centroids = _seed_centroids(X, distinct, config)
@@ -663,6 +666,41 @@ def _distortion(model: ClusterModel, include_secondary: bool = True) -> float:
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
+def scan_workers(threads: int, runs: int) -> int:
+    """The number of worker processes an elbow scan of ``runs`` runs uses
+    when allowed ``threads``: at most one per run and one per usable CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, runs, cpus)
+
+
+def _pool_context():
+    # imported with the first pool: a command that starts none keeps its
+    # peak RSS (importing multiprocessing and the process pool took about
+    # 0.7 MB on Python 3.11)
+    import multiprocessing
+
+    # fork: workers inherit the arrays instead of unpickling a copy, and no
+    # resource tracker or forkserver outlives the scan; Python 3.14 makes
+    # forkserver the Linux default, so it is named
+    return multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+
+
+# the shared arguments of the scan's fits, set in each worker process
+_scan_args: tuple = ()
+
+
+def _scan_init(ids: list[str], X: np.ndarray, w: np.ndarray, distinct: list[int]) -> None:
+    global _scan_args
+    _scan_args = (ids, X, w, distinct)
+
+
+def _scan_distortion(cfg: ClusterConfig) -> float:
+    return _fit(*_scan_args, cfg).distortion
+
+
 def elbow_scan(
     ids: Sequence[str],
     X: np.ndarray,
@@ -676,10 +714,12 @@ def elbow_scan(
 
     The points are as ``run`` takes them. Restart seeds derive
     deterministically from (config.seed, k, restart), so a scan is
-    reproducible and individual runs remain independent. The runs share
-    one set of input arrays and go to a pool of up to
-    ``threads`` threads; each run is computed alone in one thread, so the
-    result does not depend on ``threads``.
+    reproducible and individual runs remain independent. With one worker
+    (``scan_workers``) the runs are computed in the calling thread;
+    otherwise they go to a pool of that many worker processes, which hold
+    the input arrays (inherited under fork) and are joined before the scan
+    returns. Each run is computed alone in one worker, so the result does
+    not depend on ``threads``.
     """
     k_min, k_max = k_range
     if k_min < 1 or k_max < k_min:
@@ -699,11 +739,15 @@ def elbow_scan(
         for r in range(restarts)
     ]
 
-    # pool threads reach only private functions: the public ones may be
-    # wrapped by a caller (a profiler, a tracer) that expects one thread
-    def fit_distortion(cfg: ClusterConfig) -> float:
-        return _fit(ids, X, w, distinct, cfg).distortion
-
-    with ThreadPoolExecutor(max_workers=min(threads, len(configs))) as pool:
-        found = list(pool.map(fit_distortion, configs))
+    # workers reach only private functions: the public ones may be wrapped
+    # by a caller (a profiler, a tracer) that expects one span stack
+    workers = scan_workers(threads, len(configs))
+    if workers == 1:
+        found = [_fit(ids, X, w, distinct, cfg).distortion for cfg in configs]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=_pool_context(),
+            initializer=_scan_init, initargs=(ids, X, w, distinct),
+        ) as pool:
+            found = list(pool.map(_scan_distortion, configs))
     return [(k, min(found[i * restarts:(i + 1) * restarts])) for i, k in enumerate(ks)]

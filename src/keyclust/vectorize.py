@@ -118,10 +118,19 @@ def tfidf_vector(chunk_id: str, tokens: Sequence[str], vocab: Vocabulary) -> TfI
         return TfIdfVector(chunk_id=chunk_id)
     idfs = vocab.idfs
     weights = {vocab.term_to_index[t]: c * idfs[t] for t, c in tf.items()}
-    raw_norm = math.sqrt(sum(w * w for w in weights.values()))
+    raw_norm = math.sqrt(_sum_squares(weights.values()))
     entries = {i: w / raw_norm for i, w in sorted(weights.items())}
-    norm = math.sqrt(sum(w * w for w in entries.values()))
+    norm = math.sqrt(_sum_squares(entries.values()))
     return TfIdfVector(chunk_id=chunk_id, entries=entries, norm=norm)
+
+
+def _sum_squares(values: Iterable[float]) -> float:
+    # added left to right on every Python: CPython 3.12 made the builtin
+    # sum() of floats compensated, which changes the last bit of some norms
+    total = 0.0
+    for v in values:
+        total += v * v
+    return total
 
 
 def read_rows(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import colorsys
 import csv
+import functools
 import math
+import operator
 import re
 from collections import Counter
 from pathlib import Path
@@ -236,7 +238,8 @@ def tfidf_oracle(token_lists: Sequence[Sequence[str]]):
         weights = {
             index[t]: c * (math.log((1 + n) / (1 + df[t])) + 1.0) for t, c in tf.items()
         }
-        norm = math.sqrt(sum(w * w for w in weights.values()))
+        # left to right, as the builtin sum() added floats before Python 3.12
+        norm = math.sqrt(functools.reduce(operator.add, (w * w for w in weights.values()), 0.0))
         out.append({i: w / norm for i, w in weights.items()} if norm else {})
     return index, out
 

@@ -2,8 +2,11 @@ import csv
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 import re
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -1086,6 +1089,49 @@ class TestCommandLog:
         assert len(lines) == 2, lines
         assert re.fullmatch(r"reduce took \d+\.\d{3} s, peak RSS \d+\.\d MB", lines[0]), lines[0]
         assert re.fullmatch(r"run-all took \d+\.\d{3} s", lines[1]), lines[1]
+
+
+class TestElbowWorkerLog:
+    """``elbow`` logs its runs and worker processes on a line of its own,
+    and leaves no worker process or thread behind."""
+
+    @pytest.fixture
+    def out(self, pipeline_out, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return shutil.copytree(pipeline_out, tmp_path / "out")
+
+    @staticmethod
+    def elbow(out, threads):
+        return main([
+            "elbow", "--out", str(out), "--k-min", "1", "--k-max", "4", "--restarts", "3",
+            "--seed", "7", "--threads", str(threads),
+        ])
+
+    @staticmethod
+    def worker_lines(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("elbow: ")]
+
+    def test_pooled_scan(self, out, caplog):
+        caplog.set_level(logging.INFO, logger="keyclust")
+        threads = threading.active_count()
+        assert self.elbow(out, 2) == 0
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        [line] = self.worker_lines(caplog)
+        match = re.fullmatch(r"elbow: 12 runs on 2 worker processes, largest worker peak RSS (\d+\.\d) MB", line)
+        assert match, line
+        assert float(match.group(1)) > 0
+        [took] = TestCommandLog.timing_lines(caplog)
+        assert re.fullmatch(r"elbow took \d+\.\d{3} s, peak RSS \d+\.\d MB", took), took
+
+    def test_one_worker_and_no_resource_module(self, out, caplog, monkeypatch):
+        caplog.set_level(logging.INFO, logger="keyclust")
+        assert self.elbow(out, 1) == 0
+        monkeypatch.setattr(cli, "resource", None)  # as on a platform without it
+        assert self.elbow(out, 4) == 0
+        assert self.worker_lines(caplog) == [
+            "elbow: 12 runs in this process", "elbow: 12 runs on 2 worker processes",
+        ]
 
 
 class TestStageScans:

@@ -2,8 +2,12 @@ import dataclasses
 import json
 import logging
 import math
+import multiprocessing
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent import futures
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -782,19 +786,53 @@ class TestElbowScan:
             *points, cfg, (1, 4), restarts=3
         )
 
-    @pytest.mark.parametrize("threads, workers", [(1, 1), (4, 4), (10_000, 6)])
-    def test_pool_capped_at_run_count(self, monkeypatch, threads, workers):
+    @staticmethod
+    def requested_workers(monkeypatch, threads, cpus):
+        """The worker counts a 6-run scan asks its pools for on ``cpus``
+        usable CPUs; each pool starts at most 2 processes."""
         requested = []
 
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
+        class Recording(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
                 requested.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))
+                super().__init__(max_workers=min(max_workers, 2), **kwargs)
 
-        monkeypatch.setattr(cluster_module, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         points = random_points(np.random.default_rng(31), 30, 2)
         elbow_scan(*points, ClusterConfig(k=1, mode="standard", seed=1), (1, 3), restarts=2, threads=threads)
-        assert requested == [workers]
+        return requested
+
+    @pytest.mark.parametrize("threads, workers", [(1, 1), (4, 4), (10_000, 6)])
+    def test_pool_capped_at_run_count(self, monkeypatch, threads, workers):
+        # one worker computes in the calling thread and builds no pool
+        expected = [] if workers == 1 else [workers]
+        assert self.requested_workers(monkeypatch, threads, cpus=8) == expected
+
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        assert self.requested_workers(monkeypatch, 10_000, cpus=2) == [2]
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cluster_module.scan_workers(10_000, 6) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cluster_module.scan_workers(10_000, 6) == 1
+
+    def test_one_worker_stores_nothing_in_the_calling_process(self, monkeypatch):
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", None)  # any use fails
+        points = random_points(np.random.default_rng(31), 30, 2)
+        elbow_scan(*points, ClusterConfig(k=1, mode="standard", seed=1), (1, 3), restarts=2, threads=1)
+        assert cluster_module._scan_args == ()
+
+    def test_no_worker_or_thread_left_after_a_pooled_scan(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        threads = threading.active_count()
+        points = random_points(np.random.default_rng(31), 60, 2)
+        elbow_scan(*points, ClusterConfig(k=1, mode="standard", seed=1), (1, 4), restarts=2, threads=3)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        assert cluster_module._scan_args == ()
 
 
 def _weighted_random_points(seed: int, n: int, dim: int):
@@ -848,9 +886,12 @@ class TestElbowScanMatchesOracle:
             got = elbow_scan(*points, cfg, k_range, restarts, threads=threads)
             assert self.bits(got) == expected, threads
 
-    def test_bitwise_equal_with_more_threads_than_cores_and_frequent_switches(self):
-        # runs share their input arrays read-only; a write to them from one
-        # thread would show as changed bits in another run's distortion
+    def test_bitwise_equal_with_more_threads_than_cores_and_frequent_switches(self, monkeypatch):
+        # each worker's runs share its input arrays read-only; a write to
+        # them from one run would show as changed bits in a later run's
+        # distortion. Eight CPUs are reported, so eight workers run whatever
+        # the machine has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         points, cfg, k_range, restarts = ELBOW_CASES["modified-weighted"]()
         expected = self.bits(elbow_scan_oracle(points, cfg, k_range, restarts))
         interval = sys.getswitchinterval()
@@ -860,3 +901,41 @@ class TestElbowScanMatchesOracle:
         finally:
             sys.setswitchinterval(interval)
         assert self.bits(got) == expected
+
+    def test_bitwise_equal_for_two_scans_at_once_on_two_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cases = [ELBOW_CASES["standard"](), ELBOW_CASES["modified-weighted"]()]
+        expected = [self.bits(elbow_scan_oracle(*case)) for case in cases]
+        got = [None, None]
+
+        def scan(i):
+            points, *rest = cases[i]
+            got[i] = self.bits(elbow_scan(*points, *rest, threads=2))
+
+        # each scan forks while the other thread runs: a worker that
+        # deadlocked on a lock held at fork would leave its thread alive
+        scans = [threading.Thread(target=scan, args=(i,), daemon=True) for i in range(2)]
+        for thread in scans:
+            thread.start()
+        for thread in scans:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in scans)
+        assert got == expected
+        assert multiprocessing.active_children() == []
+
+    def test_bitwise_equal_through_the_spawn_context(self, monkeypatch):
+        # the start method where fork is not used: the initializer and its
+        # arrays are pickled to each worker, which imports the package anew
+        monkeypatch.setattr(cluster_module, "_pool_context", lambda: multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        points, cfg, _, restarts = ELBOW_CASES["modified-weighted"]()
+        k_range = (1, 3)
+        expected = self.bits(elbow_scan_oracle(points, cfg, k_range, restarts))
+        tracker_running = resource_tracker._resource_tracker._pid is not None
+        try:
+            got = elbow_scan(*points, cfg, k_range, restarts, threads=2)
+        finally:
+            if not tracker_running:  # spawn's semaphores started it; leave no process behind
+                resource_tracker._resource_tracker._stop()
+        assert self.bits(got) == expected
+        assert multiprocessing.active_children() == []
