@@ -39,10 +39,12 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .corpus import encode_record, json_floats
 from .errors import NonFiniteInput, TooFewDistinctPoints
 
 log = logging.getLogger(__name__)
@@ -203,6 +205,29 @@ class ClusterModel:
             # a snapshot's record is every field of it
             "history": [{f.name: getattr(s, f.name).tolist() for f in fields(s)} for s in self.history],
         }
+
+    def to_line(self) -> str:
+        """``encode_record(self.to_record())``, spelt out: the model stage's
+        line, with the config and the other scalars encoded as one record."""
+        scalars = encode_record(
+            {"config": self.config.to_record(), "converged": self.converged, "distortion": self.distortion}
+        )[1:-1]
+        d2 = (
+            json_floats(self.d2) if np.isfinite(self.d2).all()
+            else encode_record([None if math.isinf(d) else d for d in self.d2.tolist()])
+        )
+        history = ",".join(
+            f'{{"centroids":{json_floats(s.centroids)},"primary":{json_floats(s.primary)},'
+            f'"secondary":{json_floats(s.secondary)}}}'
+            for s in self.history
+        )
+        return (
+            f'{{"centroids":{json_floats(self.centroids)},{scalars},'
+            f'"final":{{"d1":{json_floats(self.d1)},"d2":{d2},'
+            f'"primary":{json_floats(self.primary)},"secondary":{json_floats(self.secondary)}}},'
+            f'"history":[{history}],"iterations":{self.iterations},'
+            f'"point_ids":[{",".join(map(encode_basestring, self.point_ids))}]}}'
+        )
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "ClusterModel":

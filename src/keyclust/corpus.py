@@ -5,8 +5,11 @@ writes its output to a stage file that a later phase reads back. A stage is
 written record by record and decoded record by record:
 ``StageStore.load_with_meta`` hands a decoder the records one parsed line at
 a time, so a stage's raw JSON records never sit in memory together, only
-what the decoder keeps of each. Stage lines are written by the stdlib
-``json`` and read by orjson (see ``_loads``).
+what the decoder keeps of each. Stage lines are read by orjson (see
+``_loads``). Headers and the documents, chunks and vocabulary records are
+written by the stdlib ``json`` (:func:`encode_record`); the float-heavy
+stages spell their lines out around :func:`json_floats`, which writes numbers
+with orjson and gives the same text.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import hashlib
 import json
 import logging
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
+import numpy as np
 import orjson
 
 from .errors import InvalidBatchSize, MissingPath, SchemaMismatch, StageIoError
@@ -274,10 +279,38 @@ def _loads(line: bytes) -> Any:
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def encode_record(obj: Mapping[str, Any]) -> str:
-    """One stage line: sorted keys and full-precision floats, so equal
-    records encode to equal bytes."""
+def encode_record(obj: Any) -> str:
+    """One stage line, or a value within one: sorted keys and
+    full-precision floats, so equal records encode to equal bytes."""
     return _ENCODER.encode(obj)
+
+
+# the tokens of orjson's text that ``repr`` spells otherwise: those with an
+# exponent, those below 1e-4 written out, and 17 digits before the point
+_RESPELT = re.compile(r"(?<=[\[,])(?:-?0\.0000|[-\d.]*e|-?\d{17})[^,\[\]]*")
+
+
+def json_floats(a: np.ndarray | list) -> str:
+    """``encode_record(a.tolist())`` for an int or float array of any shape,
+    and ``encode_record(a)`` for a list of ints and floats nested in lists or
+    tuples; floats are written as float64, and no int may have 17 digits.
+
+    orjson writes the numbers: its digits of a finite double are the
+    shortest that read back to it, which are ``repr``'s, and only the
+    notation differs, in the tokens with an exponent, below 1e-4 or at 1e16
+    and above. Only text that holds one of these (in orjson's spelling, an
+    ``e``, ``0.0000`` or a whole float ``….0``) is searched for them, and
+    each is re-spelt by ``repr``. orjson writes a NaN or an infinity as
+    ``null``, so text that holds one is the encoder's instead.
+    """
+    if isinstance(a, np.ndarray):
+        a = np.ascontiguousarray(a, dtype=np.int64 if a.dtype.kind in "iu" else np.float64)
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    if "n" in text:
+        return _ENCODER.encode(a.tolist() if isinstance(a, np.ndarray) else a)
+    if "e" in text or "0.0000" in text or ".0," in text or ".0]" in text:
+        return _RESPELT.sub(lambda m: float.__repr__(float(m.group())), text)
+    return text
 
 
 def file_sha256(path: str | Path) -> str:

@@ -12,10 +12,12 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import json_floats
 from .errors import EmptyCorpus
 
 
@@ -82,6 +84,15 @@ class TfIdfVector:
             "norm": self.norm,
         }
 
+    def to_line(self) -> str:
+        """``encode_record(self.to_record())``, spelt out: the vectors stage's
+        line. The column indices are written as ints, never as floats."""
+        return (
+            f'{{"chunk_id":{encode_basestring(self.chunk_id)},'
+            f'"entries":{json_floats(sorted(self.entries.items()))},'
+            f'"norm":{json_floats([self.norm])[1:-1]}}}'
+        )
+
 
 def build_vocabulary(
     token_lists: Sequence[Sequence[str]], min_df: int = 2, max_df_ratio: float = 0.95
@@ -113,11 +124,12 @@ def tfidf_vector(chunk_id: str, tokens: Sequence[str], vocab: Vocabulary) -> TfI
     Out-of-vocabulary tokens are ignored; a chunk with no in-vocabulary
     token yields a zero vector (``is_empty``), left for the caller to flag.
     """
-    tf = Counter(t for t in tokens if t in vocab)
+    term_to_index = vocab.term_to_index
+    tf = Counter(t for t in tokens if t in term_to_index)
     if not tf:
         return TfIdfVector(chunk_id=chunk_id)
     idfs = vocab.idfs
-    weights = {vocab.term_to_index[t]: c * idfs[t] for t, c in tf.items()}
+    weights = {term_to_index[t]: c * idfs[t] for t, c in tf.items()}
     raw_norm = math.sqrt(_sum_squares(weights.values()))
     entries = {i: w / raw_norm for i, w in sorted(weights.items())}
     norm = math.sqrt(_sum_squares(entries.values()))

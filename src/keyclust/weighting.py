@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import json_floats
 from .errors import QueryNotInVocabulary
 from .preprocess import CleaningConfig, clean_text
 from .vectorize import Vocabulary
@@ -77,9 +78,8 @@ def unit_points(chunk_ids: Sequence[str]) -> np.ndarray:
 def export_records(weights: Mapping[str, float]) -> list[str]:
     """The weights stage's record lines, by chunk id: each is
     ``encode_record({"chunk_id": cid, "weight": w})``, spelt out. The id is
-    escaped by the function that encoder applies to a str, and the weight,
-    finite by construction, is written as JSON writes a finite float."""
-    return [
-        f'{{"chunk_id":{encode_basestring(cid)},"weight":{float.__repr__(w)}}}'
-        for cid, w in sorted(weights.items())
-    ]
+    escaped by the function that encoder applies to a str, and the weights
+    are written together by :func:`json_floats`."""
+    ids = sorted(weights)
+    texts = json_floats([weights[cid] for cid in ids])[1:-1].split(",")
+    return [f'{{"chunk_id":{encode_basestring(cid)},"weight":{w}}}' for cid, w in zip(ids, texts)]
