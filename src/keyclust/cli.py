@@ -36,7 +36,7 @@ from . import pca as reduction
 from . import report as reporting
 from . import vectorize as vectorization
 from . import weighting
-from .corpus import DEFAULT_BATCH_SIZE, Document, StageStore, batch_iter, file_sha256, load_corpus
+from .corpus import DEFAULT_BATCH_SIZE, Document, StageStore, batch_iter, encode_record, file_sha256, load_corpus
 from .errors import EmptyCorpus, KeyclustError, SchemaMismatch, StageIoError
 from .preprocess import (
     CleaningConfig,
@@ -269,7 +269,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         for chunk_id, tokens in chunks:
             vector = vectorization.tfidf_vector(chunk_id, tokens, vocab)
             empty_vectors += vector.is_empty
-            yield vector.to_line()
+            yield vector.to_record()
 
     stages.save("vectors", records())
     if empty_vectors:
@@ -305,7 +305,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     # the matrix is centred in place and projected as it stands: bitwise
     # pca_transform of the uncentred matrix, without a second (n, V) array
     model = reduction.fit_pca(matrix, dim, in_place=True)
-    stages.save("pca", [model.to_line()])
+    stages.save("pca", [model.to_record()])
     coords = matrix @ model.components.T
     del matrix
     stages.save("points", reduction.point_records(chunk_ids, coords))
@@ -374,7 +374,7 @@ def cmd_cluster(args: argparse.Namespace, mode: str | None = None) -> int:
     reporting.write_iteration_csv(reports / f"iterations_{mode}.csv", model, xy)
     reporting.write_iteration_svgs(reports, model, xy, prefix=f"iteration_{mode}")
     # written last: its header vouches for the reports above
-    record = model.to_line()
+    record = encode_record(model.to_record())
     outputs = {
         "record": hashlib.sha256(f"{record}\n".encode("utf-8")).hexdigest(),
         "reports": _iteration_digests(reports, mode),

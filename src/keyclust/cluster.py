@@ -39,12 +39,10 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from json.encoder import encode_basestring
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import encode_record, json_floats
 from .errors import NonFiniteInput, TooFewDistinctPoints
 
 log = logging.getLogger(__name__)
@@ -189,45 +187,24 @@ class ClusterModel:
         ]
 
     def to_record(self) -> dict[str, Any]:
+        """The model stage's record, with its arrays; an infinite ``d2`` is None."""
+        d2 = self.d2 if np.isfinite(self.d2).all() else [None if math.isinf(d) else d for d in self.d2.tolist()]
         return {
             "config": self.config.to_record(),
             "point_ids": list(self.point_ids),
-            "centroids": self.centroids.tolist(),
+            "centroids": self.centroids,
             "iterations": self.iterations,
             "converged": self.converged,
             "distortion": self.distortion,
             "final": {
-                "primary": self.primary.tolist(),
-                "secondary": self.secondary.tolist(),
-                "d1": self.d1.tolist(),
-                "d2": [None if math.isinf(d) else d for d in self.d2.tolist()],
+                "primary": self.primary,
+                "secondary": self.secondary,
+                "d1": self.d1,
+                "d2": d2,
             },
             # a snapshot's record is every field of it
-            "history": [{f.name: getattr(s, f.name).tolist() for f in fields(s)} for s in self.history],
+            "history": [{f.name: getattr(s, f.name) for f in fields(s)} for s in self.history],
         }
-
-    def to_line(self) -> str:
-        """``encode_record(self.to_record())``, spelt out: the model stage's
-        line, with the config and the other scalars encoded as one record."""
-        scalars = encode_record(
-            {"config": self.config.to_record(), "converged": self.converged, "distortion": self.distortion}
-        )[1:-1]
-        d2 = (
-            json_floats(self.d2) if np.isfinite(self.d2).all()
-            else encode_record([None if math.isinf(d) else d for d in self.d2.tolist()])
-        )
-        history = ",".join(
-            f'{{"centroids":{json_floats(s.centroids)},"primary":{json_floats(s.primary)},'
-            f'"secondary":{json_floats(s.secondary)}}}'
-            for s in self.history
-        )
-        return (
-            f'{{"centroids":{json_floats(self.centroids)},{scalars},'
-            f'"final":{{"d1":{json_floats(self.d1)},"d2":{d2},'
-            f'"primary":{json_floats(self.primary)},"secondary":{json_floats(self.secondary)}}},'
-            f'"history":[{history}],"iterations":{self.iterations},'
-            f'"point_ids":[{",".join(map(encode_basestring, self.point_ids))}]}}'
-        )
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "ClusterModel":

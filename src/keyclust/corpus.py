@@ -6,10 +6,9 @@ written record by record and decoded record by record:
 ``StageStore.load_with_meta`` hands a decoder the records one parsed line at
 a time, so a stage's raw JSON records never sit in memory together, only
 what the decoder keeps of each. Stage lines are read by orjson (see
-``_loads``). Headers and the documents, chunks and vocabulary records are
-written by the stdlib ``json`` (:func:`encode_record`); the float-heavy
-stages spell their lines out around :func:`json_floats`, which writes numbers
-with orjson and gives the same text.
+``_loads``) and written by :func:`encode_record`, the one line writer: the
+stdlib ``json`` text of a record, whose numpy arrays and number lists
+:func:`json_floats` writes with orjson.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -161,13 +161,7 @@ class StageStore:
         ``str`` is a line already made by :func:`encode_record`."""
         path = self.path
         path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "stage": self.stage_name,
-            "schema": schema,
-            "version": STAGE_FORMAT_VERSION,
-        }
-        if meta:
-            header.update(meta)
+        header = {"stage": self.stage_name, "schema": schema, "version": STAGE_FORMAT_VERSION, **(meta or {})}
         tmp = path.with_suffix(path.suffix + ".tmp")
         count = 0
         try:
@@ -275,40 +269,78 @@ def _loads(line: bytes) -> Any:
     return json.loads(line.decode("utf-8"))
 
 
-# ``json.dumps`` with these arguments would build a new encoder per call
+# built once: ``json.dumps`` with these arguments builds an encoder and its C function per
+# call; ``"".join(_C_ENCODER(obj, 0))`` is ``_ENCODER.encode(obj)`` with no check for cycles
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+_C_ENCODER = c_make_encoder(None, _ENCODER.default, encode_basestring, None, ":", ",", True, False, True)
+_NUMBER = (int, float, type(None))  # None is an infinite distance (``ClusterModel.to_record``)
+_WALKED = (*_NUMBER, dict, np.ndarray)
+_CONTAINER = (dict, list, tuple, np.ndarray)
 
 
 def encode_record(obj: Any) -> str:
-    """One stage line, or a value within one: sorted keys and
-    full-precision floats, so equal records encode to equal bytes."""
-    return _ENCODER.encode(obj)
+    """One stage line, or a value within one: the stdlib encoder's text of
+    ``obj`` (sorted keys, full-precision floats, ``ensure_ascii=False``, no
+    spaces) with each numpy array in it written as its ``tolist()``.
+
+    Dicts are walked key by key and lists of dicts or arrays item by item.
+    Arrays and lists whose first leaf is a number or None are written by
+    :func:`json_floats`, strings by the encoder's ``encode_basestring``, and
+    all else by the stdlib encoder, as is a dict whole if it walks no value.
+    """
+    if isinstance(obj, dict):
+        for value in obj.values():
+            if isinstance(value, _CONTAINER) and isinstance(_first_leaf(value), _WALKED):
+                # joined once, so no value's text is copied on the way (a model line is megabytes)
+                parts = [x for k in sorted(obj) for x in (",", encode_basestring(k), ":", encode_record(obj[k]))]
+                return "".join(["{", *parts[1:], "}"])
+    elif isinstance(obj, str):
+        return encode_basestring(obj)
+    elif isinstance(obj, np.ndarray):
+        return json_floats(obj)
+    elif isinstance(obj, (list, tuple)):
+        leaf = _first_leaf(obj)
+        if isinstance(leaf, _NUMBER):
+            return json_floats(obj)
+        if isinstance(leaf, (dict, np.ndarray)):
+            parts = [x for item in obj for x in (",", encode_record(item))]
+            return "".join(["[", *parts[1:], "]"])
+    return "".join(_C_ENCODER(obj, 0))
 
 
-# the tokens of orjson's text that ``repr`` spells otherwise: those with an
-# exponent, those below 1e-4 written out, and 17 digits before the point
-_RESPELT = re.compile(r"(?<=[\[,])(?:-?0\.0000|[-\d.]*e|-?\d{17})[^,\[\]]*")
+def _first_leaf(obj: Any) -> Any:
+    """``obj``, or for a list or tuple the first item of its first item …"""
+    while isinstance(obj, (list, tuple)) and obj:
+        obj = obj[0]
+    return obj
 
 
-def json_floats(a: np.ndarray | list) -> str:
-    """``encode_record(a.tolist())`` for an int or float array of any shape,
-    and ``encode_record(a)`` for a list of ints and floats nested in lists or
-    tuples; floats are written as float64, and no int may have 17 digits.
+# the tokens of orjson's text that ``repr`` spells otherwise: with an exponent, below 1e-4
+# written out, and floats of 17 digits before the point (orjson writes no int with a point)
+_RESPELT = re.compile(r"(?<=[\[,])(?:-?0\.0000|[-\d.]*e|-?\d{17,}\.)[^,\[\]]*")
+# text that may hold one written out: ``0.0000`` or a whole float ``….0``
+_WRITTEN_OUT = re.compile(r"\.0(?:000|,|\])")
 
-    orjson writes the numbers: its digits of a finite double are the
-    shortest that read back to it, which are ``repr``'s, and only the
-    notation differs, in the tokens with an exponent, below 1e-4 or at 1e16
-    and above. Only text that holds one of these (in orjson's spelling, an
-    ``e``, ``0.0000`` or a whole float ``….0``) is searched for them, and
-    each is re-spelt by ``repr``. orjson writes a NaN or an infinity as
-    ``null``, so text that holds one is the encoder's instead.
+
+def json_floats(a: np.ndarray | list | tuple) -> str:
+    """The stdlib encoder's text of ``a.tolist()`` for an array of any shape,
+    and of ``a`` for a list; floats are written as float64.
+
+    orjson writes the numbers with ``repr``'s digits (the shortest that read
+    back) and re-spells by ``repr`` the tokens whose notation differs: with
+    an exponent, below 1e-4, or 1e16 and above. Text holding anything but
+    numbers (a quote; the l or t of null, which orjson writes for NaN and
+    infinity, false or true), or a value orjson cannot write, is the stdlib's.
     """
     if isinstance(a, np.ndarray):
-        a = np.ascontiguousarray(a, dtype=np.int64 if a.dtype.kind in "iu" else np.float64)
-    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    if "n" in text:
-        return _ENCODER.encode(a.tolist() if isinstance(a, np.ndarray) else a)
-    if "e" in text or "0.0000" in text or ".0," in text or ".0]" in text:
+        a = np.asarray(a, dtype=np.float64 if a.dtype.kind == "f" else None, order="C")
+    try:
+        text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    except TypeError:  # a value orjson cannot write goes to the stdlib, as a string does
+        text = '"'
+    if '"' in text or "l" in text or "t" in text:
+        return "".join(_C_ENCODER(a.tolist() if isinstance(a, np.ndarray) else a, 0))
+    if "e" in text or _WRITTEN_OUT.search(text):
         return _RESPELT.sub(lambda m: float.__repr__(float(m.group())), text)
     return text
 

@@ -6,7 +6,7 @@ class KeyclustError(Exception):
 
 
 class MissingPath(KeyclustError):
-    """A corpus directory does not exist."""
+    """A corpus directory does not exist, or a cleaning config or a file it names cannot be read."""
 
 
 class InvalidBatchSize(KeyclustError):
@@ -22,7 +22,7 @@ class SchemaMismatch(KeyclustError):
 
 
 class InvalidPattern(KeyclustError):
-    """A removal pattern in the cleaning config does not compile."""
+    """The cleaning config or a file it names is malformed, or a removal pattern does not compile."""
 
 
 class EmptyCorpus(KeyclustError):

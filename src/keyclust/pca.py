@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import json_floats
 from .errors import DimensionTooLarge, LengthMismatch
 
 log = logging.getLogger(__name__)
@@ -43,20 +41,11 @@ class PcaModel:
 
     def to_record(self) -> dict[str, Any]:
         return {
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance": self.explained_variance.tolist(),
+            "mean": self.mean,
+            "components": self.components,
+            "explained_variance": self.explained_variance,
             "degenerate": self.degenerate,
         }
-
-    def to_line(self) -> str:
-        """``encode_record(self.to_record())``, spelt out: the pca stage's line."""
-        return (
-            f'{{"components":{json_floats(self.components)},'
-            f'"degenerate":{"true" if self.degenerate else "false"},'
-            f'"explained_variance":{json_floats(self.explained_variance)},'
-            f'"mean":{json_floats(self.mean)}}}'
-        )
 
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "PcaModel":
@@ -98,13 +87,10 @@ def read_points(records: Iterable[Mapping[str, Any]]) -> tuple[list[str], np.nda
     return ids, X
 
 
-def point_records(chunk_ids: Sequence[str], coords: np.ndarray) -> Iterator[str]:
-    """The points stage's record lines: each is ``encode_record({"chunk_id":
-    cid, "coords": row.tolist()})`` of a chunk id and its row of ``coords``,
-    spelt out, with the id escaped by the function that encoder applies to
-    a str."""
+def point_records(chunk_ids: Sequence[str], coords: np.ndarray) -> Iterator[dict[str, Any]]:
+    """The points stage's records: each chunk id with its row of ``coords``."""
     for cid, row in zip(chunk_ids, coords):
-        yield f'{{"chunk_id":{encode_basestring(cid)},"coords":{json_floats(row)}}}'
+        yield {"chunk_id": cid, "coords": row}
 
 
 def fit_pca(vectors: np.ndarray, d: int, *, in_place: bool = False) -> PcaModel:

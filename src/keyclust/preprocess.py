@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Pattern, Sequence
 
 from .corpus import Document
-from .errors import InvalidPattern
+from .errors import InvalidPattern, MissingPath
 
 _TERMINAL = ".!?"
 
@@ -170,21 +170,35 @@ def default_stoplist() -> frozenset[str]:
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
 
 
+def _read_text(path: str | Path, what: str) -> str:
+    """The text of UTF-8 file ``path``; a file that cannot be read is a
+    MissingPath, and one not UTF-8 an InvalidPattern, each naming ``what``."""
+    try:
+        return Path(path).read_text("utf-8")
+    except OSError as exc:
+        raise MissingPath(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidPattern(f"{what} {path} is not valid UTF-8: {exc}") from exc
+
+
 def load_stoplist(path: str | Path) -> frozenset[str]:
     """Plain UTF-8 stoplist, one entry per line."""
-    text = Path(path).read_text("utf-8")
-    return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
+    return frozenset(w.strip().lower() for w in _read_text(path, "stoplist").splitlines() if w.strip())
 
 
 def load_patterns(path: str | Path) -> tuple[str, ...]:
     """Plain UTF-8 removal-pattern file, one regular expression per line."""
-    text = Path(path).read_text("utf-8")
-    return tuple(line.strip() for line in text.splitlines() if line.strip())
+    return tuple(line.strip() for line in _read_text(path, "removal pattern file").splitlines() if line.strip())
 
 
 def default_cleaning_config(stoplist_path: str | Path | None = None) -> CleaningConfig:
     stop = load_stoplist(stoplist_path) if stoplist_path else default_stoplist()
     return CleaningConfig(stoplist=stop)
+
+
+# the type of each field of a cleaning config; a list holds strings
+_CONFIG_FIELDS = {"stoplist_path": str, "extra_stopwords": list, "removal_patterns": list,
+                  "removal_patterns_path": str, "disallowed_pos": list, "min_token_length": int}
 
 
 def load_cleaning_config(
@@ -197,30 +211,33 @@ def load_cleaning_config(
     ``removal_patterns_path`` (pattern file, one regex per line),
     ``disallowed_pos``, ``min_token_length``. Relative paths resolve against
     the config file's directory; ``stoplist_override`` wins over
-    ``stoplist_path``.
+    ``stoplist_path``. A file that cannot be read is a MissingPath; text not
+    JSON, or a field of another type (``_CONFIG_FIELDS``), an InvalidPattern.
     """
     path = Path(path)
-    raw = json.loads(path.read_text("utf-8"))
+    try:
+        raw = json.loads(_read_text(path, "cleaning config"))
+    except json.JSONDecodeError as exc:
+        raise InvalidPattern(f"cleaning config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidPattern(f"cleaning config {path} must be a JSON object")
-
-    def resolve(p):
-        p = Path(p)
-        return p if p.is_absolute() else path.parent / p
-
-    stoplist_path = stoplist_override or raw.get("stoplist_path")
-    if stoplist_path and not stoplist_override:
-        stoplist_path = resolve(stoplist_path)
+    for key, kind in _CONFIG_FIELDS.items():
+        value = raw.get(key, kind())
+        if type(value) is not kind or kind is list and not all(isinstance(v, str) for v in value):
+            kind_name = "a list of strings" if kind is list else f"of type {kind.__name__}"
+            raise InvalidPattern(f"cleaning config {path}: {key} must be {kind_name}, got {value!r}")
+    # a relative path resolves against the config's directory, an absolute one to itself
+    stoplist_path = stoplist_override or raw.get("stoplist_path") and path.parent / raw["stoplist_path"]
     stop = set(load_stoplist(stoplist_path) if stoplist_path else default_stoplist())
     stop.update(w.lower() for w in raw.get("extra_stopwords", []))
     patterns = tuple(raw.get("removal_patterns", DEFAULT_REMOVAL_PATTERNS))
     if "removal_patterns_path" in raw:
-        patterns = load_patterns(resolve(raw["removal_patterns_path"]))
+        patterns = load_patterns(path.parent / raw["removal_patterns_path"])
     return CleaningConfig(
         stoplist=frozenset(stop),
         removal_patterns=patterns,
         disallowed_pos=frozenset(raw.get("disallowed_pos", DEFAULT_DISALLOWED_POS)),
-        min_token_length=int(raw.get("min_token_length", 2)),
+        min_token_length=raw.get("min_token_length", 2),
     )
 
 

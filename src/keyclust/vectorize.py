@@ -12,12 +12,10 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from json.encoder import encode_basestring
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import json_floats
 from .errors import EmptyCorpus
 
 
@@ -80,18 +78,9 @@ class TfIdfVector:
     def to_record(self) -> dict[str, Any]:
         return {
             "chunk_id": self.chunk_id,
-            "entries": [[i, w] for i, w in sorted(self.entries.items())],
+            "entries": sorted(self.entries.items()),
             "norm": self.norm,
         }
-
-    def to_line(self) -> str:
-        """``encode_record(self.to_record())``, spelt out: the vectors stage's
-        line. The column indices are written as ints, never as floats."""
-        return (
-            f'{{"chunk_id":{encode_basestring(self.chunk_id)},'
-            f'"entries":{json_floats(sorted(self.entries.items()))},'
-            f'"norm":{json_floats([self.norm])[1:-1]}}}'
-        )
 
 
 def build_vocabulary(

@@ -10,12 +10,10 @@ best-matching chunk pulls its centroid with weight exactly 1.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import json_floats
 from .errors import QueryNotInVocabulary
 from .preprocess import CleaningConfig, clean_text
 from .vectorize import Vocabulary
@@ -75,11 +73,7 @@ def unit_points(chunk_ids: Sequence[str]) -> np.ndarray:
     return np.ones(len(chunk_ids))
 
 
-def export_records(weights: Mapping[str, float]) -> list[str]:
-    """The weights stage's record lines, by chunk id: each is
-    ``encode_record({"chunk_id": cid, "weight": w})``, spelt out. The id is
-    escaped by the function that encoder applies to a str, and the weights
-    are written together by :func:`json_floats`."""
-    ids = sorted(weights)
-    texts = json_floats([weights[cid] for cid in ids])[1:-1].split(",")
-    return [f'{{"chunk_id":{encode_basestring(cid)},"weight":{w}}}' for cid, w in zip(ids, texts)]
+def export_records(weights: Mapping[str, float]) -> Iterator[dict[str, Any]]:
+    """The weights stage's records, by chunk id."""
+    for cid in sorted(weights):
+        yield {"chunk_id": cid, "weight": weights[cid]}

@@ -599,6 +599,82 @@ class TestFailureModes:
         assert main(["vectorize", "--out", str(out)]) == 1
         assert self.only_error_line(capsys) == f"error: {message}"
 
+    @pytest.mark.parametrize(
+        "files, env_stoplist, message",
+        [
+            ({"cleaning.json": "{bad"}, None, "cleaning config {dir}/cleaning.json is not valid JSON: "),
+            ({}, None, "cannot read cleaning config: [Errno 2] No such file or directory: '{dir}/cleaning.json'"),
+            (
+                {"cleaning.json": '{"stoplist_path": "stop.txt"}'}, None,
+                "cannot read stoplist: [Errno 2] No such file or directory: '{dir}/stop.txt'",
+            ),
+            (
+                {"cleaning.json": '{"removal_patterns_path": "patterns.txt"}'}, None,
+                "cannot read removal pattern file: [Errno 2] No such file or directory: '{dir}/patterns.txt'",
+            ),
+            (
+                {"cleaning.json": "{}"}, "stop.txt",
+                "cannot read stoplist: [Errno 2] No such file or directory: '{dir}/stop.txt'",
+            ),
+            (
+                {"cleaning.json": '{"stoplist_path": "stop.txt"}', "stop.txt": b"caf\xe9\n"}, None,
+                "stoplist {dir}/stop.txt is not valid UTF-8: ",
+            ),
+            (
+                {"cleaning.json": '{"min_token_length": "x"}'}, None,
+                "cleaning config {dir}/cleaning.json: min_token_length must be of type int, got 'x'",
+            ),
+            (
+                {"cleaning.json": '{"disallowed_pos": 5}'}, None,
+                "cleaning config {dir}/cleaning.json: disallowed_pos must be a list of strings, got 5",
+            ),
+            (
+                {"cleaning.json": '{"removal_patterns": [1]}'}, None,
+                "cleaning config {dir}/cleaning.json: removal_patterns must be a list of strings, got [1]",
+            ),
+            (
+                {"cleaning.json": '{"extra_stopwords": "vaccine"}'}, None,
+                "cleaning config {dir}/cleaning.json: extra_stopwords must be a list of strings, got 'vaccine'",
+            ),
+        ],
+        ids=[
+            "invalid-json", "missing-config", "missing-stoplist-path", "missing-removal-patterns-path",
+            "missing-env-stoplist", "stoplist-not-utf8", "min-token-length-str", "disallowed-pos-int",
+            "removal-patterns-int", "extra-stopwords-str",
+        ],
+    )
+    def test_bad_cleaning_config_exits_1(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, files, env_stoplist, message
+    ):
+        config_dir = tmp_path / "config"
+        config_dir.mkdir()
+        for name, content in files.items():
+            (config_dir / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        if env_stoplist:
+            monkeypatch.setenv("KEYCLUST_STOPLIST", str(config_dir / env_stoplist))
+        out = tmp_path / "out"
+        config = str(config_dir / "cleaning.json")
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo", "--cleaning-config", config]) == 1
+        assert self.only_error_line(capsys).startswith("error: " + message.format(dir=config_dir))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["cluster", "--query", "vaccine", "--k", "3"], ["report", "--query", "vaccine"]],
+        ids=["cluster", "report"],
+    )
+    def test_bad_cleaning_config_stops_cluster_and_report(self, pipeline_out, tmp_path, capsys, command):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        before = tree_digest(out)
+        config = tmp_path / "cleaning.json"
+        config.write_text('{"extra_stopwords": "vaccine"}', encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--out", str(out), "--cleaning-config", str(config)]) == 1
+        assert self.only_error_line(capsys) == (
+            f"error: cleaning config {config}: extra_stopwords must be a list of strings, got 'vaccine'"
+        )
+        assert tree_digest(out) == before
+
     def test_zero_batch_size_leaves_stages_unchanged(self, corpus_dir, tmp_path, capsys):
         other = tmp_path / "other"
         write_corpus_dir(other, n_articles=3, seed=1, n_sentences=10)

@@ -1,4 +1,5 @@
 import argparse
+import json
 
 import numpy as np
 import pytest
@@ -180,6 +181,7 @@ def test_chunk_tokens_skip_chunks_without_tokens_and_need_lists():
 @settings(max_examples=200, deadline=None)
 def test_weight_lines_are_encoded_records(weights):
     # surrogates included: the lines are compared as text, never written
-    assert export_records(weights) == [
-        encode_record({"chunk_id": cid, "weight": w}) for cid, w in sorted(weights.items())
+    assert [encode_record(rec) for rec in export_records(weights)] == [
+        json.dumps({"chunk_id": cid, "weight": w}, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        for cid, w in sorted(weights.items())
     ]
