@@ -148,7 +148,7 @@ class IterationSnapshot:
 
 def _labels(rec: Mapping[str, Any]) -> dict[str, np.ndarray]:
     """The label arrays of a final pass's or a snapshot's record."""
-    return {key: np.asarray(rec[key], dtype=np.int64) for key in ("primary", "secondary")}
+    return {key: np.array(rec[key], dtype=np.int64) for key in ("primary", "secondary")}
 
 
 @dataclass(eq=False)
@@ -187,11 +187,14 @@ class ClusterModel:
         ]
 
     def to_record(self) -> dict[str, Any]:
-        """The model stage's record, with its arrays; an infinite ``d2`` is None."""
-        d2 = self.d2 if np.isfinite(self.d2).all() else [None if math.isinf(d) else d for d in self.d2.tolist()]
+        """The model stage's record; it holds the model's own arrays and id list,
+        not copies, but a ``d2`` with an infinite distance is a list with None for each."""
+        d2 = self.d2
+        if np.isinf(d2).any():
+            d2 = [None if math.isinf(d) else d for d in d2.tolist()]
         return {
             "config": self.config.to_record(),
-            "point_ids": list(self.point_ids),
+            "point_ids": self.point_ids,
             "centroids": self.centroids,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -211,7 +214,7 @@ class ClusterModel:
         """The model of a record whose final pass holds, for each point, a
         primary in [0, k) and a secondary in [-1, k); else a ValueError."""
         final = rec["final"]
-        d2 = np.asarray(final["d2"], dtype=np.float64)  # a JSON null becomes NaN
+        d2 = np.array(final["d2"], dtype=np.float64)  # a JSON null becomes NaN
         d2[np.isnan(d2)] = np.inf
         labels, config, n = _labels(final), ClusterConfig.from_record(rec["config"]), len(rec["point_ids"])
         p, s = labels["primary"], labels["secondary"]
@@ -223,13 +226,13 @@ class ClusterModel:
         return cls(
             point_ids=list(rec["point_ids"]),
             **labels,
-            d1=np.asarray(final["d1"], dtype=np.float64),
+            d1=np.array(final["d1"], dtype=np.float64),
             d2=d2,
             config=config,
-            centroids=np.asarray(rec["centroids"], dtype=np.float64),
+            centroids=np.array(rec["centroids"], dtype=np.float64),
             iterations=rec["iterations"],
             history=[
-                IterationSnapshot(np.asarray(h["centroids"], dtype=np.float64), **_labels(h))
+                IterationSnapshot(np.array(h["centroids"], dtype=np.float64), **_labels(h))
                 for h in rec["history"]
             ],
             distortion=rec["distortion"],

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -161,7 +162,13 @@ class StageStore:
         ``str`` is a line already made by :func:`encode_record`."""
         path = self.path
         path.parent.mkdir(parents=True, exist_ok=True)
-        header = {"stage": self.stage_name, "schema": schema, "version": STAGE_FORMAT_VERSION, **(meta or {})}
+        header = {
+            "stage": self.stage_name,
+            "schema": schema,
+            "version": STAGE_FORMAT_VERSION,
+        }
+        if meta:
+            header.update(meta)
         tmp = path.with_suffix(path.suffix + ".tmp")
         count = 0
         try:
@@ -269,13 +276,18 @@ def _loads(line: bytes) -> Any:
     return json.loads(line.decode("utf-8"))
 
 
-# built once: ``json.dumps`` with these arguments builds an encoder and its C function per
-# call; ``"".join(_C_ENCODER(obj, 0))`` is ``_ENCODER.encode(obj)`` with no check for cycles
-_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-_C_ENCODER = c_make_encoder(None, _ENCODER.default, encode_basestring, None, ":", ",", True, False, True)
+def _unencodable(obj: Any) -> Any:
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+if c_make_encoder is None:
+    raise ImportError("keyclust needs the C accelerator of the json module (json._json)")
+# built once (``json.dumps`` builds one per call): ``"".join(_C_ENCODER(obj, 0))`` is
+# ``json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))``, with no check for cycles
+_C_ENCODER = c_make_encoder(None, _unencodable, encode_basestring, None, ":", ",", True, False, True)
 _NUMBER = (int, float, type(None))  # None is an infinite distance (``ClusterModel.to_record``)
 _WALKED = (*_NUMBER, dict, np.ndarray)
-_CONTAINER = (dict, list, tuple, np.ndarray)
+_SCALAR = frozenset({str, int, float, bool, type(None)})
 
 
 def encode_record(obj: Any) -> str:
@@ -285,26 +297,35 @@ def encode_record(obj: Any) -> str:
 
     Dicts are walked key by key and lists of dicts or arrays item by item.
     Arrays and lists whose first leaf is a number or None are written by
-    :func:`json_floats`, strings by the encoder's ``encode_basestring``, and
-    all else by the stdlib encoder, as is a dict whole if it walks no value.
+    :func:`json_floats`, strings by the encoder's ``encode_basestring``, a
+    finite float by ``float.__repr__``, and all else by the stdlib encoder,
+    as is a dict whole if it walks no value.
     """
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, np.ndarray):
+        return json_floats(obj)
     if isinstance(obj, dict):
         for value in obj.values():
-            if isinstance(value, _CONTAINER) and isinstance(_first_leaf(value), _WALKED):
+            if type(value) not in _SCALAR and isinstance(_first_leaf(value), _WALKED):
                 # joined once, so no value's text is copied on the way (a model line is megabytes)
-                parts = [x for k in sorted(obj) for x in (",", encode_basestring(k), ":", encode_record(obj[k]))]
-                return "".join(["{", *parts[1:], "}"])
-    elif isinstance(obj, str):
-        return encode_basestring(obj)
-    elif isinstance(obj, np.ndarray):
-        return json_floats(obj)
+                parts = ["{"]
+                for k in sorted(obj):
+                    parts += (encode_basestring(k), ":", encode_record(obj[k]), ",")
+                parts[-1] = "}"
+                return "".join(parts)
     elif isinstance(obj, (list, tuple)):
         leaf = _first_leaf(obj)
         if isinstance(leaf, _NUMBER):
             return json_floats(obj)
         if isinstance(leaf, (dict, np.ndarray)):
-            parts = [x for item in obj for x in (",", encode_record(item))]
-            return "".join(["[", *parts[1:], "]"])
+            parts = ["["]
+            for item in obj:
+                parts += (encode_record(item), ",")
+            parts[-1] = "]"
+            return "".join(parts)
     return "".join(_C_ENCODER(obj, 0))
 
 
@@ -315,22 +336,25 @@ def _first_leaf(obj: Any) -> Any:
     return obj
 
 
-# the tokens of orjson's text that ``repr`` spells otherwise: with an exponent, below 1e-4
-# written out, and floats of 17 digits before the point (orjson writes no int with a point)
-_RESPELT = re.compile(r"(?<=[\[,])(?:-?0\.0000|[-\d.]*e|-?\d{17,}\.)[^,\[\]]*")
-# text that may hold one written out: ``0.0000`` or a whole float ``….0``
-_WRITTEN_OUT = re.compile(r"\.0(?:000|,|\])")
+# orjson writes a finite double with ``repr``'s digits (the shortest that read back) and
+# spells two kinds of token otherwise: an exponent without its sign or second digit (``1e-7``
+# and ``1e16``, not ``1e-07`` and ``1e+16``) and a number below 1e-4 written out (``0.00001``,
+# not ``1e-05``). Each regex starts with a literal, so a search skips to where it can match.
+_EXPONENT = re.compile(r"e(-?)(\d+)")
+_BELOW_1E_4 = re.compile(r"0\.0000\d*")
+# text that may hold a number written out: ``0.0000`` or a whole float ``….0``
+_WRITTEN_OUT = re.compile(r"\.0(?:000|[,\]])")
 
 
 def json_floats(a: np.ndarray | list | tuple) -> str:
     """The stdlib encoder's text of ``a.tolist()`` for an array of any shape,
     and of ``a`` for a list; floats are written as float64.
 
-    orjson writes the numbers with ``repr``'s digits (the shortest that read
-    back) and re-spells by ``repr`` the tokens whose notation differs: with
-    an exponent, below 1e-4, or 1e16 and above. Text holding anything but
-    numbers (a quote; the l or t of null, which orjson writes for NaN and
-    infinity, false or true), or a value orjson cannot write, is the stdlib's.
+    orjson writes the numbers, and its exponents and numbers below 1e-4 are
+    spelt again as ``repr`` spells them. Text holding anything but numbers
+    (a quote; the l or t of null, which orjson writes for NaN and infinity,
+    false or true) or a whole float (which might be one of 17 digits), and
+    a value orjson cannot write, is the stdlib encoder's instead.
     """
     if isinstance(a, np.ndarray):
         a = np.asarray(a, dtype=np.float64 if a.dtype.kind == "f" else None, order="C")
@@ -338,11 +362,19 @@ def json_floats(a: np.ndarray | list | tuple) -> str:
         text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     except TypeError:  # a value orjson cannot write goes to the stdlib, as a string does
         text = '"'
-    if '"' in text or "l" in text or "t" in text:
+    written_out = _WRITTEN_OUT.search(text)
+    if '"' in text or "l" in text or "t" in text or written_out and (".0," in text or ".0]" in text):
         return "".join(_C_ENCODER(a.tolist() if isinstance(a, np.ndarray) else a, 0))
-    if "e" in text or _WRITTEN_OUT.search(text):
-        return _RESPELT.sub(lambda m: float.__repr__(float(m.group())), text)
+    if "e" in text:
+        text = _EXPONENT.sub(lambda m: f"e{m[1] or '+'}{m[2].zfill(2)}", text)
+    if written_out:
+        text = _BELOW_1E_4.sub(_below_1e_4, text)
     return text
+
+
+def _below_1e_4(m: re.Match[str]) -> str:
+    # a match within a number of 1 or more (``10.00001``) is spelt as ``repr`` spells it
+    return m[0] if m.string[m.start() - 1] in "0123456789." else float.__repr__(float(m[0]))
 
 
 def file_sha256(path: str | Path) -> str:

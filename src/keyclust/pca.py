@@ -40,6 +40,7 @@ class PcaModel:
         return self.components.shape[1]
 
     def to_record(self) -> dict[str, Any]:
+        """The pca stage's record; it holds the model's own arrays, not copies."""
         return {
             "mean": self.mean,
             "components": self.components,
@@ -50,9 +51,9 @@ class PcaModel:
     @classmethod
     def from_record(cls, rec: Mapping[str, Any]) -> "PcaModel":
         return cls(
-            mean=np.asarray(rec["mean"], dtype=np.float64),
-            components=np.asarray(rec["components"], dtype=np.float64),
-            explained_variance=np.asarray(rec["explained_variance"], dtype=np.float64),
+            mean=np.array(rec["mean"], dtype=np.float64),
+            components=np.array(rec["components"], dtype=np.float64),
+            explained_variance=np.array(rec["explained_variance"], dtype=np.float64),
             degenerate=rec["degenerate"],
         )
 

@@ -226,8 +226,10 @@ def load_cleaning_config(
         if type(value) is not kind or kind is list and not all(isinstance(v, str) for v in value):
             kind_name = "a list of strings" if kind is list else f"of type {kind.__name__}"
             raise InvalidPattern(f"cleaning config {path}: {key} must be {kind_name}, got {value!r}")
-    # a relative path resolves against the config's directory, an absolute one to itself
-    stoplist_path = stoplist_override or raw.get("stoplist_path") and path.parent / raw["stoplist_path"]
+    # a relative path resolves against the config's directory; ``/`` keeps an absolute one
+    stoplist_path = stoplist_override
+    if not stoplist_path and raw.get("stoplist_path"):
+        stoplist_path = path.parent / raw["stoplist_path"]
     stop = set(load_stoplist(stoplist_path) if stoplist_path else default_stoplist())
     stop.update(w.lower() for w in raw.get("extra_stopwords", []))
     patterns = tuple(raw.get("removal_patterns", DEFAULT_REMOVAL_PATTERNS))

@@ -685,6 +685,18 @@ class TestRun:
                 assert (back.secondary >= 0).any()
                 assert any((h.secondary >= 0).any() for h in back.history)
 
+    def test_model_from_its_record_owns_its_arrays(self):
+        # to_record holds the model's arrays; from_record copies them
+        rng = np.random.default_rng(31)
+        model = run(*random_points(rng, 30, 2), ClusterConfig(k=3, threshold=0.3, seed=12))
+        back = ClusterModel.from_record(model.to_record())
+        assert same_fields(back, model)
+        ours = [model.centroids, model.primary, model.secondary, model.d1, model.d2]
+        ours += [a for h in model.history for a in (h.centroids, h.primary, h.secondary)]
+        theirs = [back.centroids, back.primary, back.secondary, back.d1, back.d2]
+        theirs += [a for h in back.history for a in (h.centroids, h.primary, h.secondary)]
+        assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
+
     def test_standard_distortion_non_increasing_across_iterations(self):
         rng = np.random.default_rng(41)
         ids, X, w = random_points(rng, 150, 3)

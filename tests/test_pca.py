@@ -219,6 +219,9 @@ class TestPcaTransform:
         assert np.array_equal(back.components, model.components)
         assert np.array_equal(back.explained_variance, model.explained_variance)
         assert back.degenerate == model.degenerate
+        # the record holds the model's arrays, and from_record copies them
+        for a in (back.mean, back.components, back.explained_variance):
+            assert not any(np.shares_memory(a, b) for b in (model.mean, model.components, model.explained_variance))
 
     def test_distances_match_eigh_on_pipeline_vectors(self, tmp_path, clean_config):
         # the 3000-chunk corpus of acceptance criterion 10, ingested and

@@ -3,12 +3,12 @@
 The reference is ``json.dumps`` of the record with every array ``tolist()``ed,
 with sorted keys, ``ensure_ascii=False`` and the compact separators. The
 walker writes arrays and number lists with ``corpus.json_floats``: orjson
-writes the numbers and ``repr`` re-spells the tokens whose notation differs
-(an exponent, below 1e-4, 1e16 and above). These tests compare both with the
-reference: over arbitrary finite arrays, the doubles at the notation
-boundaries, random bit patterns, the non-finite values that orjson cannot
-write, long ints, arbitrary nested records, and each stage's records over
-ids that need escaping or look like numbers.
+writes the numbers, and the tokens whose notation differs from ``repr``'s
+(an exponent, below 1e-4, 1e16 and above) are spelt again. These tests
+compare both with the reference: over arbitrary finite arrays, the doubles
+at the notation boundaries, random bit patterns, the non-finite values that
+orjson cannot write, long ints, arbitrary nested records, and each stage's
+records over ids that need escaping or look like numbers.
 """
 
 import json
@@ -59,7 +59,7 @@ IDS = [
     "controls \x00\x01\x1f\t\n\r\x7f",
     "naïve café 日本語 \U0001f600",
     "lone \ud800 surrogate",
-    "  ",
+    "\u2028\u2029",
     "x,0.00001e5]",
     '[1e16,"',
     "",
@@ -136,7 +136,7 @@ def test_ints_and_mixed_lists():
 
 def test_long_ints_next_to_respelt_floats():
     # 17 digits and more, up to 2**64 - 1: written as ints even where a
-    # float beside them has the text re-spelt
+    # float beside them is one that orjson spells otherwise
     ints = [10**16, 12345678901234567, 10**17 + 1, 2**62, 2**63 - 1, 2**63, 10**19, 2**64 - 1]
     for i in ints:
         for x in (1e-5, 5e-8, 1e16, 1.5e300):
@@ -144,6 +144,14 @@ def test_long_ints_next_to_respelt_floats():
             assert json_floats([[-i if i < 2**63 else i, x]]) == reference([[-i if i < 2**63 else i, x]])
     assert json_floats([*ints, 5e-8]) == reference([*ints, 5e-8])
     assert json_floats(np.array(ints, dtype=np.uint64)) == reference(ints)
+
+
+def test_0_0000_within_larger_numbers():
+    # only a number below 1e-4 is spelt again, not one that holds its digits
+    a = np.array([10.00001, -100.000012, 1000.00005, 0.00001, -0.000012345, 5e-5, 9.9999e-5, 1e-4])
+    assert json_floats(a) == reference(a)
+    assert json_floats(a.tolist()) == reference(a)
+    assert json_floats(a.reshape(2, -1)) == reference(a.reshape(2, -1))
 
 
 def test_float32_written_as_float64():
@@ -201,7 +209,7 @@ def test_records_are_the_encoders(record):
     with mock.patch.object(corpus, "json_floats", wraps=json_floats) as spy:
         line = encode_record(record)
     assert line == reference(record)
-    # and no number goes the slow way, through the stdlib encoder
+    # and every array and number list reaches json_floats, none the stdlib encoder whole
     assert sorted(id(call.args[0]) for call in spy.call_args_list) == sorted(map(id, floats_written(record)))
 
 
