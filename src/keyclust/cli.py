@@ -298,20 +298,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         matrix = vectorization.scatter_rows(*rows, vocab_size)
     chunk_ids = rows[0]
     del rows
-    cap = min(vocab_size, len(chunk_ids) - 1)
-    dim = min(pca_dim, cap)
-    if dim < pca_dim:
-        log.warning("pca-dim %d capped to %d by the data", pca_dim, dim)
-    # the matrix is centred in place and projected as it stands: bitwise
-    # pca_transform of the uncentred matrix, without a second (n, V) array
-    model = reduction.fit_pca(matrix, dim, in_place=True)
+    model, coords = reduction.reduce_points(matrix, pca_dim)
+    # freed after the pca stage is written: freed before it, a process that sets
+    # up three times (perfbench's recluster) peaked 0.2-0.3 MB higher
     stages.save("pca", [model.to_record()])
-    coords = matrix @ model.components.T
     del matrix
     stages.save("points", reduction.point_records(chunk_ids, coords))
     log.info(
         "reduced %d vectors to %d dimensions (top variance %.6f)",
-        len(chunk_ids), dim, float(model.explained_variance[0]),
+        len(chunk_ids), coords.shape[1], float(model.explained_variance[0]),
     )
     return 0
 

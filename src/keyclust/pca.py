@@ -160,8 +160,16 @@ def pca_transform(vector: np.ndarray, model: PcaModel) -> np.ndarray:
     return (arr - model.mean) @ model.components.T
 
 
-def reduce_points(
-    chunk_ids: Sequence[str], vectors: np.ndarray, model: PcaModel
-) -> tuple[list[str], np.ndarray]:
-    """The points of ``vectors``: their chunk ids and projected (n, d) coordinates."""
-    return list(chunk_ids), pca_transform(vectors, model)
+def reduce_points(matrix: np.ndarray, d: int) -> tuple[PcaModel, np.ndarray]:
+    """The PCA model of the rows of ``matrix`` (n, V) and their (n, d)
+    coordinates. ``d`` is capped, with a warning, at ``min(V, n - 1)``, the most
+    components the rows support. ``matrix`` is centred in place (see
+    :func:`fit_pca`) and projected as it stands, without a second (n, V) array."""
+    n, v = matrix.shape
+    if n < 2:
+        raise DimensionTooLarge(f"reduce needs at least two chunks with tokens to fit PCA, got {n}")
+    dim = min(d, v, n - 1)
+    if dim < d:
+        log.warning("pca-dim %d capped to %d by the data", d, dim)
+    model = fit_pca(matrix, dim, in_place=True)
+    return model, matrix @ model.components.T

@@ -159,12 +159,9 @@ def read_rows(
 
 
 def densify(vectors: Sequence[TfIdfVector], vocab_size: int) -> np.ndarray:
-    """Stack sparse vectors into a dense (n, V) float64 matrix."""
-    out = np.zeros((len(vectors), vocab_size), dtype=np.float64)
-    for row, vec in enumerate(vectors):
-        for idx, w in vec.entries.items():
-            out[row, idx] = w
-    return out
+    """Stack sparse vectors into a dense (n, V) float64 matrix, through
+    their records and :func:`scatter_rows`."""
+    return scatter_rows(*read_rows(v.to_record() for v in vectors), vocab_size)
 
 
 def scatter_rows(
@@ -172,9 +169,8 @@ def scatter_rows(
     vocab_size: int,
 ) -> np.ndarray:
     """Stack the CSR rows of :func:`read_rows` into a dense (n, V) float64
-    matrix, as :func:`densify` stacks vectors. A column index outside [0, V)
-    is an IndexError naming the first chunk that holds one, never a write to
-    another column."""
+    matrix. A column index outside [0, V) is an IndexError naming the first
+    chunk that holds one, never a write to another column."""
     # one check over every index, before the matrix exists
     if indices.size and not (0 <= indices.min() and indices.max() < vocab_size):
         first = np.flatnonzero((indices < 0) | (indices >= vocab_size))[0]

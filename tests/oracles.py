@@ -244,6 +244,16 @@ def tfidf_oracle(token_lists: Sequence[Sequence[str]]):
     return index, out
 
 
+def densify_oracle(vectors, vocab_size: int) -> np.ndarray:
+    """Sparse vectors (each with an ``entries`` map of column to weight)
+    stacked into a dense (n, V) float64 matrix, one entry at a time."""
+    out = np.zeros((len(vectors), vocab_size), dtype=np.float64)
+    for row, vec in enumerate(vectors):
+        for idx, w in vec.entries.items():
+            out[row, idx] = w
+    return out
+
+
 def segment_sentences_oracle(
     body: str, abbreviations: frozenset[str], terminal: str, strip_chars: str
 ) -> list[str]:

@@ -584,6 +584,23 @@ class TestFailureModes:
         ]
         assert tree_digest(out) == before
 
+    def test_reduce_of_one_chunk_with_tokens_exits_1(self, tmp_path, capsys):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        corpus.mkdir()
+        body = "The vaccine trial enrolled many volunteers. The booster dose raised antibody levels."
+        (corpus / "a.json").write_text(json.dumps({"paper_id": "a", "title": "A", "body_text": [body]}))
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus}:one"]) == 0
+        assert main(["vectorize", "--out", str(out), "--min-df", "1", "--max-df-ratio", "1"]) == 0
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main(["reduce", "--out", str(out), "--pca-dim", "50"]) == 1
+        # one error line and no "pca-dim capped to 0" warning before it
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if line.startswith(("error:", "WARNING", "Traceback"))] == [
+            "error: reduce needs at least two chunks with tokens to fit PCA, got 1"
+        ]
+        assert tree_digest(out) == before
+
     @pytest.mark.parametrize(
         "header, message",
         [("", "stage 'chunks' has no header"), ("{not json", "stage 'chunks' header is not valid JSON")],

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from keyclust.corpus import load_corpus
-from keyclust.errors import DimensionTooLarge, LengthMismatch
-from keyclust.pca import PcaModel, fit_pca, pca_transform
+from keyclust.errors import DimensionTooLarge, KeyclustError, LengthMismatch
+from keyclust.pca import PcaModel, fit_pca, pca_transform, reduce_points
 from keyclust.preprocess import chunk_document
 from keyclust.vectorize import build_vocabulary, densify, tfidf_vector
 
@@ -241,3 +241,29 @@ class TestPcaTransform:
             return np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * P @ P.T, 0.0))
 
         assert np.abs(pairwise(coords) - pairwise(want)).max() < 1e-9
+
+
+class TestReducePoints:
+    @pytest.mark.parametrize("n, v, d, dim", [(20, 5, 4, 4), (6, 9, 4, 4), (20, 5, 50, 5), (6, 9, 50, 5)],
+                             ids=["tall", "wide", "tall-capped", "wide-capped"])
+    def test_the_fit_of_fit_pca_projected_bitwise(self, caplog, n, v, d, dim):
+        # tall input takes eigh of the covariance, wide input the thin SVD; a
+        # d above min(V, n - 1) is capped there, with a warning
+        X = random_matrix(11, n=n, v=v) + 2.0
+        want = fit_pca(X, dim)
+        Y = X.copy()
+        with caplog.at_level("WARNING", logger="keyclust"):
+            model, coords = reduce_points(Y, d)
+        for field in ("mean", "components", "explained_variance"):
+            assert np.array_equal(getattr(model, field), getattr(want, field)), field
+        assert model.degenerate == want.degenerate
+        assert np.array_equal(coords, pca_transform(X, want))
+        assert np.array_equal(Y, X - want.mean)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ([f"pca-dim {d} capped to {dim} by the data"] if dim < d else [])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_raise(self, caplog, n):
+        with caplog.at_level("WARNING", logger="keyclust"), pytest.raises(KeyclustError, match="at least two"):
+            reduce_points(random_matrix(3, n=n, v=4), 2)
+        assert not caplog.records

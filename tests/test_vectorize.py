@@ -11,7 +11,7 @@ from keyclust.vectorize import (
 )
 
 from conftest import toy_chunk
-from oracles import df_oracle, tfidf_oracle
+from oracles import densify_oracle, df_oracle, tfidf_oracle
 
 token_lists = st.lists(
     st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=12),
@@ -160,8 +160,9 @@ class TestTfIdfVector:
         assert m[1].tolist() == [0.0, 0.8, 0.6, 0.0]
 
     def test_scatter_rows_matches_densify(self):
-        # the vectors stage read back from its records, against densify of the
-        # vectors themselves: empty rows, the first and last columns included
+        # the vectors stage read back from its records, and densify of the
+        # vectors themselves, against the loop over their entries: empty
+        # rows, the first and last columns included
         for seed in range(5):
             rng = random.Random(seed)
             vecs = [
@@ -171,16 +172,23 @@ class TestTfIdfVector:
             vecs[0].entries, vecs[-1].entries = {}, {0: 0.25, 8: 0.75}
             chunk_ids, offsets, indices, weights = read_rows(v.to_record() for v in vecs)
             assert chunk_ids == [v.chunk_id for v in vecs] and len(offsets) == len(vecs) + 1
-            got, want = scatter_rows(chunk_ids, offsets, indices, weights, 9), densify(vecs, 9)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert not got[0].any() and got[-1, 0] and got[-1, 8]
+            want = densify_oracle(vecs, 9)
+            for got in (scatter_rows(chunk_ids, offsets, indices, weights, 9), densify(vecs, 9)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got[0].any() and got[-1, 0] and got[-1, 8]
 
     def test_scatter_rows_of_no_rows_is_empty(self):
         assert scatter_rows(*read_rows([]), 4).shape == (0, 4)
 
-    @pytest.mark.parametrize("index", [4, -1, -4], ids=["past-end", "negative", "negative-in-range"])
-    def test_scatter_rows_rejects_a_column_outside_the_vocabulary(self, index):
-        # of several rows with an index outside [0, V), the error names the first
+    @pytest.mark.parametrize(
+        "builder, index",
+        [(builder, index) for builder in ("scatter_rows", "densify") for index in (4, -1, -4)],
+        ids=[f"{prefix}{case}" for prefix in ("", "densify-")
+             for case in ("past-end", "negative", "negative-in-range")],
+    )
+    def test_scatter_rows_rejects_a_column_outside_the_vocabulary(self, builder, index):
+        # of several rows with an index outside [0, V), the error names the
+        # first, whether the rows come from the stage's records or from densify
         vecs = [
             TfIdfVector(chunk_id="a", entries={0: 1.0}, norm=1.0),
             TfIdfVector(chunk_id="b", entries={}, norm=0.0),
@@ -189,7 +197,10 @@ class TestTfIdfVector:
             TfIdfVector(chunk_id="e", entries={index: 1.0}, norm=1.0),
         ]
         with pytest.raises(IndexError, match=r"chunk 'c' has a column index outside \[0, 4\)"):
-            scatter_rows(*read_rows(v.to_record() for v in vecs), 4)
+            if builder == "densify":
+                densify(vecs, 4)
+            else:
+                scatter_rows(*read_rows(v.to_record() for v in vecs), 4)
 
     def test_read_rows_needs_whole_records(self):
         vec = TfIdfVector(chunk_id="c", entries={3: 0.6, 1: 0.8}, norm=1.0)
