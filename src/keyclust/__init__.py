@@ -9,8 +9,8 @@ standard K-means baseline.
 from .cluster import Assignment, ClusterConfig, ClusterModel, elbow_scan, run
 from .corpus import Document, LoadReport, StageStore, batch_iter, load_corpus
 from .pca import PcaModel, fit_pca, pca_transform
-from .preprocess import Chunk, CleaningConfig, chunk_document
-from .vectorize import TfIdfVector, Vocabulary, build_vocabulary, tfidf_vector
+from .preprocess import Chunk, CleaningConfig, TokenTable, chunk_document
+from .vectorize import Vocabulary, build_vocabulary, tfidf_vector
 from .weighting import assign_weights
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "LoadReport",
     "PcaModel",
     "StageStore",
-    "TfIdfVector",
+    "TokenTable",
     "Vocabulary",
     "assign_weights",
     "batch_iter",

@@ -40,6 +40,7 @@ from .corpus import DEFAULT_BATCH_SIZE, Document, StageStore, batch_iter, encode
 from .errors import EmptyCorpus, KeyclustError, SchemaMismatch, StageIoError
 from .preprocess import (
     CleaningConfig,
+    TokenTable,
     chunk_document,
     chunk_tokens,
     default_cleaning_config,
@@ -72,7 +73,7 @@ STAGES = {
         "document", "keyclust ingest", (),
         lambda rs, _: {d.doc_id: d.corpus_label for d in map(Document.from_record, rs)},
     ),
-    "chunks": ("chunk", "keyclust ingest", (), lambda rs, _: list(chunk_tokens(rs))),
+    "chunks": ("chunk", "keyclust ingest", (), lambda rs, _: TokenTable.from_records(rs, tokens_only=True)),
     "vocabulary": ("vocab-term", "keyclust vectorize", ("chunks",), _decode_vocab),
     "vectors": (
         "tfidf", "keyclust vectorize", ("chunks", "vocabulary"),
@@ -254,24 +255,15 @@ def _max_df_ratio(args: argparse.Namespace) -> float:
 def cmd_vectorize(args: argparse.Namespace) -> int:
     max_df_ratio = _max_df_ratio(args)
     stages = _Stages(args.out)
-    chunks = stages.load("chunks")  # (chunk_id, tokens) of each chunk with tokens
-    if not chunks:
+    table = stages.load("chunks")  # the ids and tokens, as term ids, of every chunk
+    if not len(table.point_rows):
         raise EmptyCorpus("every chunk has an empty token list")
-    with _record_shape("chunks"):  # a token that is not a string fails here
-        vocab = vectorization.build_vocabulary(
-            [tokens for _, tokens in chunks], min_df=args.min_df, max_df_ratio=max_df_ratio
-        )
+    vocab = vectorization.build_vocabulary(table, min_df=args.min_df, max_df_ratio=max_df_ratio)
     stages.save("vocabulary", vocab.to_records(), n_chunks=vocab.n_chunks)
-    empty_vectors = 0
-
-    def records() -> Iterator[dict[str, Any]]:
-        nonlocal empty_vectors
-        for chunk_id, tokens in chunks:
-            vector = vectorization.tfidf_vector(chunk_id, tokens, vocab)
-            empty_vectors += vector.is_empty
-            yield vector.to_record()
-
-    stages.save("vectors", records())
+    rows = vectorization.tfidf_vector(table, vocab)
+    del table  # written from the rows alone
+    stages.save("vectors", vectorization.vector_records(*rows))
+    empty_vectors = int((rows[1][1:] == rows[1][:-1]).sum())
     if empty_vectors:
         log.warning("%d chunks have no in-vocabulary token (zero vectors)", empty_vectors)
     log.info("vocabulary %d terms over %d chunks", len(vocab), vocab.n_chunks)
@@ -427,7 +419,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     each model's points."""
     top_n = _top_n(args)
     stages = _Stages(args.out)
-    table = stages.load("chunks", lambda records, _: reporting.TokenTable.from_records(records))
+    table = stages.load("chunks", lambda records, _: TokenTable.from_records(records))
     doc_labels = stages.load("documents")
     models = {mode: stages.load(f"model_{mode}") for mode in clustering.MODES}
     query_words = weighting.normalize_query(args.query, _cleaning_config(args))

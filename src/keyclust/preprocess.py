@@ -18,6 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Pattern, Sequence
 
+import numpy as np
+
 from .corpus import Document
 from .errors import InvalidPattern, MissingPath
 
@@ -125,6 +127,52 @@ def chunk_tokens(records: Iterable[Mapping[str, Any]]) -> Iterator[tuple[str, li
             raise TypeError(f"chunk {rec['chunk_id']!r} has tokens of type {type(tokens).__name__}")
         if tokens:
             yield rec["chunk_id"], tokens
+
+
+@dataclass(frozen=True, eq=False)
+class TokenTable:
+    """The chunks stage, one row per chunk in stage order. Row r's tokens are
+    ``term_ids[offsets[r]:offsets[r + 1]]``, ids into ``terms``, which is in
+    Python string order, so term ids order as their terms do. ``point_rows``
+    are the rows with tokens: the vectors' rows and a model's points, in order."""
+
+    chunk_ids: list[str]
+    doc_ids: list[str]
+    raw_texts: list[str]
+    terms: list[str]
+    term_ids: np.ndarray
+    offsets: np.ndarray
+    point_rows: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[Mapping[str, Any]], tokens_only: bool = False) -> "TokenTable":
+        """The table of chunk records, taking what it keeps of each record as
+        the record is parsed. A record's tokens must be a list. With
+        ``tokens_only`` it reads only ids and tokens, and ``doc_ids`` and
+        ``raw_texts`` are empty."""
+        chunk_ids, doc_ids, raw_texts, tokens = [], [], [], []
+        offsets = [0]
+        first: dict[str, str] = {}  # each term's first string, so that repeats are freed
+        for rec in records:
+            toks = rec["tokens"]
+            if not isinstance(toks, list):
+                raise TypeError(f"chunk {rec['chunk_id']!r} has tokens of type {type(toks).__name__}")
+            chunk_ids.append(rec["chunk_id"])
+            if not tokens_only:
+                doc_ids.append(rec["doc_id"])
+                raw_texts.append(rec["raw_text"])
+            tokens += map(first.setdefault, toks, toks)
+            offsets.append(len(tokens))
+        terms = sorted(first)
+        index = {term: i for i, term in enumerate(terms)}
+        term_ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        ends = np.array(offsets, dtype=np.intp)
+        return cls(chunk_ids, doc_ids, raw_texts, terms, term_ids, ends, np.flatnonzero(np.diff(ends)))
+
+    @property
+    def point_ids(self) -> list[str]:
+        """The ids of the chunks with tokens, in order: a current model's ``point_ids``."""
+        return [self.chunk_ids[r] for r in self.point_rows.tolist()]
 
 
 def chunk_sizes(n_sentences: int) -> list[int]:
@@ -284,37 +332,34 @@ def segment_sentences(body: str) -> list[str]:
     return sentences
 
 
-def make_chunks(doc_id: str, sentences: Sequence[str]) -> list[Chunk]:
-    """Group sentences into chunks per ``chunk_sizes``; raw text only, no tokens.
+def make_chunks(doc_id: str, sentences: Sequence[str], config: CleaningConfig) -> list[Chunk]:
+    """Group sentences into chunks per ``chunk_sizes``, each with its tokens
+    cleaned by ``config``'s rules.
 
     Every sentence lands in exactly one chunk, in order. Chunk ids are the
     document id plus a zero-padded ordinal.
     """
+    clean = _token_cleaner(config)  # once: a lookup may compare whole stoplists
     chunks: list[Chunk] = []
     pos = 0
     for ordinal, size in enumerate(chunk_sizes(len(sentences))):
-        group = sentences[pos : pos + size]
+        text = " ".join(sentences[pos : pos + size])
         pos += size
-        chunks.append(
-            Chunk(
-                chunk_id=f"{doc_id}#{ordinal:04d}",
-                doc_id=doc_id,
-                raw_text=" ".join(group),
-                sentence_count=size,
-            )
-        )
+        tokens = tuple(clean_text(text, clean))
+        chunks.append(Chunk(f"{doc_id}#{ordinal:04d}", doc_id, text, size, tokens))
     return chunks
 
 
-def clean_text(text: str, config: CleaningConfig) -> list[str]:
+def clean_text(text: str, config: CleaningConfig | Callable[[str], str | None]) -> list[str]:
     """Apply the cleaning rules to whitespace-split tokens of ``text``.
 
     Per token: lowercase; drop removal-pattern matches (checked both before
     and after stripping surrounding punctuation); drop short tokens,
     stoplist members, and disallowed parts of speech. Each distinct raw
-    token is cleaned once per config (see ``_token_cleaner``).
+    token is cleaned once per config (see ``_token_cleaner``); ``config``
+    may also be the cleaner made of one, looked up once for many texts.
     """
-    kept = map(_token_cleaner(config), text.split())
+    kept = map(config if callable(config) else _token_cleaner(config), text.split())
     return [tok for tok in kept if tok is not None]
 
 
@@ -359,5 +404,4 @@ def clean_tokens(chunk: Chunk, config: CleaningConfig) -> Chunk:
 
 def chunk_document(doc: Document, config: CleaningConfig) -> list[Chunk]:
     """Segment, chunk, and clean one document."""
-    sentences = segment_sentences(doc.body)
-    return [clean_tokens(c, config) for c in make_chunks(doc.doc_id, sentences)]
+    return make_chunks(doc.doc_id, segment_sentences(doc.body), config)

@@ -6,8 +6,8 @@ standard vs modified K-means), full-text extraction of a cluster, and the
 CSV/SVG artifacts for iteration-by-iteration scatter plots. All writers
 are deterministic: identical inputs produce byte-identical files.
 
-The tables and extracts read the chunks stage as one ``TokenTable``, built
-in the pass that parses its records: each chunk's id, document and raw
+The tables and extracts read the chunks stage as one ``preprocess.TokenTable``,
+built in the pass that parses its records: each chunk's id, document and raw
 text, and every chunk's tokens as term ids in one flat array. A model's
 points are the table's rows with tokens, in order, as ``vectorize`` makes
 them; its label arrays index those rows by position, so term counts are
@@ -24,62 +24,17 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cluster import ClusterModel
 from .errors import InvalidClusterIndex
+from .preprocess import TokenTable
 
 log = logging.getLogger(__name__)
 
 TOP_TERMS_DEFAULT = 10
-
-
-@dataclass(frozen=True, eq=False)
-class TokenTable:
-    """The chunks stage, one row per chunk in stage order. Row r's tokens are
-    ``term_ids[offsets[r]:offsets[r + 1]]``, ids into ``terms``, which is in
-    Python string order, so term ids order as their terms do. ``point_rows``
-    are the rows with tokens: a model's points, in order."""
-
-    chunk_ids: list[str]
-    doc_ids: list[str]
-    raw_texts: list[str]
-    terms: list[str]
-    term_ids: np.ndarray
-    offsets: np.ndarray
-    point_rows: np.ndarray
-
-    @classmethod
-    def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "TokenTable":
-        """The table of chunk records, taking what it keeps of each record as
-        the record is parsed. A record's tokens must be a list."""
-        chunk_ids: list[str] = []
-        doc_ids: list[str] = []
-        raw_texts: list[str] = []
-        offsets = [0]
-        tokens: list[str] = []
-        first: dict[str, str] = {}  # each term's first string, so that repeats are freed
-        for rec in records:
-            toks = rec["tokens"]
-            if not isinstance(toks, list):
-                raise TypeError(f"chunk {rec['chunk_id']!r} has tokens of type {type(toks).__name__}")
-            chunk_ids.append(rec["chunk_id"])
-            doc_ids.append(rec["doc_id"])
-            raw_texts.append(rec["raw_text"])
-            tokens += map(first.setdefault, toks, toks)
-            offsets.append(len(tokens))
-        terms = sorted(first)
-        index = {term: i for i, term in enumerate(terms)}
-        term_ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        ends = np.array(offsets, dtype=np.intp)
-        return cls(chunk_ids, doc_ids, raw_texts, terms, term_ids, ends, np.flatnonzero(np.diff(ends)))
-
-    @property
-    def point_ids(self) -> list[str]:
-        """The ids of the chunks with tokens, in order: a current model's ``point_ids``."""
-        return [self.chunk_ids[r] for r in self.point_rows.tolist()]
 
 
 @dataclass

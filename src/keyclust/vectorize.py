@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EmptyCorpus
+from .preprocess import TokenTable
 
 
 @dataclass
@@ -37,11 +36,6 @@ class Vocabulary:
         """Smoothed inverse document frequency: ln((1+N)/(1+df)) + 1."""
         return math.log((1 + self.n_chunks) / (1 + self.document_frequency[term])) + 1.0
 
-    @cached_property
-    def idfs(self) -> dict[str, float]:
-        """``idf(term)`` of every term, computed once per vocabulary."""
-        return {term: self.idf(term) for term in self.term_to_index}
-
     def to_records(self) -> list[dict[str, Any]]:
         return [
             {"term": term, "index": idx, "df": self.document_frequency[term]}
@@ -58,86 +52,101 @@ class Vocabulary:
         return cls(term_to_index=term_to_index, document_frequency=df, n_chunks=n_chunks)
 
 
-@dataclass
-class TfIdfVector:
-    """Sparse normalized term vector for one chunk.
-
-    ``entries`` maps column index to weight; ``norm`` is the Euclidean norm
-    of the stored entries (1 within 1e-9 for non-empty vectors, 0 for a
-    chunk whose every token fell outside the vocabulary).
-    """
-
-    chunk_id: str
-    entries: dict[int, float] = field(default_factory=dict)
-    norm: float = 0.0
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "chunk_id": self.chunk_id,
-            "entries": sorted(self.entries.items()),
-            "norm": self.norm,
-        }
-
-
-def build_vocabulary(
-    token_lists: Sequence[Sequence[str]], min_df: int = 2, max_df_ratio: float = 0.95
-) -> Vocabulary:
-    """Count document frequencies over the chunks' token lists and keep terms
-    with min_df <= df <= max_df_ratio*N.
+def build_vocabulary(table: TokenTable, min_df: int = 2, max_df_ratio: float = 0.95) -> Vocabulary:
+    """Count document frequencies over the N rows of the chunks ``table``
+    that hold tokens, and keep terms with min_df <= df <= max_df_ratio*N.
 
     Pruning both ends curbs the dimensionality blow-up from hapax typos and
     from boilerplate present in nearly every chunk. Index assignment is in
     sorted term order, so identical input always yields the same vocabulary.
     """
-    if not token_lists:
+    n = len(table.point_rows)
+    if not n:
         raise EmptyCorpus("cannot build a vocabulary from zero chunks")
-    df: Counter[str] = Counter()
-    for tokens in token_lists:
-        df.update(set(tokens))
-    n = len(token_lists)
-    kept = sorted(t for t, c in df.items() if c >= min_df and c <= max_df_ratio * n)
+    n_terms = len(table.terms)
+    # a term's df is the number of distinct (row, term) keys that hold it
+    df = np.bincount(_runs(_keys(table, np.arange(n_terms), n_terms))[0] % n_terms, minlength=n_terms)
+    kept = np.flatnonzero((df >= min_df) & (df <= max_df_ratio * n))
+    terms = [table.terms[t] for t in kept.tolist()]
     return Vocabulary(
-        term_to_index={t: i for i, t in enumerate(kept)},
-        document_frequency={t: df[t] for t in kept},
+        term_to_index={t: i for i, t in enumerate(terms)},
+        document_frequency=dict(zip(terms, df[kept].tolist())),
         n_chunks=n,
     )
 
 
-def tfidf_vector(chunk_id: str, tokens: Sequence[str], vocab: Vocabulary) -> TfIdfVector:
-    """tf * idf per vocabulary term of a chunk's tokens, L2-normalized.
+def tfidf_vector(table: TokenTable, vocab: Vocabulary) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """tf * idf per vocabulary term of each row of the chunks ``table`` that
+    holds tokens, L2-normalized: the CSR rows of :func:`read_rows`, in
+    column order.
 
-    Out-of-vocabulary tokens are ignored; a chunk with no in-vocabulary
-    token yields a zero vector (``is_empty``), left for the caller to flag.
+    Out-of-vocabulary tokens are ignored; a row with no in-vocabulary token
+    is empty (a zero vector), left for the caller to flag. A row's norm adds
+    its squared weights left to right in the order of each term's first
+    token, as the per-chunk ``Counter`` of the first version did.
     """
-    term_to_index = vocab.term_to_index
-    tf = Counter(t for t in tokens if t in term_to_index)
-    if not tf:
-        return TfIdfVector(chunk_id=chunk_id)
-    idfs = vocab.idfs
-    weights = {term_to_index[t]: c * idfs[t] for t, c in tf.items()}
-    raw_norm = math.sqrt(_sum_squares(weights.values()))
-    entries = {i: w / raw_norm for i, w in sorted(weights.items())}
-    norm = math.sqrt(_sum_squares(entries.values()))
-    return TfIdfVector(chunk_id=chunk_id, entries=entries, norm=norm)
+    n, width, column = len(table.point_rows), max(len(vocab), 1), vocab.term_to_index
+    columns = np.array([column.get(t, -1) for t in table.terms], dtype=np.int64)
+    idf = np.zeros(len(vocab))
+    idf[list(column.values())] = [vocab.idf(t) for t in column]
+    pairs, tf, first = _runs(_keys(table, columns, width))
+    offsets = np.r_[0, np.cumsum(np.bincount(pairs // width, minlength=n))]
+    indices = pairs % width
+    del pairs  # each of these is 5 MB at 30,000 chunks; freed once used, the peak is 4 MB lower
+    weights = tf * idf[indices]
+    del tf
+    squares = np.square(weights[np.argsort(first)])  # each row in its terms' first-token order
+    del first
+    weights /= np.repeat(np.sqrt(_row_sums(squares, offsets)), np.diff(offsets))
+    return table.point_ids, offsets, indices, weights
 
 
-def _sum_squares(values: Iterable[float]) -> float:
-    # added left to right on every Python: CPython 3.12 made the builtin
-    # sum() of floats compensated, which changes the last bit of some norms
-    total = 0.0
-    for v in values:
-        total += v * v
+def _keys(table: TokenTable, columns: np.ndarray, width: int) -> np.ndarray:
+    """``row * width + column`` (int64) of each token, in order, with rows
+    counted among those with tokens; a term whose column is -1 has none."""
+    cols = columns[table.term_ids]
+    lengths = np.diff(table.offsets)[table.point_rows]
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * width, lengths)
+    keys += cols
+    return keys[cols >= 0]
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order, how many times each occurs,
+    and the position of its first occurrence."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    return keys[starts], np.diff(starts, append=len(keys)), order[starts]
+
+
+def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each CSR row's sum of ``values``, added left to right on every Python
+    and numpy (``np.add.reduceat`` and the builtin ``sum`` of 3.12+ do not)."""
+    starts, lengths = offsets[:-1], np.diff(offsets)
+    total = np.zeros(len(lengths))
+    for j in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > j)
+        total[live] += values[starts[live] + j]
     return total
+
+
+def vector_records(
+    chunk_ids: Sequence[str], offsets: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+) -> Iterator[dict[str, Any]]:
+    """The vectors stage's records of the CSR rows of :func:`tfidf_vector`,
+    one per row from its slice: the chunk id, the ``[index, weight]``
+    entries, and their norm, whose squares add left to right."""
+    norms = np.sqrt(_row_sums(np.square(weights), offsets)).tolist()
+    for chunk_id, a, b, norm in zip(chunk_ids, offsets.tolist(), offsets[1:].tolist(), norms):
+        entries = list(zip(indices[a:b].tolist(), weights[a:b].tolist()))
+        yield {"chunk_id": chunk_id, "entries": entries, "norm": norm}
 
 
 def read_rows(
     records: Iterable[Mapping[str, Any]],
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """The vectors stage (records of :meth:`TfIdfVector.to_record`) as CSR
+    """The vectors stage (records of :func:`vector_records`) as CSR
     arrays: chunk ids, row offsets, column indices and weights. Row r's
     entries are ``indices[offsets[r]:offsets[r + 1]]`` and the same slice of
     ``weights``. The indices are checked against the vocabulary where the
@@ -158,10 +167,10 @@ def read_rows(
     )
 
 
-def densify(vectors: Sequence[TfIdfVector], vocab_size: int) -> np.ndarray:
-    """Stack sparse vectors into a dense (n, V) float64 matrix, through
-    their records and :func:`scatter_rows`."""
-    return scatter_rows(*read_rows(v.to_record() for v in vectors), vocab_size)
+def densify(rows: tuple[Sequence[str], np.ndarray, np.ndarray, np.ndarray], vocab_size: int) -> np.ndarray:
+    """Stack CSR rows, as :func:`tfidf_vector` returns them, into a dense
+    (n, V) float64 matrix through :func:`scatter_rows`."""
+    return scatter_rows(*rows, vocab_size)
 
 
 def scatter_rows(

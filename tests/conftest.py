@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from keyclust.preprocess import Chunk, default_cleaning_config
-from keyclust.report import TokenTable
+from keyclust.preprocess import Chunk, TokenTable, default_cleaning_config
 
 # ---------------------------------------------------------------------------
 # synthetic article text
@@ -58,7 +57,8 @@ def toy_chunk(chunk_id: str, tokens: list[str], doc_id: str = "doc") -> Chunk:
 
 
 def token_table(chunks) -> TokenTable:
-    """The report's table of ``chunks``, built from their stage records."""
+    """The table of ``chunks`` that ``report`` and ``vectorize`` read, built
+    from their stage records."""
     return TokenTable.from_records({**c.to_record(), "tokens": list(c.tokens)} for c in chunks)
 
 

@@ -15,6 +15,7 @@ import math
 import operator
 import re
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -224,23 +225,44 @@ def query_weights_oracle(chunks, idf: Mapping[str, float], floor: float = 0.01) 
     }
 
 
-def tfidf_oracle(token_lists: Sequence[Sequence[str]]):
-    """Hand evaluation of the stated formula on every chunk: weight =
-    tf * (ln((1+N)/(1+df)) + 1), then L2 normalization. Vocabulary is every
-    term (no pruning), indexed in sorted order."""
-    n = len(token_lists)
-    df = df_oracle(token_lists)
-    terms = sorted(df)
-    index = {t: i for i, t in enumerate(terms)}
+@dataclass
+class TfIdfVector:
+    """One chunk's sparse tf-idf vector as the first version held it, and the
+    reference of the vectors stage's record: ``entries`` maps column index to
+    weight, and ``norm`` is the Euclidean norm of the entries."""
+
+    chunk_id: str
+    entries: dict[int, float] = field(default_factory=dict)
+    norm: float = 0.0
+
+    def to_record(self) -> dict:
+        return {"chunk_id": self.chunk_id, "entries": sorted(self.entries.items()), "norm": self.norm}
+
+
+def _sum_squares(values) -> float:
+    # left to right, as the builtin sum() added floats before Python 3.12
+    return functools.reduce(operator.add, (v * v for v in values), 0.0)
+
+
+def tfidf_oracle(chunks: Sequence[tuple[str, Sequence[str]]], min_df: int = 1, max_df_ratio: float = 1.0):
+    """Hand evaluation of the stated formula on every chunk with tokens, one
+    ``Counter`` per chunk, as first written: weight = tf * (ln((1+N)/(1+df))
+    + 1) over the N chunks with tokens, then L2 normalization. The
+    vocabulary is every term with min_df <= df <= max_df_ratio * N, indexed
+    in sorted order. Returns that index and a ``TfIdfVector`` per chunk with
+    tokens, whose raw norm adds the squares in the order of each term's
+    first token and whose norm in column order."""
+    chunks = [(cid, toks) for cid, toks in chunks if toks]
+    n = len(chunks)
+    df = df_oracle([toks for _, toks in chunks])
+    index = {t: i for i, t in enumerate(sorted(t for t, c in df.items() if min_df <= c <= max_df_ratio * n))}
     out = []
-    for toks in token_lists:
-        tf: Counter[str] = Counter(toks)
-        weights = {
-            index[t]: c * (math.log((1 + n) / (1 + df[t])) + 1.0) for t, c in tf.items()
-        }
-        # left to right, as the builtin sum() added floats before Python 3.12
-        norm = math.sqrt(functools.reduce(operator.add, (w * w for w in weights.values()), 0.0))
-        out.append({i: w / norm for i, w in weights.items()} if norm else {})
+    for cid, toks in chunks:
+        tf: Counter[str] = Counter(t for t in toks if t in index)
+        weights = {index[t]: c * (math.log((1 + n) / (1 + df[t])) + 1.0) for t, c in tf.items()}
+        raw_norm = math.sqrt(_sum_squares(weights.values()))
+        entries = {i: w / raw_norm for i, w in sorted(weights.items())}
+        out.append(TfIdfVector(cid, entries, math.sqrt(_sum_squares(entries.values()))))
     return index, out
 
 

@@ -23,7 +23,7 @@ from keyclust.cluster import (
 )
 from keyclust.pca import fit_pca
 from keyclust.report import comparison_table
-from keyclust.vectorize import build_vocabulary, tfidf_vector
+from keyclust.vectorize import build_vocabulary, tfidf_vector, vector_records
 from keyclust.weighting import assign_weights, weighted_points
 
 from conftest import blob_points, random_points, token_table, toy_chunk, write_corpus_dir
@@ -190,14 +190,15 @@ def test_criterion_05_tfidf_contract():
             [str(rng.integers(0, 30)) for _ in range(int(rng.integers(1, 20)))]
             for _ in range(200)
         ]
-        chunks = [toy_chunk(f"c{i}", toks) for i, toks in enumerate(lists)]
-        vocab = build_vocabulary([c.tokens for c in chunks], min_df=1, max_df_ratio=1.0)
-        for chunk in chunks:
-            vec = tfidf_vector(chunk.chunk_id, chunk.tokens, vocab)
-            assert abs(vec.norm - 1.0) < 1e-9
+        table = token_table(toy_chunk(f"c{i}", toks) for i, toks in enumerate(lists))
+        vocab = build_vocabulary(table, min_df=1, max_df_ratio=1.0)
+        records = list(vector_records(*tfidf_vector(table, vocab)))
+        assert len(records) == 200
+        for rec in records:
+            assert abs(rec["norm"] - 1.0) < 1e-9
 
         shared = [toy_chunk(f"s{i}", ["everywhere", f"unique{i}"]) for i in range(7)]
-        vocab_shared = build_vocabulary([c.tokens for c in shared], min_df=1, max_df_ratio=1.0)
+        vocab_shared = build_vocabulary(token_table(shared), min_df=1, max_df_ratio=1.0)
         assert vocab_shared.idf("everywhere") == 1.0
 
         corpus = [
@@ -205,17 +206,18 @@ def test_criterion_05_tfidf_contract():
             toy_chunk("c2", ["vaccine", "mask"]),
             toy_chunk("c3", ["mask", "trial", "mask", "distancing"]),
         ]
-        vocab3 = build_vocabulary([c.tokens for c in corpus], min_df=1, max_df_ratio=1.0)
+        table3 = token_table(corpus)
+        vocab3 = build_vocabulary(table3, min_df=1, max_df_ratio=1.0)
         expected = {
             "c1": {2: 0.4472135954999579, 3: 0.8944271909999159},
             "c2": {1: 0.7071067811865476, 3: 0.7071067811865476},
             "c3": {0: 0.5068900148458076, 1: 0.7710058432202013, 2: 0.38550292161010064},
         }
-        for chunk in corpus:
-            vec = tfidf_vector(chunk.chunk_id, chunk.tokens, vocab3)
-            assert set(vec.entries) == set(expected[chunk.chunk_id])
-            for idx, want in expected[chunk.chunk_id].items():
-                assert abs(vec.entries[idx] - want) < 1e-12
+        for rec in vector_records(*tfidf_vector(table3, vocab3)):
+            entries = dict(rec["entries"])
+            assert set(entries) == set(expected[rec["chunk_id"]])
+            for idx, want in expected[rec["chunk_id"]].items():
+                assert abs(entries[idx] - want) < 1e-12
 
 
 def test_criterion_06_pca_contract():
@@ -282,11 +284,11 @@ def _planted_corpus():
 def test_criterion_08_comparison_table_surrogate():
     with criterion(8, "modified count >= standard in >=80% of seeds, never > planted 60"):
         chunks, X = _planted_corpus()
-        vocab = build_vocabulary([c.tokens for c in chunks], min_df=2, max_df_ratio=0.95)
+        table = token_table(chunks)
+        vocab = build_vocabulary(table, min_df=2, max_df_ratio=0.95)
         weights = assign_weights([(c.chunk_id, c.tokens) for c in chunks], "vaccine", vocab)
         ids = [c.chunk_id for c in chunks]
         w = weighted_points(ids, weights)
-        table = token_table(chunks)
         ground_truth = 60
         wins = 0
         for seed in range(20):

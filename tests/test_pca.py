@@ -10,7 +10,7 @@ from keyclust.pca import PcaModel, fit_pca, pca_transform, reduce_points
 from keyclust.preprocess import chunk_document
 from keyclust.vectorize import build_vocabulary, densify, tfidf_vector
 
-from conftest import write_corpus_dir
+from conftest import token_table, write_corpus_dir
 from oracles import eigh_pca_oracle
 
 
@@ -228,9 +228,9 @@ class TestPcaTransform:
         # vectorized in-process with the CLI's defaults
         write_corpus_dir(tmp_path, n_articles=100, seed=0, n_sentences=90)
         docs = load_corpus(tmp_path, "synthetic").documents
-        chunks = [c for doc in docs for c in chunk_document(doc, clean_config) if c.tokens]
-        vocab = build_vocabulary([c.tokens for c in chunks])
-        X = densify([tfidf_vector(c.chunk_id, c.tokens, vocab) for c in chunks], len(vocab))
+        table = token_table(c for doc in docs for c in chunk_document(doc, clean_config))
+        vocab = build_vocabulary(table)
+        X = densify(tfidf_vector(table, vocab), len(vocab))
         assert X.shape[0] >= 2500 and X.shape[0] > X.shape[1]
         coords = pca_transform(X, fit_pca(X, 50))[::6]
         mean, comps, _ = eigh_pca_oracle(X, 50)

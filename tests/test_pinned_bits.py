@@ -31,8 +31,9 @@ import pytest
 from keyclust.cli import main
 from keyclust.cluster import ClusterConfig, run
 from keyclust.corpus import Document, StageStore, encode_record
+from keyclust.preprocess import TokenTable
 from keyclust.report import (
-    TokenTable, cluster_reports, comparison_table, plot_xy, write_comparison_csv, write_extracts,
+    cluster_reports, comparison_table, plot_xy, write_comparison_csv, write_extracts,
     write_iteration_csv, write_iteration_svgs, write_top_terms_csv,
 )
 

@@ -11,6 +11,7 @@ from keyclust.preprocess import (
     ABBREVIATIONS,
     Chunk,
     CleaningConfig,
+    _token_cleaner,
     chunk_sizes,
     clean_text,
     clean_tokens,
@@ -125,18 +126,18 @@ class TestMakeChunks:
     def test_size_policy(self, n, expected):
         assert chunk_sizes(n) == expected
 
-    def test_chunks_carry_text_and_ids(self):
+    def test_chunks_carry_text_and_ids(self, clean_config):
         sentences = [f"Sentence {i}." for i in range(7)]
-        chunks = make_chunks("doc1", sentences)
+        chunks = make_chunks("doc1", sentences, clean_config)
         assert [c.sentence_count for c in chunks] == [3, 2, 2]
         assert [c.chunk_id for c in chunks] == ["doc1#0000", "doc1#0001", "doc1#0002"]
         assert chunks[0].raw_text == "Sentence 0. Sentence 1. Sentence 2."
-        assert all(c.tokens == () for c in chunks)
+        assert all(c.tokens == tuple(clean_text(c.raw_text, clean_config)) for c in chunks)
 
     @given(st.integers(min_value=0, max_value=400))
-    def test_every_sentence_in_exactly_one_chunk(self, n):
+    def test_every_sentence_in_exactly_one_chunk(self, clean_config, n):
         sentences = [f"S{i}" for i in range(n)]
-        chunks = make_chunks("d", sentences)
+        chunks = make_chunks("d", sentences, clean_config)
         regrouped = [s for c in chunks for s in c.raw_text.split()]
         assert regrouped == sentences
         if n > 1:
@@ -295,3 +296,22 @@ class TestChunkDocument:
         assert [c.sentence_count for c in chunks] == [3, 3, 3, 2]
         assert all(c.doc_id == "lab/p1" for c in chunks)
         assert all("vaccines" in c.tokens for c in chunks)
+
+    def test_each_chunk_is_built_once_with_its_tokens(self, clean_config):
+        # each chunk's tokens are its raw text cleaned, and the
+        # cleaner is looked up once per document, not once per chunk: for an
+        # equal config made apart, each lookup compares the whole stoplist
+        from keyclust.corpus import Document
+        from keyclust.preprocess import chunk_document
+
+        body = "The vaccine trial ended. It enrolled 95 people, see Fig. 2. " * 7
+        doc = Document(doc_id="lab/p2", title="T", body=body, corpus_label="lab")
+        equal = CleaningConfig(stoplist=set(clean_config.stoplist))
+        before = _token_cleaner.cache_info()
+        chunks = chunk_document(doc, equal)
+        after = _token_cleaner.cache_info()
+        assert len(chunks) == 5
+        assert after.hits + after.misses == before.hits + before.misses + 1
+        assert [c.tokens for c in chunks] == [tuple(clean_text(c.raw_text, clean_config)) for c in chunks]
+        assert chunks == make_chunks(doc.doc_id, segment_sentences(body), clean_config)
+        assert all(c.tokens for c in chunks)

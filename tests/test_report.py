@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from keyclust.cluster import Assignment, ClusterConfig, ClusterModel, IterationSnapshot, run
 from keyclust.errors import InvalidClusterIndex
-from keyclust.preprocess import Chunk
+from keyclust.preprocess import Chunk, TokenTable
 from keyclust.report import (
     TOP_TERMS_DEFAULT,
     ComparisonRow,
-    TokenTable,
     cluster_reports,
     comparison_table,
     extract_cluster_text,

@@ -25,7 +25,7 @@ from keyclust import corpus
 from keyclust.cluster import ClusterConfig, run
 from keyclust.corpus import encode_record, json_floats
 from keyclust.pca import PcaModel, fit_pca, point_records
-from keyclust.vectorize import TfIdfVector
+from keyclust.vectorize import read_rows, vector_records
 from keyclust.weighting import export_records
 
 EDGES = [
@@ -238,16 +238,22 @@ def test_pca_line(degenerate):
 
 
 def test_vector_lines():
+    # the records that vector_records writes from CSR slices, one row per id,
+    # the last with weights past both of json_floats's re-spelt ranges
     weights = [0.5, 1e-5, 1e-300, 0.123456789012345678]
-    vectors = [
-        TfIdfVector(cid, {i * 7: w for i, w in enumerate(weights[:k])}, 1.0 - k * 1e-17)
-        for k, cid in enumerate(IDS)
-    ]
-    vectors.append(TfIdfVector("unsorted", {9: 0.25, 2: 1e-7, 5: 1e16}, 0.9999999999999999))
-    for vec in vectors:
-        assert encode_record(vec.to_record()) == reference(vec.to_record())
+    rows = [{i * 7: w for i, w in enumerate(weights[:k])} for k in range(len(IDS))]
+    rows.append({2: 1e-7, 5: 1e16, 9: 0.25})
+    ids = [*IDS, "last"]
+    records = [{"chunk_id": cid, "entries": sorted(row.items()), "norm": 1.0} for cid, row in zip(ids, rows)]
+    written = list(vector_records(*read_rows(records)))
+    for rec, want in zip(written, rows):
+        total = 0.0
+        for _, w in sorted(want.items()):
+            total += w * w
+        assert rec["entries"] == sorted(want.items()) and rec["norm"] == math.sqrt(total)
+        assert encode_record(rec) == reference(rec)
     # a column index is written as an int, never through float()
-    assert '"entries":[[2,1e-07],[5,1e+16],[9,0.25]]' in encode_record(vectors[-1].to_record())
+    assert '"entries":[[2,1e-07],[5,1e+16],[9,0.25]]' in encode_record(written[-1])
 
 
 def fitted(k: int, mode: str):

@@ -21,7 +21,7 @@ from keyclust.cli import _query_weights, _Stages, main
 from keyclust.corpus import StageStore, encode_record
 from keyclust.preprocess import chunk_tokens
 
-from conftest import toy_chunk, write_corpus_dir
+from conftest import token_table, toy_chunk, write_corpus_dir
 from corpus_gen import TOPIC_KEYWORDS
 from oracles import query_weights_oracle
 
@@ -38,7 +38,7 @@ def three_chunk_corpus():
         toy_chunk("cB", ["vaccine", "mask"]),
         toy_chunk("cC", ["mask", "protocol"]),
     ]
-    vocab = build_vocabulary([c.tokens for c in chunks], min_df=1, max_df_ratio=1.0)
+    vocab = build_vocabulary(token_table(chunks), min_df=1, max_df_ratio=1.0)
     return chunks, vocab
 
 
@@ -97,7 +97,7 @@ class TestAssignWeights:
             toy_chunk(f"c{i}", ["query"] * c + ["filler"] * (10 - c))
             for i, c in enumerate(counts)
         ]
-        vocab = build_vocabulary([c.tokens for c in chunks], min_df=1, max_df_ratio=1.0)
+        vocab = build_vocabulary(token_table(chunks), min_df=1, max_df_ratio=1.0)
         weights = assign_weights(id_tokens(chunks), "query", vocab)
         values = list(weights.values())
         assert all(FLOOR_WEIGHT <= w <= 1.0 for w in values)
