@@ -13,10 +13,10 @@ import functools
 import json
 import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Pattern, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -118,13 +118,19 @@ class Chunk:
         return dict(vars(self))
 
 
+def _token_list(rec: Mapping[str, Any]) -> list[str]:
+    """The tokens of chunk record ``rec``, which must be a list."""
+    tokens = rec["tokens"]
+    if not isinstance(tokens, list):
+        raise TypeError(f"chunk {rec['chunk_id']!r} has tokens of type {type(tokens).__name__}")
+    return tokens
+
+
 def chunk_tokens(records: Iterable[Mapping[str, Any]]) -> Iterator[tuple[str, list[str]]]:
     """``(chunk_id, tokens)`` of each chunk record with tokens, read from the
     record as it comes, with no ``Chunk`` built. A record's tokens must be a list."""
     for rec in records:
-        tokens = rec["tokens"]
-        if not isinstance(tokens, list):
-            raise TypeError(f"chunk {rec['chunk_id']!r} has tokens of type {type(tokens).__name__}")
+        tokens = _token_list(rec)
         if tokens:
             yield rec["chunk_id"], tokens
 
@@ -154,9 +160,7 @@ class TokenTable:
         offsets = [0]
         first: dict[str, str] = {}  # each term's first string, so that repeats are freed
         for rec in records:
-            toks = rec["tokens"]
-            if not isinstance(toks, list):
-                raise TypeError(f"chunk {rec['chunk_id']!r} has tokens of type {type(toks).__name__}")
+            toks = _token_list(rec)
             chunk_ids.append(rec["chunk_id"])
             if not tokens_only:
                 doc_ids.append(rec["doc_id"])
@@ -190,27 +194,54 @@ def chunk_sizes(n_sentences: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CleaningConfig:
-    """Token-cleaning rules: stoplist, removal regexes, POS filter."""
+    """Token-cleaning rules: stoplist, removal regexes, POS filter.
+
+    ``clean`` is the rules as a function of one whitespace-free token,
+    returning its kept form or None if dropped. It is built with the config
+    from its patterns, compiled once, and remembers each distinct raw token's
+    result for as long as the config lives. Equality, hashing and ``repr``
+    leave it out, and ``replace`` builds a new one.
+    """
 
     stoplist: frozenset[str]
     removal_patterns: tuple[str, ...] = DEFAULT_REMOVAL_PATTERNS
     disallowed_pos: frozenset[str] = DEFAULT_DISALLOWED_POS
     min_token_length: int = 2
+    clean: Callable[[str], str | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stoplist", frozenset(w.lower() for w in self.stoplist))
-        _compiled(self.removal_patterns)  # validate eagerly
+        stoplist = frozenset(w.lower() for w in self.stoplist)
+        object.__setattr__(self, "stoplist", stoplist)
+        patterns = []
+        for pat in self.removal_patterns:
+            try:
+                patterns.append(re.compile(pat))
+            except re.error as exc:
+                raise InvalidPattern(f"removal pattern {pat!r} does not compile: {exc}") from exc
+        # the memo holds the rules, not the config, so it makes no reference cycle
+        min_length, disallowed = self.min_token_length, self.disallowed_pos
 
+        @functools.lru_cache(maxsize=CLEAN_CACHE_SIZE)
+        def clean(raw: str) -> str | None:
+            tok = raw.lower()
+            if any(p.match(tok) for p in patterns):
+                return None
+            tok = tok.strip(_STRIP_CHARS)
+            if not tok or any(p.match(tok) for p in patterns):
+                return None
+            if len(tok) < min_length:
+                return None
+            if tok in stoplist:
+                return None
+            if pos_tag(tok) in disallowed:
+                return None
+            return tok
 
-@functools.lru_cache(maxsize=32)
-def _compiled(patterns: tuple[str, ...]) -> tuple[Pattern[str], ...]:
-    out = []
-    for pat in patterns:
-        try:
-            out.append(re.compile(pat))
-        except re.error as exc:
-            raise InvalidPattern(f"removal pattern {pat!r} does not compile: {exc}") from exc
-    return tuple(out)
+        object.__setattr__(self, "clean", clean)
+
+    def __reduce__(self):
+        # the memo is a local function, which pickle cannot name: rebuild from the rules
+        return CleaningConfig, (self.stoplist, self.removal_patterns, self.disallowed_pos, self.min_token_length)
 
 
 def default_stoplist() -> frozenset[str]:
@@ -339,58 +370,25 @@ def make_chunks(doc_id: str, sentences: Sequence[str], config: CleaningConfig) -
     Every sentence lands in exactly one chunk, in order. Chunk ids are the
     document id plus a zero-padded ordinal.
     """
-    clean = _token_cleaner(config)  # once: a lookup may compare whole stoplists
     chunks: list[Chunk] = []
     pos = 0
     for ordinal, size in enumerate(chunk_sizes(len(sentences))):
         text = " ".join(sentences[pos : pos + size])
         pos += size
-        tokens = tuple(clean_text(text, clean))
+        tokens = tuple(clean_text(text, config))
         chunks.append(Chunk(f"{doc_id}#{ordinal:04d}", doc_id, text, size, tokens))
     return chunks
 
 
-def clean_text(text: str, config: CleaningConfig | Callable[[str], str | None]) -> list[str]:
+def clean_text(text: str, config: CleaningConfig) -> list[str]:
     """Apply the cleaning rules to whitespace-split tokens of ``text``.
 
     Per token: lowercase; drop removal-pattern matches (checked both before
     and after stripping surrounding punctuation); drop short tokens,
     stoplist members, and disallowed parts of speech. Each distinct raw
-    token is cleaned once per config (see ``_token_cleaner``); ``config``
-    may also be the cleaner made of one, looked up once for many texts.
+    token is cleaned once per config (``CleaningConfig.clean``).
     """
-    kept = map(config if callable(config) else _token_cleaner(config), text.split())
-    return [tok for tok in kept if tok is not None]
-
-
-@functools.lru_cache(maxsize=4)
-def _token_cleaner(config: CleaningConfig) -> Callable[[str], str | None]:
-    """The cleaning rules of ``config`` as a memoized function of one
-    whitespace-free token, returning its kept form or None if dropped.
-
-    The memo is per config rather than keyed by (token, config): two equal
-    configs built apart hold distinct stoplists, and comparing them on
-    every token hit would cost more than the cleaning it saves.
-    """
-    patterns = _compiled(config.removal_patterns)
-
-    @functools.lru_cache(maxsize=CLEAN_CACHE_SIZE)
-    def clean(raw: str) -> str | None:
-        tok = raw.lower()
-        if any(p.match(tok) for p in patterns):
-            return None
-        tok = tok.strip(_STRIP_CHARS)
-        if not tok or any(p.match(tok) for p in patterns):
-            return None
-        if len(tok) < config.min_token_length:
-            return None
-        if tok in config.stoplist:
-            return None
-        if pos_tag(tok) in config.disallowed_pos:
-            return None
-        return tok
-
-    return clean
+    return [tok for tok in map(config.clean, text.split()) if tok is not None]
 
 
 def clean_tokens(chunk: Chunk, config: CleaningConfig) -> Chunk:

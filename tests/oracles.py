@@ -308,6 +308,25 @@ def segment_sentences_oracle(
     return sentences
 
 
+def clean_token_oracle(raw: str, config, strip_chars: str, tag) -> str | None:
+    """One whitespace-free token under ``config``'s documented rules, with no
+    memo and no pattern compiled ahead: lowercase it; drop it if a removal
+    pattern matches it before or after ``strip_chars`` are stripped from its
+    ends, if nothing is left, if it is shorter than ``min_token_length``, if
+    it is in the stoplist, or if ``tag`` (the package's lexicon tagger, passed
+    in like the data above) gives it a disallowed part of speech. Returns the
+    stripped token, or None if dropped."""
+    lowered = raw.lower()
+    stripped = lowered.strip(strip_chars)
+    if any(re.match(pat, lowered) or re.match(pat, stripped) for pat in config.removal_patterns):
+        return None
+    if not stripped or len(stripped) < config.min_token_length:
+        return None
+    if stripped in config.stoplist or tag(stripped) in config.disallowed_pos:
+        return None
+    return stripped
+
+
 # ---------------------------------------------------------------------------
 # iteration scatter writers as first written: every row through the csv
 # writer, every SVG formatted from scratch

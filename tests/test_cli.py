@@ -677,8 +677,9 @@ class TestFailureModes:
 
     @pytest.mark.parametrize(
         "command",
-        [["cluster", "--query", "vaccine", "--k", "3"], ["report", "--query", "vaccine"]],
-        ids=["cluster", "report"],
+        [["cluster", "--query", "vaccine", "--k", "3"], ["report", "--query", "vaccine"],
+         ["elbow", "--mode", "modified", "--query", "vaccine"]],
+        ids=["cluster", "report", "elbow"],
     )
     def test_bad_cleaning_config_stops_cluster_and_report(self, pipeline_out, tmp_path, capsys, command):
         out = shutil.copytree(pipeline_out, tmp_path / "out")

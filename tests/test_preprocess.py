@@ -1,4 +1,6 @@
+import pickle
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from keyclust.preprocess import (
     ABBREVIATIONS,
     Chunk,
     CleaningConfig,
-    _token_cleaner,
     chunk_sizes,
     clean_text,
     clean_tokens,
@@ -22,7 +23,7 @@ from keyclust.preprocess import (
     segment_sentences,
 )
 
-from oracles import segment_sentences_oracle
+from oracles import clean_token_oracle, segment_sentences_oracle
 
 
 def segment_oracle(body):
@@ -163,6 +164,18 @@ class TestPosTag:
         assert pos_tag(token) == tag
 
 
+@pytest.fixture(scope="module")
+def cleaning_configs(clean_config):
+    """The default rules, a larger stoplist, and custom patterns with a longer
+    minimum length and another part-of-speech filter."""
+    return [
+        clean_config,
+        CleaningConfig(stoplist=clean_config.stoplist | {"vaccine", "trial", "codon", "xray"}),
+        CleaningConfig(stoplist=frozenset({"Codon"}), removal_patterns=(r"^zap\d+$", r"^x", r"^\W+$"),
+                       disallowed_pos=frozenset({"PREP", "DET"}), min_token_length=4),
+    ]
+
+
 class TestCleanTokens:
     def test_spec_sentence(self, clean_config):
         got = clean_text("The vaccine was tested in 2020 (https://x.y) [12].", clean_config)
@@ -235,6 +248,35 @@ class TestCleanTokens:
         looser = CleaningConfig(stoplist=clean_config.stoplist, min_token_length=6)
         assert clean_text(text, looser) == ["vaccine", "vaccine", "vaccine", "vaccine"]
         assert clean_text(text, clean_config) == want
+        # each config holds its own cleaner, which equality and hashing leave out
+        assert equal.clean is not clean_config.clean
+        assert hash(equal) == hash(clean_config)
+        copied = replace(clean_config)
+        assert copied == clean_config and copied.clean is not clean_config.clean
+        unpickled = pickle.loads(pickle.dumps(looser))
+        assert unpickled == looser and clean_text(text, unpickled) == clean_text(text, looser)
+        assert clean_text(text, replace(clean_config, min_token_length=6)) == clean_text(text, looser)
+        with pytest.raises(InvalidPattern):
+            CleaningConfig(stoplist=frozenset(), removal_patterns=("[unclosed",))
+        with pytest.raises(InvalidPattern):
+            replace(clean_config, removal_patterns=("(",))
+
+    @given(st.lists(
+        st.sampled_from(["The", "vaccine,", "Vaccine", "(trial)", "Trial.", "[12]", "Fig.", "fig2", "95%",
+                         "2.5", "www.x.org/a", "doi:10.1/x", "it", "Between", "zap12", "xray", "codon;", "--",
+                         "SARS-CoV-2", "seven"])
+        | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+        max_size=40,
+    ))
+    @settings(max_examples=200)
+    def test_memoized_cleaner_equals_the_rules(self, cleaning_configs, raw_tokens):
+        # the configs live across examples, so repeated tokens hit each memo
+        text = " ".join(raw_tokens)
+        for config in cleaning_configs:
+            want = [clean_token_oracle(tok, config, _STRIP_CHARS, pos_tag) for tok in text.split()]
+            assert [config.clean(tok) for tok in text.split()] == want
+            assert clean_text(text, config) == [tok for tok in want if tok is not None]
+
 
 class TestCleaningConfig:
     def test_invalid_pattern(self):
@@ -298,20 +340,15 @@ class TestChunkDocument:
         assert all("vaccines" in c.tokens for c in chunks)
 
     def test_each_chunk_is_built_once_with_its_tokens(self, clean_config):
-        # each chunk's tokens are its raw text cleaned, and the
-        # cleaner is looked up once per document, not once per chunk: for an
-        # equal config made apart, each lookup compares the whole stoplist
+        # each chunk's tokens are its raw text cleaned, under an equal config made apart too
         from keyclust.corpus import Document
         from keyclust.preprocess import chunk_document
 
         body = "The vaccine trial ended. It enrolled 95 people, see Fig. 2. " * 7
         doc = Document(doc_id="lab/p2", title="T", body=body, corpus_label="lab")
         equal = CleaningConfig(stoplist=set(clean_config.stoplist))
-        before = _token_cleaner.cache_info()
         chunks = chunk_document(doc, equal)
-        after = _token_cleaner.cache_info()
         assert len(chunks) == 5
-        assert after.hits + after.misses == before.hits + before.misses + 1
         assert [c.tokens for c in chunks] == [tuple(clean_text(c.raw_text, clean_config)) for c in chunks]
         assert chunks == make_chunks(doc.doc_id, segment_sentences(body), clean_config)
         assert all(c.tokens for c in chunks)
