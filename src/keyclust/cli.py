@@ -270,14 +270,15 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pca_dim(args: argparse.Namespace) -> int:
-    if args.pca_dim < 1:
-        raise KeyclustError(f"--pca-dim must be >= 1, got {args.pca_dim}")
-    return args.pca_dim
+def _at_least_1(flag: str, value: int) -> int:
+    """``value``, the value of the integer ``flag``, which must be >= 1."""
+    if value < 1:
+        raise KeyclustError(f"{flag} must be >= 1, got {value}")
+    return value
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    pca_dim = _pca_dim(args)
+    pca_dim = _at_least_1("--pca-dim", args.pca_dim)
     stages = _Stages(args.out)
     vocab_size = len(stages.load("vocabulary"))
     if not vocab_size:
@@ -407,17 +408,11 @@ def cmd_elbow(args: argparse.Namespace) -> int:
     return 0
 
 
-def _top_n(args: argparse.Namespace) -> int:
-    if args.top_n < 1:
-        raise KeyclustError(f"--top-n must be >= 1, got {args.top_n}")
-    return args.top_n
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """The comparison table, top terms and extracts of both models, over the
     chunks stage read as one ``TokenTable``, whose rows with tokens must be
     each model's points."""
-    top_n = _top_n(args)
+    top_n = _at_least_1("--top-n", args.top_n)
     stages = _Stages(args.out)
     table = stages.load("chunks", lambda records, _: TokenTable.from_records(records))
     doc_labels = stages.load("documents")
@@ -464,8 +459,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     # the flags of the later commands are checked before the first one writes
     _max_df_ratio(args)
-    _top_n(args)
-    _pca_dim(args)
+    _at_least_1("--top-n", args.top_n)
+    _at_least_1("--pca-dim", args.pca_dim)
     for mode in clustering.MODES:
         _cluster_config(args, mode=mode)
     cmd_ingest(args)
@@ -503,8 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
     vec_flags.add_argument("--min-df", type=int, default=2)
     vec_flags.add_argument("--max-df-ratio", type=float, default=0.95)
 
-    reduce_flags = argparse.ArgumentParser(add_help=False)
-    reduce_flags.add_argument("--pca-dim", type=int, default=50)
+    def flag(*names: str, **kwargs: Any) -> argparse.ArgumentParser:
+        """A parent parser that declares one flag."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    reduce_flags = flag("--pca-dim", type=int, default=50)
+    query = flag("--query", required=True)
+    k = flag("--k", type=int, default=5)
+    top_n = flag("--top-n", type=int, default=10)
 
     cluster_flags = argparse.ArgumentParser(add_help=False)
     cluster_flags.add_argument("--threshold", type=float, default=clustering.DEFAULT_THRESHOLD)
@@ -532,10 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit PCA and write the reduced-point stage")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("cluster", parents=[common, cluster_flags],
+    p = sub.add_parser("cluster", parents=[common, cluster_flags, query, k],
                        help="weight points by query and fit a cluster model")
-    p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=5)
     p.add_argument("--mode", choices=clustering.MODES, default="modified")
     p.set_defaults(func=cmd_cluster)
 
@@ -548,20 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=10)
     p.set_defaults(func=cmd_elbow)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[common, query, top_n],
                        help="comparison table, top terms, and cluster extracts")
-    p.add_argument("--query", required=True)
-    p.add_argument("--top-n", type=int, default=10)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
         "run-all",
-        parents=[common, ingest_flags, vec_flags, reduce_flags, cluster_flags],
+        parents=[common, ingest_flags, vec_flags, reduce_flags, cluster_flags, query, k, top_n],
         help="chain ingest, vectorize, reduce, both cluster modes, and report",
     )
-    p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--top-n", type=int, default=10)
     p.set_defaults(func=cmd_run_all)
 
     return parser

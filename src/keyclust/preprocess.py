@@ -81,6 +81,7 @@ NUMBER_WORDS = frozenset(
 _NUMERAL = re.compile(r"^[+-]?\d[\d.,:/%-]*$")
 
 DEFAULT_DISALLOWED_POS = frozenset({"PRON", "DET", "CONJ", "NUM"})
+POS_TAGS = ("NUM", "DET", "PRON", "CONJ", "PREP", "OPEN")  # every tag pos_tag gives
 # distinct raw tokens whose cleaned form is remembered per config
 CLEAN_CACHE_SIZE = 1 << 14
 
@@ -291,7 +292,8 @@ def load_cleaning_config(
     ``disallowed_pos``, ``min_token_length``. Relative paths resolve against
     the config file's directory; ``stoplist_override`` wins over
     ``stoplist_path``. A file that cannot be read is a MissingPath; text not
-    JSON, or a field of another type (``_CONFIG_FIELDS``), an InvalidPattern.
+    JSON, a field of another type (``_CONFIG_FIELDS``), or a ``disallowed_pos``
+    tag not in ``POS_TAGS``, an InvalidPattern.
     """
     path = Path(path)
     try:
@@ -305,6 +307,11 @@ def load_cleaning_config(
         if type(value) is not kind or kind is list and not all(isinstance(v, str) for v in value):
             kind_name = "a list of strings" if kind is list else f"of type {kind.__name__}"
             raise InvalidPattern(f"cleaning config {path}: {key} must be {kind_name}, got {value!r}")
+    unknown = sorted(set(raw.get("disallowed_pos", ())) - set(POS_TAGS))
+    if unknown:  # a tag the tagger never gives would filter nothing
+        raise InvalidPattern(
+            f"cleaning config {path}: disallowed_pos must hold tags of {', '.join(POS_TAGS)}, got {unknown}"
+        )
     # a relative path resolves against the config's directory; ``/`` keeps an absolute one
     stoplist_path = stoplist_override
     if not stoplist_path and raw.get("stoplist_path"):

@@ -22,9 +22,8 @@ import csv
 import io
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,15 +36,15 @@ log = logging.getLogger(__name__)
 TOP_TERMS_DEFAULT = 10
 
 
-@dataclass
-class ClusterReport:
+class ClusterReport(NamedTuple):
     cluster_index: int
     top_terms: list[tuple[str, int]]
     member_count: int
 
 
-@dataclass
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
+    """One corpus label's counts, in the column order of the comparison CSV."""
+
     corpus_label: str
     total_paragraphs: int
     search_count: int
@@ -63,17 +62,23 @@ def top_terms(
     return list(zip(map(terms.__getitem__, order.tolist()), counts[order].tolist()))
 
 
-def keyword_search_count(
-    table: TokenTable, query: str | Sequence[str], rows: np.ndarray | None = None
-) -> int:
-    """How many rows of the table (of those the boolean mask ``rows``
-    selects, when given) hold the query term (any word, for multi-word
-    queries)."""
-    words = {query} if isinstance(query, str) else set(query)
+def _words(query: str | Sequence[str]) -> set[str]:
+    """The words of a one-word or multi-word query."""
+    return {query} if isinstance(query, str) else set(query)
+
+
+def _search_hits(table: TokenTable, query: str | Sequence[str]) -> np.ndarray:
+    """One boolean per row of the table: whether it holds a query word."""
+    words = _words(query)
     ids = [i for i, term in enumerate(table.terms) if term in words]
     seen = np.concatenate([[0], np.cumsum(np.isin(table.term_ids, ids))])
-    hit = seen[table.offsets[1:]] > seen[table.offsets[:-1]]
-    return int(np.count_nonzero(hit if rows is None else hit & rows))
+    return seen[table.offsets[1:]] > seen[table.offsets[:-1]]
+
+
+def keyword_search_count(table: TokenTable, query: str | Sequence[str]) -> int:
+    """How many rows of the table hold the query term (any word, for
+    multi-word queries)."""
+    return int(np.count_nonzero(_search_hits(table, query)))
 
 
 def cluster_reports(
@@ -95,9 +100,7 @@ def cluster_reports(
     secondary = model.secondary[model.secondary >= 0]
     members = np.bincount(model.primary, minlength=k) + np.bincount(secondary, minlength=k)
     return [
-        ClusterReport(cluster_index=ci, top_terms=top_terms(counts[ci], table.terms, n),
-                      member_count=int(members[ci]))
-        for ci in range(k)
+        ClusterReport(ci, top_terms(counts[ci], table.terms, n), int(members[ci])) for ci in range(k)
     ]
 
 
@@ -110,7 +113,7 @@ def relevant_clusters(
 ) -> list[int]:
     """Clusters whose top-n term list contains a query word. ``reports``,
     when given, are the model's ``cluster_reports`` with at least n terms."""
-    words = {query} if isinstance(query, str) else set(query)
+    words = _words(query)
     if reports is None:
         reports = cluster_reports(model, table, n)
     return [
@@ -148,14 +151,9 @@ def comparison_table(
         member = np.isin(model.primary, hits) | np.isin(model.secondary, hits)
         counts[name] = np.bincount(point_label[member], minlength=len(labels)).tolist()
     totals = np.bincount(row_label, minlength=len(labels)).tolist()
+    found = np.bincount(row_label[_search_hits(table, query)], minlength=len(labels)).tolist()
     return [
-        ComparisonRow(
-            corpus_label=label,
-            total_paragraphs=totals[i],
-            search_count=keyword_search_count(table, query, row_label == i),
-            standard_kmeans_count=counts["standard"][i],
-            modified_kmeans_count=counts["modified"][i],
-        )
+        ComparisonRow(label, totals[i], found[i], counts["standard"][i], counts["modified"][i])
         for i, label in enumerate(labels)
     ]
 
@@ -177,37 +175,32 @@ def extract_cluster_text(
 # artifact writers
 
 
-def write_comparison_csv(path: str | Path, rows: Sequence[ComparisonRow]) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The header and rows as UTF-8 CSV with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["corpus", "total_paragraphs", "search_count", "standard_kmeans", "modified_kmeans"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.corpus_label, r.total_paragraphs, r.search_count,
-                 r.standard_kmeans_count, r.modified_kmeans_count]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_comparison_csv(path: str | Path, rows: Sequence[ComparisonRow]) -> None:
+    header = ["corpus", "total_paragraphs", "search_count", "standard_kmeans", "modified_kmeans"]
+    _write_csv(path, header, rows)
 
 
 def write_elbow_csv(path: str | Path, results: Sequence[tuple[int, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "distortion"])
-        for k, d in results:
-            writer.writerow([k, repr(d)])
+    _write_csv(path, ["k", "distortion"], ((k, repr(d)) for k, d in results))
 
 
 def write_top_terms_csv(
     path: str | Path, reports: Sequence[ClusterReport], n: int | None = None
 ) -> None:
     """Each cluster's top terms, the first ``n`` of them when n is given."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster", "member_count", "rank", "term", "count"])
-        for rep in reports:
-            for rank, (term, count) in enumerate(rep.top_terms[:n], start=1):
-                writer.writerow([rep.cluster_index, rep.member_count, rank, term, count])
+    _write_csv(path, ["cluster", "member_count", "rank", "term", "count"], (
+        (rep.cluster_index, rep.member_count, rank, term, count)
+        for rep in reports
+        for rank, (term, count) in enumerate(rep.top_terms[:n], start=1)
+    ))
 
 
 def write_extracts(

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -17,6 +18,15 @@ from corpus_gen import write_corpus  # noqa: E402
 def write_corpus_dir(path: Path, n_articles: int, seed: int = 0, n_sentences: int = 90) -> None:
     """Write the seeded reference corpus (``perfbench/corpus_gen.py``) to ``path``."""
     write_corpus(path, n_articles, n_sentences, seed)
+
+
+def tree_digest(root: Path) -> dict[str, str]:
+    """The sha256 of every file under ``root``, by its path relative to ``root``."""
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
-import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
@@ -26,7 +24,7 @@ from keyclust.report import comparison_table
 from keyclust.vectorize import build_vocabulary, tfidf_vector, vector_records
 from keyclust.weighting import assign_weights, weighted_points
 
-from conftest import blob_points, random_points, token_table, toy_chunk, write_corpus_dir
+from conftest import blob_points, random_points, token_table, toy_chunk, tree_digest, write_corpus_dir
 from oracles import eigh_pca_oracle, lloyd_oracle
 
 # models fitted by earlier criteria, re-checked by the dual-counting criterion
@@ -58,14 +56,6 @@ def models_identical(a: ClusterModel, b: ClusterModel) -> bool:
         for ha, hb in zip(a.history, b.history)
         for x, y in ((ha.centroids, hb.centroids), (ha.primary, hb.primary), (ha.secondary, hb.secondary))
     )
-
-
-def tree_digest(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 def test_criterion_01_lloyd_oracle_equivalence():

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import logging
 import multiprocessing
@@ -16,15 +15,7 @@ from keyclust.cli import build_parser, main
 from keyclust.corpus import StageStore
 from keyclust.preprocess import default_stoplist
 
-from conftest import write_corpus_dir
-
-
-def tree_digest(root: Path) -> dict[str, str]:
-    out = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
+from conftest import tree_digest, write_corpus_dir
 
 
 def edit_header(path: Path, **fields) -> None:
@@ -322,6 +313,43 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    def test_every_subcommand_keeps_its_flags_defaults_and_order(self, capsys):
+        common = [("--out", "out", False), ("--cleaning-config", None, False)]
+        ingest = [("--corpus", None, True), ("--batch-size", 50, False)]
+        vectorize = [("--min-df", 2, False), ("--max-df-ratio", 0.95, False)]
+        fit = [
+            ("--threshold", 0.01, False), ("--damping", 0.01, False), ("--epsilon", 0.0001, False),
+            ("--max-iter", 300, False), ("--seeding", "random", False), ("--seed", 0, False),
+            ("--threads", 1, False), ("--raw-denominator", False, False),
+        ]
+        query, k, top_n = ("--query", None, True), ("--k", 5, False), ("--top-n", 10, False)
+        expected = {
+            "ingest": common + ingest,
+            "vectorize": common + vectorize,
+            "reduce": common + [("--pca-dim", 50, False)],
+            "cluster": common + fit + [query, k, ("--mode", "modified", False)],
+            "elbow": common + fit + [
+                ("--query", None, False), ("--mode", "standard", False), ("--k-min", 1, False),
+                ("--k-max", 10, False), ("--restarts", 10, False),
+            ],
+            "report": common + [query, top_n],
+            "run-all": common + ingest + vectorize + [("--pca-dim", 50, False)] + fit + [query, k, top_n],
+        }
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        assert {
+            name: [
+                (option, action.default, action.required)
+                for action in command._actions if action.dest != "help"
+                for option in action.option_strings
+            ]
+            for name, command in commands.items()
+        } == expected
+        # the required flags are named in the order they are declared
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run-all"])
+        assert "the following arguments are required: --corpus, --query" in capsys.readouterr().err
 
     def test_defaults_independent_of_parse_order(self):
         parser = build_parser()
@@ -653,11 +681,18 @@ class TestFailureModes:
                 {"cleaning.json": '{"extra_stopwords": "vaccine"}'}, None,
                 "cleaning config {dir}/cleaning.json: extra_stopwords must be a list of strings, got 'vaccine'",
             ),
+            ({"cleaning.json": '["PRON"]'}, None, "cleaning config {dir}/cleaning.json must be a JSON object"),
+            (
+                # pos_tag gives only upper-case tags, and no VERB: this filter would drop nothing
+                {"cleaning.json": '{"disallowed_pos": ["pron", "VERB"]}'}, None,
+                "cleaning config {dir}/cleaning.json: disallowed_pos must hold tags of "
+                "NUM, DET, PRON, CONJ, PREP, OPEN, got ['VERB', 'pron']",
+            ),
         ],
         ids=[
             "invalid-json", "missing-config", "missing-stoplist-path", "missing-removal-patterns-path",
             "missing-env-stoplist", "stoplist-not-utf8", "min-token-length-str", "disallowed-pos-int",
-            "removal-patterns-int", "extra-stopwords-str",
+            "removal-patterns-int", "extra-stopwords-str", "json-array", "disallowed-pos-unknown-tag",
         ],
     )
     def test_bad_cleaning_config_exits_1(
@@ -692,6 +727,17 @@ class TestFailureModes:
             f"error: cleaning config {config}: extra_stopwords must be a list of strings, got 'vaccine'"
         )
         assert tree_digest(out) == before
+
+    def test_ingest_of_no_document_exits_1(self, tmp_path, capsys):
+        empty, broken = tmp_path / "empty", tmp_path / "broken"
+        empty.mkdir()
+        broken.mkdir()
+        (broken / "a.json").write_text("[]", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["ingest", "--out", str(out), "--corpus", f"{empty}:a", "--corpus", f"{broken}:b"]
+        assert main(argv) == 1
+        assert self.only_error_line(capsys) == "error: no documents loaded from any corpus"
+        assert not out.exists()
 
     def test_zero_batch_size_leaves_stages_unchanged(self, corpus_dir, tmp_path, capsys):
         other = tmp_path / "other"

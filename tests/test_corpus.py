@@ -57,6 +57,22 @@ class TestLoadCorpus:
         assert len(report.errors) == 1
         assert "missing required field" in report.errors[0].message
 
+    @pytest.mark.parametrize(
+        "article, message",
+        [
+            (["p1", "T", ["Alpha."]], "article JSON must be an object"),
+            ({"paper_id": "", "title": "T", "body_text": ["Alpha."]}, "paper_id must be a non-empty string"),
+            ({"paper_id": "p1", "title": None, "body_text": ["Alpha."]}, "title must be a string"),
+            ({"paper_id": "p1", "title": "T", "body_text": "Alpha."}, "body_text must be a list of paragraph strings"),
+        ],
+        ids=["not-an-object", "paper-id-empty", "title-not-str", "body-text-str"],
+    )
+    def test_article_of_the_wrong_shape_reported(self, tmp_path, article, message):
+        (tmp_path / "a.json").write_text(json.dumps(article), encoding="utf-8")
+        report = load_corpus(tmp_path, "lab")
+        assert report.documents == []
+        assert [e.message for e in report.errors] == [message]
+
     def test_duplicate_paper_id(self, tmp_path):
         write_article(tmp_path / "a.json", paper_id="same")
         write_article(tmp_path / "b.json", paper_id="same")
@@ -157,6 +173,13 @@ class TestStageStore:
             store.save(records(), schema="r")
         assert store.path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+
+    def test_unwritable_stage_is_a_stage_io_error(self, tmp_path):
+        store = StageStore(root_path=tmp_path, stage_name="s")
+        (tmp_path / "s.jsonl" / "inside").mkdir(parents=True)  # a directory the stage cannot replace
+        with pytest.raises(StageIoError, match="cannot write stage 's': "):
+            store.save([{"a": 1}], schema="r")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
 
     def test_undecodable_record_line(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="s")

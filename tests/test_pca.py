@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from keyclust.corpus import load_corpus
 from keyclust.errors import DimensionTooLarge, KeyclustError, LengthMismatch
-from keyclust.pca import PcaModel, fit_pca, pca_transform, reduce_points
+from keyclust.pca import PcaModel, fit_pca, pca_transform, read_points, reduce_points
 from keyclust.preprocess import chunk_document
 from keyclust.vectorize import build_vocabulary, densify, tfidf_vector
 
@@ -123,6 +123,11 @@ class TestFitPca:
             fit_pca(X[:3], 3)  # > n-1
         with pytest.raises(DimensionTooLarge):
             fit_pca(X, 0)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)], ids=["1-d", "3-d"])
+    def test_not_a_matrix(self, shape):
+        with pytest.raises(LengthMismatch, match="expected a 2-D matrix"):
+            fit_pca(np.zeros(shape), 1)
 
     def test_degenerate_identical_vectors(self):
         X = np.tile([0.3, -1.2, 0.7], (6, 1))
@@ -267,3 +272,8 @@ class TestReducePoints:
         with caplog.at_level("WARNING", logger="keyclust"), pytest.raises(KeyclustError, match="at least two"):
             reduce_points(random_matrix(3, n=n, v=4), 2)
         assert not caplog.records
+
+
+def test_read_points_of_no_record():
+    ids, X = read_points(iter([]))
+    assert ids == [] and X.shape == (0, 0) and X.dtype == np.float64

@@ -1,3 +1,4 @@
+import json
 import pickle
 import time
 from dataclasses import replace
@@ -12,6 +13,7 @@ from keyclust.preprocess import (
     _TERMINAL,
     ABBREVIATIONS,
     Chunk,
+    POS_TAGS,
     CleaningConfig,
     chunk_sizes,
     clean_text,
@@ -301,6 +303,21 @@ class TestCleaningConfig:
         assert "virus" in cfg.stoplist
         assert "the" in cfg.stoplist
         assert cfg.min_token_length == 3
+
+    @pytest.mark.parametrize(
+        "tags, kept",
+        [
+            ([], ["although", "another", "anybody", "vaccine", "seven"]),
+            (["PRON", "CONJ"], ["another", "vaccine", "seven"]),
+            (list(POS_TAGS), []),
+        ],
+        ids=["none", "pron-conj", "every-tag"],
+    )
+    def test_config_filters_each_tag_pos_tag_gives(self, tmp_path, tags, kept):
+        cfg_path = tmp_path / "cleaning.json"
+        cfg_path.write_text(json.dumps({"disallowed_pos": tags}), encoding="utf-8")
+        cfg = load_cleaning_config(cfg_path)
+        assert clean_text("although another anybody vaccine seven", cfg) == kept
 
     def test_config_stoplist_override(self, tmp_path):
         alt = tmp_path / "alt.txt"

@@ -248,6 +248,31 @@ class TestComparisonTable:
             toy_chunk("c4", ["market", "vaccine"], doc_id="d2"),
         ]
 
+    @given(
+        docs=st.lists(
+            st.tuples(
+                st.sampled_from("abc"),  # the document's corpus label, then its chunks' tokens
+                st.lists(st.lists(st.sampled_from("qxyz"), min_size=1, max_size=4), min_size=1, max_size=4),
+            ),
+            min_size=1, max_size=6,
+        ),
+        query=st.sampled_from(["q", ["q", "x"], ["absent"]]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_search_count_of_each_label_is_its_own_keyword_count(self, docs, query):
+        chunks = [
+            toy_chunk(f"d{d}_c{c}", tokens, doc_id=f"d{d}")
+            for d, (_, doc) in enumerate(docs) for c, tokens in enumerate(doc)
+        ]
+        labels = {f"d{d}": label for d, (label, _) in enumerate(docs)}
+        model = make_model([asg(c.chunk_id, 0) for c in chunks])
+        rows = comparison_table(token_table(chunks), query, model, model, labels)
+        assert [r.corpus_label for r in rows] == sorted(set(labels.values()))
+        for row in rows:
+            own = [c for c in chunks if labels[c.doc_id] == row.corpus_label]
+            assert row.total_paragraphs == len(own)
+            assert row.search_count == keyword_search_count(token_table(own), query)
+
     def test_counts_per_label(self):
         chunks = self._chunks()
         model = make_model(

@@ -73,6 +73,12 @@ class TestAssignWeights:
         with pytest.raises(QueryNotInVocabulary):
             assign_weights(id_tokens(chunks), "nonexistent", vocab)
 
+    def test_query_in_no_given_chunk(self):
+        chunks, vocab = three_chunk_corpus()
+        without = id_tokens([c for c in chunks if "vaccine" not in c.tokens])
+        with pytest.raises(QueryNotInVocabulary, match=r"query \['vaccine'\] occurs in no chunk"):
+            assign_weights(without, "vaccine", vocab)
+
     def test_multi_word_query_takes_max(self):
         chunks, vocab = three_chunk_corpus()
         single = assign_weights(id_tokens(chunks), "vaccine", vocab)
