@@ -288,7 +288,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         )
     rows = stages.load("vectors")  # chunk ids and CSR arrays
     with _record_shape("vectors"):
-        matrix = vectorization.scatter_rows(*rows, vocab_size)
+        matrix = vectorization.densify(rows, vocab_size)
     chunk_ids = rows[0]
     del rows
     model, coords = reduction.reduce_points(matrix, pca_dim)
@@ -582,7 +582,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         return args.func(args)
-    except KeyclustError as exc:
+    except (KeyclustError, OSError) as exc:  # a report or other file that cannot be written, too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
@@ -122,6 +122,8 @@ def _parse_article(fp: Path, label: str) -> Document:
     body = "\n\n".join(body_text)
     if not body.strip():
         raise ValueError("empty body")
+    for text in (paper_id, title, body):
+        text.encode("utf-8")  # a lone surrogate escape loads, but no UTF-8 stage can hold it (UnicodeEncodeError)
     return Document(doc_id=f"{label}/{paper_id}", title=title, body=body, corpus_label=label)
 
 
@@ -161,7 +163,6 @@ class StageStore:
         """Write the header and one line per record; a record given as a
         ``str`` is a line already made by :func:`encode_record`."""
         path = self.path
-        path.parent.mkdir(parents=True, exist_ok=True)
         header = {
             "stage": self.stage_name,
             "schema": schema,
@@ -172,6 +173,7 @@ class StageStore:
         tmp = path.with_suffix(path.suffix + ".tmp")
         count = 0
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(encode_record(header) + "\n")
                 for rec in records:
@@ -179,8 +181,10 @@ class StageStore:
                     count += 1
             os.replace(tmp, path)
         except BaseException as exc:
-            # a failing record iterator leaves no debris and the old file intact
-            tmp.unlink(missing_ok=True)
+            # a failing record iterator leaves no debris and the old file intact;
+            # a temporary file that cannot be removed does not hide the error
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
             if isinstance(exc, OSError):
                 raise StageIoError(f"cannot write stage {self.stage_name!r}: {exc}") from exc
             raise

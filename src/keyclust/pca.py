@@ -9,8 +9,8 @@ right singular vectors are the same eigenvectors.
 
 from __future__ import annotations
 
-import itertools
 import logging
+from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -60,32 +60,25 @@ class PcaModel:
 
 def read_points(records: Iterable[Mapping[str, Any]]) -> tuple[list[str], np.ndarray]:
     """The points stage as its chunk ids and an (n, d) float64 array, whose
-    rows are the coordinates, each of the first point's length. The rows are
-    read into the array as the records are taken."""
-    records = iter(records)
-    first = next(records, None)
-    if first is None:
-        return [], np.zeros((0, 0))
+    rows are the coordinates, each of the first point's length. Each
+    record's coordinates are appended to one buffer as the records are taken."""
     ids: list[str] = []
-    width = np.asarray(first["coords"], dtype=np.float64).size
-
-    def rows() -> Iterator[list[float]]:
-        for rec in itertools.chain([first], records):
-            ids.append(rec["chunk_id"])
-            coords = rec["coords"]
-            if type(coords) is not list or len(coords) != width:
-                shape = np.asarray(coords, dtype=np.float64).shape
-                if shape != (width,):
-                    raise ValueError(
-                        f"point {ids[-1]!r} has coordinates of shape {shape}, not ({width},)"
-                    )
-            yield coords
-
-    # copied into an array allocated once at its final size: keeping the
-    # buffer that fromiter grew left a process that sets up and scans
-    # three times (perfbench's kscan) peaking 1-2 MB higher
-    X = np.fromiter(rows(), dtype=np.dtype((np.float64, width))).copy()
-    return ids, X
+    buf, width = array("d"), None
+    for rec in records:
+        ids.append(rec["chunk_id"])
+        coords = rec["coords"]
+        if width is None:
+            width = np.asarray(coords, dtype=np.float64).size
+        if type(coords) is list and len(coords) == width:
+            buf.fromlist(coords)
+            continue
+        shape = np.asarray(coords, dtype=np.float64).shape
+        if shape != (width,):
+            raise ValueError(f"point {ids[-1]!r} has coordinates of shape {shape}, not ({width},)")
+        buf.extend(coords)
+    if width is None:
+        return [], np.zeros((0, 0))
+    return ids, np.frombuffer(buf, np.float64).reshape(len(ids), width)
 
 
 def point_records(chunk_ids: Sequence[str], coords: np.ndarray) -> Iterator[dict[str, Any]]:

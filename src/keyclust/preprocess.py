@@ -201,7 +201,9 @@ class CleaningConfig:
     returning its kept form or None if dropped. It is built with the config
     from its patterns, compiled once, and remembers each distinct raw token's
     result for as long as the config lives. Equality, hashing and ``repr``
-    leave it out, and ``replace`` builds a new one.
+    leave it out, and ``replace`` builds a new one. A removal pattern that
+    does not compile, or a ``disallowed_pos`` tag not in ``POS_TAGS``, is an
+    InvalidPattern.
     """
 
     stoplist: frozenset[str]
@@ -219,6 +221,9 @@ class CleaningConfig:
                 patterns.append(re.compile(pat))
             except re.error as exc:
                 raise InvalidPattern(f"removal pattern {pat!r} does not compile: {exc}") from exc
+        unknown = sorted(set(self.disallowed_pos) - set(POS_TAGS))
+        if unknown:  # a tag the tagger never gives would filter nothing
+            raise InvalidPattern(f"disallowed_pos must hold tags of {', '.join(POS_TAGS)}, got {unknown}")
         # the memo holds the rules, not the config, so it makes no reference cycle
         min_length, disallowed = self.min_token_length, self.disallowed_pos
 
@@ -307,11 +312,6 @@ def load_cleaning_config(
         if type(value) is not kind or kind is list and not all(isinstance(v, str) for v in value):
             kind_name = "a list of strings" if kind is list else f"of type {kind.__name__}"
             raise InvalidPattern(f"cleaning config {path}: {key} must be {kind_name}, got {value!r}")
-    unknown = sorted(set(raw.get("disallowed_pos", ())) - set(POS_TAGS))
-    if unknown:  # a tag the tagger never gives would filter nothing
-        raise InvalidPattern(
-            f"cleaning config {path}: disallowed_pos must hold tags of {', '.join(POS_TAGS)}, got {unknown}"
-        )
     # a relative path resolves against the config's directory; ``/`` keeps an absolute one
     stoplist_path = stoplist_override
     if not stoplist_path and raw.get("stoplist_path"):
@@ -321,12 +321,15 @@ def load_cleaning_config(
     patterns = tuple(raw.get("removal_patterns", DEFAULT_REMOVAL_PATTERNS))
     if "removal_patterns_path" in raw:
         patterns = load_patterns(path.parent / raw["removal_patterns_path"])
-    return CleaningConfig(
-        stoplist=frozenset(stop),
-        removal_patterns=patterns,
-        disallowed_pos=frozenset(raw.get("disallowed_pos", DEFAULT_DISALLOWED_POS)),
-        min_token_length=raw.get("min_token_length", 2),
-    )
+    try:
+        return CleaningConfig(
+            stoplist=frozenset(stop),
+            removal_patterns=patterns,
+            disallowed_pos=frozenset(raw.get("disallowed_pos", DEFAULT_DISALLOWED_POS)),
+            min_token_length=raw.get("min_token_length", 2),
+        )
+    except InvalidPattern as exc:  # a tag or pattern the config itself rejects
+        raise InvalidPattern(f"cleaning config {path}: {exc}") from exc
 
 
 def segment_sentences(body: str) -> list[str]:

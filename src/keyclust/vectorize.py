@@ -149,8 +149,8 @@ def read_rows(
     """The vectors stage (records of :func:`vector_records`) as CSR
     arrays: chunk ids, row offsets, column indices and weights. Row r's
     entries are ``indices[offsets[r]:offsets[r + 1]]`` and the same slice of
-    ``weights``. The indices are checked against the vocabulary where the
-    rows are scattered; a record without its norm is malformed."""
+    ``weights``. The indices are checked against the vocabulary where
+    :func:`densify` stacks the rows; a record without its norm is malformed."""
     chunk_ids: list[str] = []
     offsets, indices, weights = array("q", [0]), array("q"), array("d")
     for rec in records:
@@ -168,18 +168,11 @@ def read_rows(
 
 
 def densify(rows: tuple[Sequence[str], np.ndarray, np.ndarray, np.ndarray], vocab_size: int) -> np.ndarray:
-    """Stack CSR rows, as :func:`tfidf_vector` returns them, into a dense
-    (n, V) float64 matrix through :func:`scatter_rows`."""
-    return scatter_rows(*rows, vocab_size)
-
-
-def scatter_rows(
-    chunk_ids: Sequence[str], offsets: np.ndarray, indices: np.ndarray, weights: np.ndarray,
-    vocab_size: int,
-) -> np.ndarray:
-    """Stack the CSR rows of :func:`read_rows` into a dense (n, V) float64
-    matrix. A column index outside [0, V) is an IndexError naming the first
-    chunk that holds one, never a write to another column."""
+    """Stack CSR rows, as :func:`tfidf_vector` and :func:`read_rows` return
+    them, into a dense (n, V) float64 matrix. A column index outside [0, V)
+    is an IndexError naming the first chunk that holds one, never a write to
+    another column."""
+    chunk_ids, offsets, indices, weights = rows
     # one check over every index, before the matrix exists
     if indices.size and not (0 <= indices.min() and indices.max() < vocab_size):
         first = np.flatnonzero((indices < 0) | (indices >= vocab_size))[0]

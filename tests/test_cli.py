@@ -733,11 +733,33 @@ class TestFailureModes:
         empty.mkdir()
         broken.mkdir()
         (broken / "a.json").write_text("[]", encoding="utf-8")
+        (broken / "b.json").write_text(
+            json.dumps({"paper_id": "p1", "title": "T", "body_text": ["Alpha \ud800 beta."]}), encoding="utf-8"
+        )
         out = tmp_path / "out"
         argv = ["ingest", "--out", str(out), "--corpus", f"{empty}:a", "--corpus", f"{broken}:b"]
         assert main(argv) == 1
         assert self.only_error_line(capsys) == "error: no documents loaded from any corpus"
         assert not out.exists()
+
+    def test_ingest_under_a_file_exits_1(self, corpus_dir, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 1
+        assert self.only_error_line(capsys).startswith("error: cannot write stage 'documents': ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["cluster", "--query", "vaccine", "--k", "3", "--mode", "standard"], ["report", "--query", "vaccine"]],
+        ids=["cluster", "report"],
+    )
+    def test_reports_that_cannot_be_written_exit_1(self, pipeline_out, tmp_path, capsys, command):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        shutil.rmtree(out / "reports")
+        (out / "reports").write_text("", encoding="utf-8")  # a file where the directory goes
+        capsys.readouterr()
+        assert main([*command, "--out", str(out)]) == 1
+        assert self.only_error_line(capsys) == f"error: [Errno 17] File exists: '{out / 'reports'}'"
 
     def test_zero_batch_size_leaves_stages_unchanged(self, corpus_dir, tmp_path, capsys):
         other = tmp_path / "other"
@@ -1007,9 +1029,14 @@ class TestFailureModes:
         corpus = tmp_path / "corpus"
         write_corpus_dir(corpus, n_articles=3, seed=0, n_sentences=12)
         (corpus / "broken.json").write_text("{", encoding="utf-8")
+        (corpus / "surrogate.json").write_text(
+            json.dumps({"paper_id": "bad", "title": "T", "body_text": ["Alpha \ud800 beta."]}), encoding="utf-8"
+        )
         out = tmp_path / "out"
         assert main(["ingest", "--out", str(out), "--corpus", f"{corpus}:demo"]) == 0
-        assert "skipped" in caplog.text
+        assert caplog.text.count("skipped") == 2 and "surrogates not allowed" in caplog.text
+        lines = (out / "stages" / "documents.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        assert [json.loads(line)["doc_id"] for line in lines] == [f"demo/paper000{i}" for i in range(3)]
 
     def test_one_label_for_two_corpora_loads_each_id_once(self, tmp_path, caplog):
         # both corpora hold paper0000..paper0003, so under one label they share ids

@@ -64,8 +64,13 @@ class TestLoadCorpus:
             ({"paper_id": "", "title": "T", "body_text": ["Alpha."]}, "paper_id must be a non-empty string"),
             ({"paper_id": "p1", "title": None, "body_text": ["Alpha."]}, "title must be a string"),
             ({"paper_id": "p1", "title": "T", "body_text": "Alpha."}, "body_text must be a list of paragraph strings"),
+            # json.loads reads the escape "\\ud800" as a lone surrogate, which no UTF-8 stage can hold
+            (
+                {"paper_id": "p1", "title": "T", "body_text": ["Alpha \ud800."]},
+                "'utf-8' codec can't encode character '\\ud800' in position 6: surrogates not allowed",
+            ),
         ],
-        ids=["not-an-object", "paper-id-empty", "title-not-str", "body-text-str"],
+        ids=["not-an-object", "paper-id-empty", "title-not-str", "body-text-str", "lone-surrogate"],
     )
     def test_article_of_the_wrong_shape_reported(self, tmp_path, article, message):
         (tmp_path / "a.json").write_text(json.dumps(article), encoding="utf-8")
@@ -180,6 +185,20 @@ class TestStageStore:
         with pytest.raises(StageIoError, match="cannot write stage 's': "):
             store.save([{"a": 1}], schema="r")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+
+    def test_stage_root_under_a_file_is_a_stage_io_error(self, tmp_path):
+        (tmp_path / "out").write_text("", encoding="utf-8")
+        store = StageStore(root_path=tmp_path / "out" / "stages", stage_name="s")
+        with pytest.raises(StageIoError, match="cannot write stage 's': .*Not a directory"):
+            store.save([{"a": 1}], schema="r")
+
+    def test_temp_file_that_cannot_be_removed_keeps_the_write_error(self, tmp_path):
+        # open fails on the directory, and so does removing it afterwards
+        (tmp_path / "s.jsonl.tmp").mkdir()
+        store = StageStore(root_path=tmp_path, stage_name="s")
+        with pytest.raises(StageIoError, match="cannot write stage 's': .*Is a directory"):
+            store.save([{"a": 1}], schema="r")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl.tmp"]
 
     def test_undecodable_record_line(self, tmp_path):
         store = StageStore(root_path=tmp_path, stage_name="s")

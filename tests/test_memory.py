@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from keyclust.cli import _query_weights, _Stages, main
+from keyclust import cluster
 from keyclust.cluster import ClusterConfig, run
 
 from conftest import random_points, write_corpus_dir
@@ -51,10 +52,27 @@ def test_points_decode_holds_little_beside_the_coordinates(outs, chunks):
     stages.check("points")
     (ids, X), peak = traced_peak(lambda: stages.load("points"))
     assert len(ids) == chunks and X.shape == (chunks, 50) and X.flags.c_contiguous
-    # 2.2x at 3000 chunks: the rows are read into one array as the records
-    # are parsed, and copied once. Collecting every record's list of floats
-    # before making the array peaks at 5.4x (6.5 MB against 2.6 MB)
-    assert peak <= 2.5 * X.nbytes, (peak, X.nbytes)
+    # 1.22x at 3000 chunks and 1.28x at 600: the coordinates appended to one
+    # buffer as the records are parsed, its spare room as it grows, and the
+    # ids. Reading the rows into an array through np.fromiter and copying it
+    # once peaked at 2.2x, and collecting every record's list of floats
+    # before making the array at 5.4x (6.5 MB against 1.5 MB here)
+    assert peak <= 1.35 * X.nbytes, (peak, X.nbytes)
+
+
+def test_fit_reads_the_decoded_points_stage_in_place(outs, monkeypatch):
+    ids, X = _Stages(str(outs[600])).load("points")
+    assert X.dtype == np.float64 and X.flags.c_contiguous and X.flags.writeable
+    fitted = []
+
+    def fit(ids, points, *rest):
+        fitted.append(points)
+        return real_fit(ids, points, *rest)
+
+    real_fit = cluster._fit
+    monkeypatch.setattr(cluster, "_fit", fit)
+    run(ids, X, np.ones(len(ids)), ClusterConfig(k=10, seed=7, max_iter=3))
+    assert len(fitted) == 1 and np.shares_memory(fitted[0], X)
 
 
 def test_vectors_decode_holds_little_beside_its_arrays(outs):

@@ -285,6 +285,14 @@ class TestCleaningConfig:
         with pytest.raises(InvalidPattern):
             CleaningConfig(stoplist=frozenset(), removal_patterns=("[unclosed",))
 
+    def test_tag_the_tagger_never_gives(self, clean_config):
+        # upper-case tags only, and no VERB: such a filter would drop nothing
+        message = r"disallowed_pos must hold tags of NUM, DET, PRON, CONJ, PREP, OPEN, got \['VERB', 'pron'\]"
+        with pytest.raises(InvalidPattern, match=message):
+            CleaningConfig(stoplist=frozenset(), disallowed_pos=frozenset({"VERB", "pron"}))
+        with pytest.raises(InvalidPattern, match=message):
+            replace(clean_config, disallowed_pos=frozenset({"pron", "VERB", "PRON"}))
+
     def test_stoplist_normalized_lowercase(self):
         cfg = CleaningConfig(stoplist=frozenset({"The", "AND"}))
         assert cfg.stoplist == frozenset({"the", "and"})

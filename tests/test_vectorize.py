@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from keyclust.errors import EmptyCorpus
 from keyclust.vectorize import (
-    Vocabulary, build_vocabulary, densify, read_rows, scatter_rows, tfidf_vector, vector_records,
+    Vocabulary, build_vocabulary, densify, read_rows, tfidf_vector, vector_records,
 )
 
 from conftest import toy_chunk, token_table
@@ -221,10 +221,10 @@ class TestTfIdfVector:
             [TfIdfVector(r["chunk_id"], dict(r["entries"])) for r in vector_records(*rows)], len(vocab)
         ).tobytes()
 
-    def test_scatter_rows_matches_densify(self):
-        # the vectors stage read back from its records, and densify of the
-        # same rows, against the loop over their entries: empty rows, the
-        # first and last columns included
+    def test_densify_matches_the_entry_loop(self):
+        # the vectors stage read back from its records and stacked, against
+        # the loop over their entries: empty rows, the first and last columns
+        # included
         for seed in range(5):
             rng = random.Random(seed)
             vecs = [
@@ -233,25 +233,17 @@ class TestTfIdfVector:
             ]
             vecs[0].entries, vecs[-1].entries = {}, {0: 0.25, 8: 0.75}
             rows = read_rows(v.to_record() for v in vecs)
-            chunk_ids, offsets, indices, weights = rows
-            assert chunk_ids == [v.chunk_id for v in vecs] and len(offsets) == len(vecs) + 1
-            want = densify_oracle(vecs, 9)
-            for got in (scatter_rows(chunk_ids, offsets, indices, weights, 9), densify(rows, 9)):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                assert not got[0].any() and got[-1, 0] and got[-1, 8]
+            assert rows[0] == [v.chunk_id for v in vecs] and len(rows[1]) == len(vecs) + 1
+            want, got = densify_oracle(vecs, 9), densify(rows, 9)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got[0].any() and got[-1, 0] and got[-1, 8]
 
-    def test_scatter_rows_of_no_rows_is_empty(self):
-        assert scatter_rows(*read_rows([]), 4).shape == (0, 4)
+    def test_densify_of_no_rows_is_empty(self):
+        assert densify(read_rows([]), 4).shape == (0, 4)
 
-    @pytest.mark.parametrize(
-        "builder, index",
-        [(builder, index) for builder in ("scatter_rows", "densify") for index in (4, -1, -4)],
-        ids=[f"{prefix}{case}" for prefix in ("", "densify-")
-             for case in ("past-end", "negative", "negative-in-range")],
-    )
-    def test_scatter_rows_rejects_a_column_outside_the_vocabulary(self, builder, index):
-        # of several rows with an index outside [0, V), the error names the
-        # first, whether scatter_rows or densify stacks them
+    @pytest.mark.parametrize("index", [4, -1, -4], ids=["past-end", "negative", "negative-in-range"])
+    def test_densify_rejects_a_column_outside_the_vocabulary(self, index):
+        # of several rows with an index outside [0, V), the error names the first
         vecs = [
             TfIdfVector(chunk_id="a", entries={0: 1.0}, norm=1.0),
             TfIdfVector(chunk_id="b", entries={}, norm=0.0),
@@ -261,10 +253,7 @@ class TestTfIdfVector:
         ]
         rows = read_rows(v.to_record() for v in vecs)
         with pytest.raises(IndexError, match=r"chunk 'c' has a column index outside \[0, 4\)"):
-            if builder == "densify":
-                densify(rows, 4)
-            else:
-                scatter_rows(*rows, 4)
+            densify(rows, 4)
 
     def test_read_rows_needs_whole_records(self):
         vec = TfIdfVector(chunk_id="c", entries={3: 0.6, 1: 0.8}, norm=1.0)
