@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import logging
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -48,8 +47,6 @@ from .preprocess import (
 )
 
 log = logging.getLogger("keyclust")
-
-STOPLIST_ENV = "KEYCLUST_STOPLIST"
 
 
 def _decode_vocab(records: Iterator[dict[str, Any]], meta: dict[str, Any]) -> vectorization.Vocabulary:
@@ -181,10 +178,18 @@ def _reports_dir(out: str) -> Path:
 
 
 def _cleaning_config(args: argparse.Namespace) -> CleaningConfig:
-    override = os.environ.get(STOPLIST_ENV) or None
-    if getattr(args, "cleaning_config", None):
-        return load_cleaning_config(args.cleaning_config, stoplist_override=override)
-    return default_cleaning_config(stoplist_path=override)
+    path = getattr(args, "cleaning_config", None)
+    return load_cleaning_config(path) if path else default_cleaning_config()
+
+
+def _utf8(flag: str, value: str) -> str:
+    """``value``, the text of ``flag``, which must be UTF-8: argv bytes that
+    are not UTF-8 decode to lone surrogates, which no stage file can hold."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise KeyclustError(f"{flag} must be UTF-8 text, got {value!r}") from exc
+    return value
 
 
 def _parse_corpus_args(values: Sequence[str]) -> list[tuple[str, str]]:
@@ -192,10 +197,8 @@ def _parse_corpus_args(values: Sequence[str]) -> list[tuple[str, str]]:
     for value in values:
         path, sep, label = value.rpartition(":")
         if not sep or not path or not label:
-            raise KeyclustError(
-                f"--corpus expects <path>:<label>, got {value!r}"
-            )
-        pairs.append((path, label))
+            raise KeyclustError(f"--corpus expects <path>:<label>, got {value!r}")
+        pairs.append((path, _utf8("--corpus", label)))
     return pairs
 
 
@@ -308,8 +311,10 @@ def _query_weights(args: argparse.Namespace, stages: _Stages) -> tuple[list[str]
     """The words of ``args.query`` and their weights for the chunks with tokens,
     which are the points of a current points stage. Each chunk record is scored
     as it is parsed, and no chunk is kept."""
+    if args.query is None:
+        raise KeyclustError("--query is required in modified mode")
     vocab = stages.load("vocabulary")
-    query_words = weighting.normalize_query(args.query, _cleaning_config(args))
+    query_words = weighting.normalize_query(_utf8("--query", args.query), _cleaning_config(args))
     weights = stages.load(
         "chunks", lambda records, _: weighting.assign_weights(chunk_tokens(records), query_words, vocab)
     )
@@ -380,8 +385,6 @@ def cmd_elbow(args: argparse.Namespace) -> int:
     stages = _Stages(args.out)
     ids, X = stages.load("points")
     if args.mode == "modified":
-        if not args.query:
-            raise KeyclustError("--query is required for a modified-mode elbow scan")
         w = weighting.weighted_points(ids, _query_weights(args, stages)[1])
     else:
         w = weighting.unit_points(ids)
@@ -417,7 +420,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     table = stages.load("chunks", lambda records, _: TokenTable.from_records(records))
     doc_labels = stages.load("documents")
     models = {mode: stages.load(f"model_{mode}") for mode in clustering.MODES}
-    query_words = weighting.normalize_query(args.query, _cleaning_config(args))
+    query_words = weighting.normalize_query(_utf8("--query", args.query), _cleaning_config(args))
     # the weights take a maximum over the words, so only the set of words counts
     weighted_for = stages.scan("weights")[0].get("query")
     if not isinstance(weighted_for, list) or set(weighted_for) != set(query_words):
@@ -459,6 +462,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     # the flags of the later commands are checked before the first one writes
     _max_df_ratio(args)
+    weighting.normalize_query(_utf8("--query", args.query), _cleaning_config(args))
     _at_least_1("--top-n", args.top_n)
     _at_least_1("--pca-dim", args.pca_dim)
     for mode in clustering.MODES:
@@ -483,9 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="out", help="output directory (stages + reports)")
-    common.add_argument("--cleaning-config", default=None, help="JSON cleaning config path")
+    def flag(*names: str, **kwargs: Any) -> argparse.ArgumentParser:
+        """A parent parser that declares one flag."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    out = flag("--out", default="out", help="output directory (stages + reports)")
+    cleaning = flag("--cleaning-config", default=None, help="JSON cleaning config path")
 
     ingest_flags = argparse.ArgumentParser(add_help=False)
     ingest_flags.add_argument(
@@ -498,14 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     vec_flags.add_argument("--min-df", type=int, default=2)
     vec_flags.add_argument("--max-df-ratio", type=float, default=0.95)
 
-    def flag(*names: str, **kwargs: Any) -> argparse.ArgumentParser:
-        """A parent parser that declares one flag."""
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument(*names, **kwargs)
-        return parent
-
     reduce_flags = flag("--pca-dim", type=int, default=50)
     query = flag("--query", required=True)
+    mode_query = flag("--query", default=None, help="the query; read, and required, in modified mode only")
     k = flag("--k", type=int, default=5)
     top_n = flag("--top-n", type=int, default=10)
 
@@ -523,39 +527,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_flags.add_argument("--raw-denominator", action="store_true")
 
-    p = sub.add_parser("ingest", parents=[common, ingest_flags],
+    p = sub.add_parser("ingest", parents=[out, cleaning, ingest_flags],
                        help="load corpora and write document + chunk stages")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("vectorize", parents=[common, vec_flags],
+    p = sub.add_parser("vectorize", parents=[out, vec_flags],
                        help="build vocabulary and tf-idf vector stages")
     p.set_defaults(func=cmd_vectorize)
 
-    p = sub.add_parser("reduce", parents=[common, reduce_flags],
+    p = sub.add_parser("reduce", parents=[out, reduce_flags],
                        help="fit PCA and write the reduced-point stage")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("cluster", parents=[common, cluster_flags, query, k],
+    p = sub.add_parser("cluster", parents=[out, cleaning, cluster_flags, mode_query, k],
                        help="weight points by query and fit a cluster model")
     p.add_argument("--mode", choices=clustering.MODES, default="modified")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("elbow", parents=[common, cluster_flags],
+    p = sub.add_parser("elbow", parents=[out, cleaning, cluster_flags, mode_query],
                        help="distortion-vs-k scan (best of N restarts)")
-    p.add_argument("--query", default=None)
     p.add_argument("--mode", choices=clustering.MODES, default="standard")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--restarts", type=int, default=10)
     p.set_defaults(func=cmd_elbow)
 
-    p = sub.add_parser("report", parents=[common, query, top_n],
+    p = sub.add_parser("report", parents=[out, cleaning, query, top_n],
                        help="comparison table, top terms, and cluster extracts")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
         "run-all",
-        parents=[common, ingest_flags, vec_flags, reduce_flags, cluster_flags, query, k, top_n],
+        parents=[out, cleaning, ingest_flags, vec_flags, reduce_flags, cluster_flags, query, k, top_n],
         help="chain ingest, vectorize, reduce, both cluster modes, and report",
     )
     p.set_defaults(func=cmd_run_all)

@@ -276,9 +276,8 @@ def load_patterns(path: str | Path) -> tuple[str, ...]:
     return tuple(line.strip() for line in _read_text(path, "removal pattern file").splitlines() if line.strip())
 
 
-def default_cleaning_config(stoplist_path: str | Path | None = None) -> CleaningConfig:
-    stop = load_stoplist(stoplist_path) if stoplist_path else default_stoplist()
-    return CleaningConfig(stoplist=stop)
+def default_cleaning_config() -> CleaningConfig:
+    return CleaningConfig(stoplist=default_stoplist())
 
 
 # the type of each field of a cleaning config; a list holds strings
@@ -286,19 +285,17 @@ _CONFIG_FIELDS = {"stoplist_path": str, "extra_stopwords": list, "removal_patter
                   "removal_patterns_path": str, "disallowed_pos": list, "min_token_length": int}
 
 
-def load_cleaning_config(
-    path: str | Path, stoplist_override: str | Path | None = None
-) -> CleaningConfig:
+def load_cleaning_config(path: str | Path) -> CleaningConfig:
     """Build a :class:`CleaningConfig` from a JSON config file.
 
     Recognized keys (all optional): ``stoplist_path``, ``extra_stopwords``,
     ``removal_patterns`` (inline list, replaces the defaults),
-    ``removal_patterns_path`` (pattern file, one regex per line),
-    ``disallowed_pos``, ``min_token_length``. Relative paths resolve against
-    the config file's directory; ``stoplist_override`` wins over
-    ``stoplist_path``. A file that cannot be read is a MissingPath; text not
-    JSON, a field of another type (``_CONFIG_FIELDS``), or a ``disallowed_pos``
-    tag not in ``POS_TAGS``, an InvalidPattern.
+    ``removal_patterns_path`` (pattern file, one regex per line; not with
+    ``removal_patterns``), ``disallowed_pos``, ``min_token_length``. Relative
+    paths resolve against the config file's directory. A file that cannot be
+    read is a MissingPath; text not JSON, a field of another type
+    (``_CONFIG_FIELDS``), both pattern keys, or a ``disallowed_pos`` tag not
+    in ``POS_TAGS``, an InvalidPattern.
     """
     path = Path(path)
     try:
@@ -312,11 +309,11 @@ def load_cleaning_config(
         if type(value) is not kind or kind is list and not all(isinstance(v, str) for v in value):
             kind_name = "a list of strings" if kind is list else f"of type {kind.__name__}"
             raise InvalidPattern(f"cleaning config {path}: {key} must be {kind_name}, got {value!r}")
+    if "removal_patterns" in raw and "removal_patterns_path" in raw:
+        raise InvalidPattern(f"cleaning config {path} names both removal_patterns and removal_patterns_path")
     # a relative path resolves against the config's directory; ``/`` keeps an absolute one
-    stoplist_path = stoplist_override
-    if not stoplist_path and raw.get("stoplist_path"):
-        stoplist_path = path.parent / raw["stoplist_path"]
-    stop = set(load_stoplist(stoplist_path) if stoplist_path else default_stoplist())
+    stoplist_path = raw.get("stoplist_path")
+    stop = set(load_stoplist(path.parent / stoplist_path) if stoplist_path else default_stoplist())
     stop.update(w.lower() for w in raw.get("extra_stopwords", []))
     patterns = tuple(raw.get("removal_patterns", DEFAULT_REMOVAL_PATTERNS))
     if "removal_patterns_path" in raw:

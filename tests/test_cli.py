@@ -41,7 +41,7 @@ def corpus_dir(tmp_path_factory):
 
 
 # stale-stage cases: articles ingested first, articles re-ingested, and the
-# words added to the default stoplist for the re-ingest
+# extra stopwords of the re-ingest's cleaning config
 STALE_CASES = {
     "shrunk": (8, 4, ()),
     "grown": (4, 8, ()),
@@ -52,7 +52,7 @@ STALE_CASES = {
 CLUSTER_BOTH = [["cluster", "--query", "vaccine", "--k", "3", "--mode", m] for m in ("standard", "modified")]
 
 
-def reingest(tmp_path, monkeypatch, case, *between):
+def reingest(tmp_path, case, *between):
     """Ingest, vectorize and reduce the first corpus of ``case``, run the
     ``between`` steps, then ingest its second corpus over the same --out."""
     first, second, extra = STALE_CASES[case]
@@ -66,11 +66,11 @@ def reingest(tmp_path, monkeypatch, case, *between):
         assert main([*step, *out]) == 0
     chunks = tmp_path / "out" / "stages" / "chunks.jsonl"
     before = chunks.read_text(encoding="utf-8").splitlines()[1:]
+    config = []
     if extra:
-        stop = tmp_path / "stop.txt"
-        stop.write_text("\n".join([*sorted(default_stoplist()), *extra]) + "\n", encoding="utf-8")
-        monkeypatch.setenv("KEYCLUST_STOPLIST", str(stop))
-    assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{second}'}:synthetic"]) == 0
+        (tmp_path / "cleaning.json").write_text(json.dumps({"extra_stopwords": extra}), encoding="utf-8")
+        config = ["--cleaning-config", str(tmp_path / "cleaning.json")]
+    assert main(["ingest", *out, "--corpus", f"{tmp_path / f'c{second}'}:synthetic", *config]) == 0
     if extra:  # the same chunk ids with other tokens
         after = chunks.read_text(encoding="utf-8").splitlines()[1:]
         ids = [[json.loads(line)["chunk_id"] for line in lines] for lines in (before, after)]
@@ -306,8 +306,11 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [["run-all", "--query", "x", "--corpus", "c:l", "--mode", "standard"], ["elbow", "--k", "3"]],
-        ids=["run-all-mode", "elbow-k"],
+        [
+            ["run-all", "--query", "x", "--corpus", "c:l", "--mode", "standard"], ["elbow", "--k", "3"],
+            ["vectorize", "--cleaning-config", "x"], ["reduce", "--cleaning-config", "x"],
+        ],
+        ids=["run-all-mode", "elbow-k", "vectorize-cleaning-config", "reduce-cleaning-config"],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -315,7 +318,8 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_every_subcommand_keeps_its_flags_defaults_and_order(self, capsys):
-        common = [("--out", "out", False), ("--cleaning-config", None, False)]
+        out, cleaning = [("--out", "out", False)], [("--cleaning-config", None, False)]
+        common = out + cleaning
         ingest = [("--corpus", None, True), ("--batch-size", 50, False)]
         vectorize = [("--min-df", 2, False), ("--max-df-ratio", 0.95, False)]
         fit = [
@@ -324,13 +328,14 @@ class TestParser:
             ("--threads", 1, False), ("--raw-denominator", False, False),
         ]
         query, k, top_n = ("--query", None, True), ("--k", 5, False), ("--top-n", 10, False)
+        mode_query = ("--query", None, False)  # read in modified mode only
         expected = {
             "ingest": common + ingest,
-            "vectorize": common + vectorize,
-            "reduce": common + [("--pca-dim", 50, False)],
-            "cluster": common + fit + [query, k, ("--mode", "modified", False)],
+            "vectorize": out + vectorize,
+            "reduce": out + [("--pca-dim", 50, False)],
+            "cluster": common + fit + [mode_query, k, ("--mode", "modified", False)],
             "elbow": common + fit + [
-                ("--query", None, False), ("--mode", "standard", False), ("--k-min", 1, False),
+                mode_query, ("--mode", "standard", False), ("--k-min", 1, False),
                 ("--k-max", 10, False), ("--restarts", 10, False),
             ],
             "report": common + [query, top_n],
@@ -367,7 +372,7 @@ class TestFailureModes:
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["cluster"])  # --query missing
+            main(["cluster", "--k", "x"])  # --k takes an integer
         assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
@@ -378,6 +383,14 @@ class TestFailureModes:
     def test_bad_corpus_spec_exits_1(self, tmp_path, capsys):
         assert main(["ingest", "--out", str(tmp_path), "--corpus", "no-label"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_corpus_label_not_utf8_exits_1(self, corpus_dir, tmp_path, capsys):
+        # argv bytes that are not UTF-8 decode to lone surrogates
+        label = os.fsdecode(b"x\xff")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:{label}"]) == 1
+        assert self.only_error_line(capsys) == "error: --corpus must be UTF-8 text, got 'x\\udcff'"
+        assert not out.exists()
 
     def test_missing_corpus_dir_exits_1(self, tmp_path, capsys):
         assert main([
@@ -401,18 +414,18 @@ class TestFailureModes:
         ids=["cluster-modified", "cluster-standard", "elbow-modified", "elbow-standard"],
     )
     @pytest.mark.parametrize("case", list(STALE_CASES))
-    def test_stale_points_stage_exits_1(self, tmp_path, monkeypatch, capsys, case, command):
-        out = reingest(tmp_path, monkeypatch, case)
+    def test_stale_points_stage_exits_1(self, tmp_path, capsys, case, command):
+        out = reingest(tmp_path, case)
         capsys.readouterr()
         assert main([*command, *out]) == 1
         err = self.only_error_line(capsys)
         assert "error: stale stage 'points'" in err
         assert "'keyclust vectorize' and 'keyclust reduce'" in err
 
-    def test_stale_model_remedy_on_grown_corpus_stops_at_points(self, tmp_path, monkeypatch, capsys):
+    def test_stale_model_remedy_on_grown_corpus_stops_at_points(self, tmp_path, capsys):
         # report's remedy for a stale model is to re-run cluster, which must
         # then stop at the stale points rather than fit the old subset again
-        out = reingest(tmp_path, monkeypatch, "grown", *CLUSTER_BOTH)
+        out = reingest(tmp_path, "grown", *CLUSTER_BOTH)
         capsys.readouterr()
         assert main(["report", *out, "--query", "vaccine"]) == 1
         assert "re-run 'keyclust cluster --mode standard'" in capsys.readouterr().err
@@ -455,8 +468,8 @@ class TestFailureModes:
         )
 
     @pytest.mark.parametrize("case", list(STALE_CASES))
-    def test_stale_model_stage_exits_1(self, tmp_path, monkeypatch, capsys, case):
-        out = reingest(tmp_path, monkeypatch, case, *CLUSTER_BOTH)
+    def test_stale_model_stage_exits_1(self, tmp_path, capsys, case):
+        out = reingest(tmp_path, case, *CLUSTER_BOTH)
         capsys.readouterr()
         assert main(["report", *out, "--query", "vaccine"]) == 1
         err = self.only_error_line(capsys)
@@ -569,8 +582,13 @@ class TestFailureModes:
             (["--seed", "-1"], "seed must be >= 0 and < 2**64, got -1"),
             (["--pca-dim", "0"], "--pca-dim must be >= 1, got 0"),
             (["--max-df-ratio", "nan"], "--max-df-ratio must be a number, got nan"),
+            (["--query", os.fsdecode(b"x\xff")], "--query must be UTF-8 text, got 'x\\udcff'"),
+            (["--query", "the"], "query 'the' reduces to no searchable tokens"),
         ],
-        ids=["top-n-0", "damping-nan", "k-0", "seed-negative", "pca-dim-0", "max-df-ratio-nan"],
+        ids=[
+            "top-n-0", "damping-nan", "k-0", "seed-negative", "pca-dim-0", "max-df-ratio-nan", "query-not-utf8",
+            "query-no-words",
+        ],
     )
     def test_run_all_checks_later_flags_before_it_writes(self, corpus_dir, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
@@ -645,65 +663,64 @@ class TestFailureModes:
         assert self.only_error_line(capsys) == f"error: {message}"
 
     @pytest.mark.parametrize(
-        "files, env_stoplist, message",
+        "files, message",
         [
-            ({"cleaning.json": "{bad"}, None, "cleaning config {dir}/cleaning.json is not valid JSON: "),
-            ({}, None, "cannot read cleaning config: [Errno 2] No such file or directory: '{dir}/cleaning.json'"),
+            ({"cleaning.json": "{bad"}, "cleaning config {dir}/cleaning.json is not valid JSON: "),
+            ({}, "cannot read cleaning config: [Errno 2] No such file or directory: '{dir}/cleaning.json'"),
             (
-                {"cleaning.json": '{"stoplist_path": "stop.txt"}'}, None,
+                {"cleaning.json": '{"stoplist_path": "stop.txt"}'},
                 "cannot read stoplist: [Errno 2] No such file or directory: '{dir}/stop.txt'",
             ),
             (
-                {"cleaning.json": '{"removal_patterns_path": "patterns.txt"}'}, None,
+                {"cleaning.json": '{"removal_patterns_path": "patterns.txt"}'},
                 "cannot read removal pattern file: [Errno 2] No such file or directory: '{dir}/patterns.txt'",
             ),
             (
-                {"cleaning.json": "{}"}, "stop.txt",
-                "cannot read stoplist: [Errno 2] No such file or directory: '{dir}/stop.txt'",
-            ),
-            (
-                {"cleaning.json": '{"stoplist_path": "stop.txt"}', "stop.txt": b"caf\xe9\n"}, None,
+                {"cleaning.json": '{"stoplist_path": "stop.txt"}', "stop.txt": b"caf\xe9\n"},
                 "stoplist {dir}/stop.txt is not valid UTF-8: ",
             ),
             (
-                {"cleaning.json": '{"min_token_length": "x"}'}, None,
+                {"cleaning.json": '{"min_token_length": "x"}'},
                 "cleaning config {dir}/cleaning.json: min_token_length must be of type int, got 'x'",
             ),
             (
-                {"cleaning.json": '{"disallowed_pos": 5}'}, None,
+                {"cleaning.json": '{"disallowed_pos": 5}'},
                 "cleaning config {dir}/cleaning.json: disallowed_pos must be a list of strings, got 5",
             ),
             (
-                {"cleaning.json": '{"removal_patterns": [1]}'}, None,
+                {"cleaning.json": '{"removal_patterns": [1]}'},
                 "cleaning config {dir}/cleaning.json: removal_patterns must be a list of strings, got [1]",
             ),
             (
-                {"cleaning.json": '{"extra_stopwords": "vaccine"}'}, None,
+                {"cleaning.json": '{"extra_stopwords": "vaccine"}'},
                 "cleaning config {dir}/cleaning.json: extra_stopwords must be a list of strings, got 'vaccine'",
             ),
-            ({"cleaning.json": '["PRON"]'}, None, "cleaning config {dir}/cleaning.json must be a JSON object"),
+            ({"cleaning.json": '["PRON"]'}, "cleaning config {dir}/cleaning.json must be a JSON object"),
             (
                 # pos_tag gives only upper-case tags, and no VERB: this filter would drop nothing
-                {"cleaning.json": '{"disallowed_pos": ["pron", "VERB"]}'}, None,
+                {"cleaning.json": '{"disallowed_pos": ["pron", "VERB"]}'},
                 "cleaning config {dir}/cleaning.json: disallowed_pos must hold tags of "
                 "NUM, DET, PRON, CONJ, PREP, OPEN, got ['VERB', 'pron']",
+            ),
+            (
+                # neither source may silently drop the other's rules
+                {"cleaning.json": '{"removal_patterns": ["^vaccine$"], "removal_patterns_path": "p.txt"}',
+                 "p.txt": "zzz\n"},
+                "cleaning config {dir}/cleaning.json names both removal_patterns and removal_patterns_path",
             ),
         ],
         ids=[
             "invalid-json", "missing-config", "missing-stoplist-path", "missing-removal-patterns-path",
-            "missing-env-stoplist", "stoplist-not-utf8", "min-token-length-str", "disallowed-pos-int",
+            "stoplist-not-utf8", "min-token-length-str", "disallowed-pos-int",
             "removal-patterns-int", "extra-stopwords-str", "json-array", "disallowed-pos-unknown-tag",
+            "both-pattern-keys",
         ],
     )
-    def test_bad_cleaning_config_exits_1(
-        self, corpus_dir, tmp_path, monkeypatch, capsys, files, env_stoplist, message
-    ):
+    def test_bad_cleaning_config_exits_1(self, corpus_dir, tmp_path, capsys, files, message):
         config_dir = tmp_path / "config"
         config_dir.mkdir()
         for name, content in files.items():
             (config_dir / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-        if env_stoplist:
-            monkeypatch.setenv("KEYCLUST_STOPLIST", str(config_dir / env_stoplist))
         out = tmp_path / "out"
         config = str(config_dir / "cleaning.json")
         assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo", "--cleaning-config", config]) == 1
@@ -1349,15 +1366,54 @@ class TestEnvOverride:
         tokens = {t for line in chunks for t in json.loads(line)["tokens"]}
         assert "vaccine" not in tokens and "antibody" in tokens
 
-    def test_stoplist_env_var(self, corpus_dir, tmp_path, monkeypatch):
-        stop = tmp_path / "stop.txt"
-        # an empty stoplist keeps determiners out via POS tagging but admits
-        # verbs like "the"? no: "the" is DET, still POS-removed; use a marker
-        stop.write_text("within\n", encoding="utf-8")
-        out = tmp_path / "out"
-        monkeypatch.setenv("KEYCLUST_STOPLIST", str(stop))
-        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
-        chunks = (out / "stages" / "chunks.jsonl").read_text().splitlines()[1:]
-        tokens = {t for line in chunks for t in json.loads(line)["tokens"]}
-        assert "within" not in tokens  # stoplisted by the override file
-        assert "study" in tokens or "sample" in tokens  # normal words survive
+    def test_stoplist_environment_variable_is_not_read(self, corpus_dir, tmp_path, monkeypatch):
+        # the stoplist comes from the package or from --cleaning-config alone
+        assert main(["ingest", "--out", str(tmp_path / "plain"), "--corpus", f"{corpus_dir}:demo"]) == 0
+        monkeypatch.setenv("KEYCLUST_STOPLIST", str(tmp_path / "missing.txt"))
+        assert main(["ingest", "--out", str(tmp_path / "env"), "--corpus", f"{corpus_dir}:demo"]) == 0
+        assert tree_digest(tmp_path / "env") == tree_digest(tmp_path / "plain")
+
+
+class TestQueryFlag:
+    """``cluster`` and ``elbow`` read --query in modified mode only, and
+    every command that reads it takes UTF-8 text alone."""
+
+    @pytest.fixture
+    def out(self, pipeline_out, tmp_path):
+        return shutil.copytree(pipeline_out, tmp_path / "out")
+
+    def test_standard_cluster_needs_no_query(self, pipeline_out, out):
+        model = out / "stages" / "model_standard.jsonl"
+        model.unlink()  # so that the model is fitted again, not reused
+        argv = cluster_argv(out, "standard")
+        del argv[3:5]  # --query vaccine
+        assert main(argv) == 0
+        assert standard_outputs(out) == standard_outputs(pipeline_out)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["cluster", "--k", "3"], ["elbow", "--mode", "modified", "--k-max", "3"]],
+        ids=["cluster", "elbow"],
+    )
+    def test_modified_mode_without_query_exits_1(self, out, capsys, command):
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main([*command, "--out", str(out)]) == 1
+        assert TestFailureModes.only_error_line(capsys) == "error: --query is required in modified mode"
+        assert tree_digest(out) == before
+
+    @pytest.mark.parametrize(
+        "command",
+        [["cluster", "--k", "3"], ["elbow", "--mode", "modified", "--k-max", "3"], ["report"]],
+        ids=["cluster", "elbow", "report"],
+    )
+    def test_query_not_utf8_exits_1(self, out, capsys, command):
+        # argv bytes that are not UTF-8 decode to lone surrogates
+        query = os.fsdecode(b"vaccine x\xff")
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main([*command, "--out", str(out), "--query", query]) == 1
+        assert TestFailureModes.only_error_line(capsys) == (
+            "error: --query must be UTF-8 text, got 'vaccine x\\udcff'"
+        )
+        assert tree_digest(out) == before

@@ -327,14 +327,6 @@ class TestCleaningConfig:
         cfg = load_cleaning_config(cfg_path)
         assert clean_text("although another anybody vaccine seven", cfg) == kept
 
-    def test_config_stoplist_override(self, tmp_path):
-        alt = tmp_path / "alt.txt"
-        alt.write_text("onlyme\n", encoding="utf-8")
-        cfg_path = tmp_path / "cleaning.json"
-        cfg_path.write_text("{}", encoding="utf-8")
-        cfg = load_cleaning_config(cfg_path, stoplist_override=alt)
-        assert cfg.stoplist == frozenset({"onlyme"})
-
     def test_default_config_loads_packaged_stoplist(self, clean_config):
         assert "the" in clean_config.stoplist
         assert "best" not in clean_config.stoplist
