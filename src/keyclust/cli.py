@@ -19,7 +19,7 @@ import logging
 import math
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -36,7 +36,7 @@ from . import report as reporting
 from . import vectorize as vectorization
 from . import weighting
 from .corpus import DEFAULT_BATCH_SIZE, Document, StageStore, batch_iter, encode_record, file_sha256, load_corpus
-from .errors import EmptyCorpus, KeyclustError, SchemaMismatch, StageIoError
+from .errors import EmptyCorpus, InvalidPattern, KeyclustError, SchemaMismatch, StageIoError
 from .preprocess import (
     CleaningConfig,
     TokenTable,
@@ -124,12 +124,12 @@ class _Stages:
 
     def inputs(self, name: str, **config: Any) -> dict[str, Any]:
         """What stage ``name`` is computed from: the records digest of each
-        upstream stage, the package version and, for a model, ``config``."""
+        upstream stage, the package version and ``config``: a model's, or the chunks' cleaning rules."""
         return {**{up: self.scan(up)[1] for up in STAGES[name][2]}, "keyclust": __version__, **config}
 
     def save(self, name: str, records: Iterable[Mapping[str, Any] | str], **meta: Any) -> int:
         """Write stage ``name`` with ``meta`` and its ``inputs`` in the header;
-        a model brings its own inputs, which hold its config."""
+        a model and the chunks bring their own inputs, which hold their config."""
         count = self.store(name).save(records, STAGES[name][0], {"inputs": self.inputs(name), **meta})
         self.scans.pop(name, None)
         return count
@@ -160,6 +160,14 @@ class _Stages:
             cause = f"{ordered[0]!r} does not record the current digests of its inputs"
             raise StageIoError(f"stale stage {name!r}: {cause} — re-run {rerun}")
 
+    def cleaning(self) -> CleaningConfig:
+        """The cleaning rules that made the chunks' tokens, as ``ingest`` recorded them."""
+        with suppress(InvalidPattern, KeyError, TypeError):
+            rules = self.scan("chunks")[0]["inputs"]["cleaning"]
+            if (config := CleaningConfig(**rules)).to_record() == rules:  # else a key is missing or retyped
+                return config
+        raise SchemaMismatch("stage 'chunks' records no cleaning rules that rebuild — re-run 'keyclust ingest'")
+
     def load(
         self, name: str, decode: Callable[[Iterator[dict[str, Any]], dict[str, Any]], Any] | None = None
     ) -> Any:
@@ -178,8 +186,7 @@ def _reports_dir(out: str) -> Path:
 
 
 def _cleaning_config(args: argparse.Namespace) -> CleaningConfig:
-    path = getattr(args, "cleaning_config", None)
-    return load_cleaning_config(path) if path else default_cleaning_config()
+    return load_cleaning_config(args.cleaning_config) if args.cleaning_config else default_cleaning_config()
 
 
 def _utf8(flag: str, value: str) -> str:
@@ -243,7 +250,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     chunks = (c.to_record() for batch in batches for doc in batch for c in chunk_document(doc, config))
     stages = _Stages(args.out)
     n_docs = stages.save("documents", (d.to_record() for d in documents))
-    n_chunks = stages.save("chunks", chunks)
+    n_chunks = stages.save("chunks", chunks, inputs=stages.inputs("chunks", cleaning=config.to_record()))
     log.info("ingested %d documents into %d chunks (%d files failed)", n_docs, n_chunks, failures)
     return 0
 
@@ -314,7 +321,7 @@ def _query_weights(args: argparse.Namespace, stages: _Stages) -> tuple[list[str]
     if args.query is None:
         raise KeyclustError("--query is required in modified mode")
     vocab = stages.load("vocabulary")
-    query_words = weighting.normalize_query(_utf8("--query", args.query), _cleaning_config(args))
+    query_words = weighting.normalize_query(_utf8("--query", args.query), stages.cleaning())
     weights = stages.load(
         "chunks", lambda records, _: weighting.assign_weights(chunk_tokens(records), query_words, vocab)
     )
@@ -420,7 +427,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     table = stages.load("chunks", lambda records, _: TokenTable.from_records(records))
     doc_labels = stages.load("documents")
     models = {mode: stages.load(f"model_{mode}") for mode in clustering.MODES}
-    query_words = weighting.normalize_query(_utf8("--query", args.query), _cleaning_config(args))
+    query_words = weighting.normalize_query(_utf8("--query", args.query), stages.cleaning())
     # the weights take a maximum over the words, so only the set of words counts
     weighted_for = stages.scan("weights")[0].get("query")
     if not isinstance(weighted_for, list) or set(weighted_for) != set(query_words):
@@ -539,12 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit PCA and write the reduced-point stage")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("cluster", parents=[out, cleaning, cluster_flags, mode_query, k],
+    p = sub.add_parser("cluster", parents=[out, cluster_flags, mode_query, k],
                        help="weight points by query and fit a cluster model")
     p.add_argument("--mode", choices=clustering.MODES, default="modified")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("elbow", parents=[out, cleaning, cluster_flags, mode_query],
+    p = sub.add_parser("elbow", parents=[out, cluster_flags, mode_query],
                        help="distortion-vs-k scan (best of N restarts)")
     p.add_argument("--mode", choices=clustering.MODES, default="standard")
     p.add_argument("--k-min", type=int, default=1)
@@ -552,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=10)
     p.set_defaults(func=cmd_elbow)
 
-    p = sub.add_parser("report", parents=[out, cleaning, query, top_n],
+    p = sub.add_parser("report", parents=[out, query, top_n],
                        help="comparison table, top terms, and cluster extracts")
     p.set_defaults(func=cmd_report)
 
@@ -581,7 +588,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # reported under the usage of the subcommand, which lists the flags it takes
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     start = time.perf_counter()
     try:
         return args.func(args)

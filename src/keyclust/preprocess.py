@@ -203,7 +203,7 @@ class CleaningConfig:
     result for as long as the config lives. Equality, hashing and ``repr``
     leave it out, and ``replace`` builds a new one. A removal pattern that
     does not compile, or a ``disallowed_pos`` tag not in ``POS_TAGS``, is an
-    InvalidPattern.
+    InvalidPattern; a ``min_token_length`` not an int is a TypeError.
     """
 
     stoplist: frozenset[str]
@@ -213,8 +213,11 @@ class CleaningConfig:
     clean: Callable[[str], str | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        stoplist = frozenset(w.lower() for w in self.stoplist)
-        object.__setattr__(self, "stoplist", stoplist)
+        if type(self.min_token_length) is not int:
+            raise TypeError(f"min_token_length must be an int, got {self.min_token_length!r}")
+        object.__setattr__(self, "stoplist", frozenset(map(str.lower, self.stoplist)))
+        object.__setattr__(self, "removal_patterns", tuple(self.removal_patterns))
+        object.__setattr__(self, "disallowed_pos", frozenset(self.disallowed_pos))
         patterns = []
         for pat in self.removal_patterns:
             try:
@@ -225,7 +228,7 @@ class CleaningConfig:
         if unknown:  # a tag the tagger never gives would filter nothing
             raise InvalidPattern(f"disallowed_pos must hold tags of {', '.join(POS_TAGS)}, got {unknown}")
         # the memo holds the rules, not the config, so it makes no reference cycle
-        min_length, disallowed = self.min_token_length, self.disallowed_pos
+        stoplist, min_length, disallowed = self.stoplist, self.min_token_length, self.disallowed_pos
 
         @functools.lru_cache(maxsize=CLEAN_CACHE_SIZE)
         def clean(raw: str) -> str | None:
@@ -248,6 +251,11 @@ class CleaningConfig:
     def __reduce__(self):
         # the memo is a local function, which pickle cannot name: rebuild from the rules
         return CleaningConfig, (self.stoplist, self.removal_patterns, self.disallowed_pos, self.min_token_length)
+
+    def to_record(self) -> dict[str, Any]:
+        """The rules as JSON values, sets sorted: ``CleaningConfig(**record)`` rebuilds an equal config."""
+        return {"stoplist": sorted(self.stoplist), "removal_patterns": list(self.removal_patterns),
+                "disallowed_pos": sorted(self.disallowed_pos), "min_token_length": self.min_token_length}
 
 
 def default_stoplist() -> frozenset[str]:

@@ -10,6 +10,7 @@ best-matching chunk pulls its centroid with weight exactly 1.
 
 from __future__ import annotations
 
+import logging
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +18,8 @@ import numpy as np
 from .errors import QueryNotInVocabulary
 from .preprocess import CleaningConfig, clean_text
 from .vectorize import Vocabulary
+
+log = logging.getLogger(__name__)
 
 FLOOR_WEIGHT = 0.01
 
@@ -38,12 +41,16 @@ def assign_weights(
     A chunk's relevance score is tf(query) * idf(query), pre-normalization;
     multi-word queries take the maximum over words. Scores are scaled as
     0.01 + 0.99 * (s / s_max), so the top-scoring chunk gets exactly 1.0
-    and chunks without the term get exactly the 0.01 floor.
+    and chunks without the term get exactly the 0.01 floor. A query word not
+    in ``vocab`` counts for no chunk, and a warning names it.
     """
     words = [query] if isinstance(query, str) else list(query)
     in_vocab = [w for w in words if w in vocab]
     if not in_vocab:
         raise QueryNotInVocabulary(f"no query word of {words!r} is in the vocabulary")
+    dropped = [w for w in words if w not in vocab]
+    if dropped:  # pruned by vectorize's --min-df or --max-df-ratio, say
+        log.warning("query words %s are not in the vocabulary, so no chunk is weighted for them", dropped)
     idf = {w: vocab.idf(w) for w in in_vocab}
     scores: dict[str, float] = {}
     for chunk_id, tokens in chunks:

@@ -13,7 +13,7 @@ import pytest
 from keyclust import cli
 from keyclust.cli import build_parser, main
 from keyclust.corpus import StageStore
-from keyclust.preprocess import default_stoplist
+from keyclust.preprocess import default_stoplist, load_cleaning_config
 
 from conftest import tree_digest, write_corpus_dir
 
@@ -309,13 +309,33 @@ class TestParser:
         [
             ["run-all", "--query", "x", "--corpus", "c:l", "--mode", "standard"], ["elbow", "--k", "3"],
             ["vectorize", "--cleaning-config", "x"], ["reduce", "--cleaning-config", "x"],
+            ["cluster", "--query", "x", "--cleaning-config", "x"], ["elbow", "--cleaning-config", "x"],
+            ["report", "--query", "x", "--cleaning-config", "x"],
         ],
-        ids=["run-all-mode", "elbow-k", "vectorize-cleaning-config", "reduce-cleaning-config"],
+        ids=[
+            "run-all-mode", "elbow-k", "vectorize-cleaning-config", "reduce-cleaning-config",
+            "cluster-cleaning-config", "elbow-cleaning-config", "report-cleaning-config",
+        ],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command", [["vectorize"], ["cluster", "--query", "x"], ["report", "--query", "x"]],
+        ids=["vectorize", "cluster", "report"],
+    )
+    def test_flag_the_command_does_not_take_is_reported_by_the_command(self, tmp_path, capsys, command):
+        # under the usage line of the subcommand, which lists the flags it takes
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(out), "--cleaning-config", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: keyclust {command[0]} [-h] [--out OUT]")
+        assert err[-1] == f"keyclust {command[0]}: error: unrecognized arguments: --cleaning-config x"
+        assert not out.exists()
 
     def test_every_subcommand_keeps_its_flags_defaults_and_order(self, capsys):
         out, cleaning = [("--out", "out", False)], [("--cleaning-config", None, False)]
@@ -333,12 +353,12 @@ class TestParser:
             "ingest": common + ingest,
             "vectorize": out + vectorize,
             "reduce": out + [("--pca-dim", 50, False)],
-            "cluster": common + fit + [mode_query, k, ("--mode", "modified", False)],
-            "elbow": common + fit + [
+            "cluster": out + fit + [mode_query, k, ("--mode", "modified", False)],
+            "elbow": out + fit + [
                 mode_query, ("--mode", "standard", False), ("--k-min", 1, False),
                 ("--k-max", 10, False), ("--restarts", 10, False),
             ],
-            "report": common + [query, top_n],
+            "report": out + [query, top_n],
             "run-all": common + ingest + vectorize + [("--pca-dim", 50, False)] + fit + [query, k, top_n],
         }
         parser = build_parser()
@@ -726,24 +746,6 @@ class TestFailureModes:
         assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo", "--cleaning-config", config]) == 1
         assert self.only_error_line(capsys).startswith("error: " + message.format(dir=config_dir))
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command",
-        [["cluster", "--query", "vaccine", "--k", "3"], ["report", "--query", "vaccine"],
-         ["elbow", "--mode", "modified", "--query", "vaccine"]],
-        ids=["cluster", "report", "elbow"],
-    )
-    def test_bad_cleaning_config_stops_cluster_and_report(self, pipeline_out, tmp_path, capsys, command):
-        out = shutil.copytree(pipeline_out, tmp_path / "out")
-        before = tree_digest(out)
-        config = tmp_path / "cleaning.json"
-        config.write_text('{"extra_stopwords": "vaccine"}', encoding="utf-8")
-        capsys.readouterr()
-        assert main([*command, "--out", str(out), "--cleaning-config", str(config)]) == 1
-        assert self.only_error_line(capsys) == (
-            f"error: cleaning config {config}: extra_stopwords must be a list of strings, got 'vaccine'"
-        )
-        assert tree_digest(out) == before
 
     def test_ingest_of_no_document_exits_1(self, tmp_path, capsys):
         empty, broken = tmp_path / "empty", tmp_path / "broken"
@@ -1401,6 +1403,64 @@ class TestQueryFlag:
         assert main([*command, "--out", str(out)]) == 1
         assert TestFailureModes.only_error_line(capsys) == "error: --query is required in modified mode"
         assert tree_digest(out) == before
+
+    def test_query_is_cleaned_under_the_rules_ingest_recorded(self, corpus_dir, tmp_path):
+        # no later command takes --cleaning-config: "dose" is a stopword of the chunks, so of the query
+        config = tmp_path / "cleaning.json"
+        config.write_text('{"extra_stopwords": ["dose"]}', encoding="utf-8")
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["ingest", *out, "--corpus", f"{corpus_dir}:demo", "--cleaning-config", str(config)]) == 0
+        stages = tmp_path / "out" / "stages"
+        header = json.loads((stages / "chunks.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        assert header["inputs"] == {"cleaning": load_cleaning_config(config).to_record(), "keyclust": "0.1.0"}
+        assert "dose" in header["inputs"]["cleaning"]["stoplist"]
+        assert main(["vectorize", *out]) == 0
+        assert main(["reduce", *out, "--pca-dim", "8"]) == 0
+        for mode in ("standard", "modified"):
+            assert main(["cluster", *out, "--query", "dose vaccine", "--k", "3", "--mode", mode]) == 0
+        weights = json.loads((stages / "weights.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        assert weights["query"] == ["vaccine"]
+        assert main(["report", *out, "--query", "dose vaccine"]) == 0
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda inputs: {k: v for k, v in inputs.items() if k != "cleaning"},
+            lambda inputs: {**inputs, "cleaning": {**inputs["cleaning"], "min_token_length": "2"}},
+            lambda inputs: {**inputs, "cleaning": {k: v for k, v in inputs["cleaning"].items() if k != "stoplist"}},
+            lambda inputs: {**inputs, "cleaning": {**inputs["cleaning"], "removal_patterns": ["[unclosed"]}},
+        ],
+        ids=["no-rules", "min-token-length-str", "no-stoplist", "pattern-does-not-compile"],
+    )
+    def test_chunks_without_usable_cleaning_rules_stop_query_commands(
+        self, corpus_dir, out, capsys, caplog, damage
+    ):
+        # a chunks stage written before ingest recorded its rules, or rules that do not rebuild
+        chunks = out / "stages" / "chunks.jsonl"
+        header = json.loads(chunks.read_text(encoding="utf-8").splitlines()[0])
+        edit_header(chunks, inputs=damage(header["inputs"]))
+        before = tree_digest(out)
+        for command in (
+            ["cluster", "--query", "vaccine", "--k", "3"],
+            ["elbow", "--mode", "modified", "--query", "vaccine", "--k-max", "3"],
+            ["report", "--query", "vaccine"],
+        ):
+            capsys.readouterr()
+            assert main([*command, "--out", str(out)]) == 1
+            assert TestFailureModes.only_error_line(capsys) == (
+                "error: stage 'chunks' records no cleaning rules that rebuild — re-run 'keyclust ingest'"
+            )
+            assert tree_digest(out) == before
+        # standard mode reads no rules
+        assert main(["cluster", "--out", str(out), "--k", "3", "--mode", "standard"]) == 0
+        assert main(["elbow", "--out", str(out), "--k-max", "3", "--restarts", "1"]) == 0
+        # a re-ingest rewrites the header alone, so every later stage stays current
+        assert main(["ingest", "--out", str(out), "--corpus", f"{corpus_dir}:demo"]) == 0
+        caplog.set_level(logging.INFO, logger="keyclust")
+        caplog.clear()
+        assert main(["cluster", "--out", str(out), "--query", "vaccine", "--k", "4", "--seed", "7"]) == 0
+        assert "modified model is current; reused" in caplog.text
+        assert main(["report", "--out", str(out), "--query", "vaccine"]) == 0
 
     @pytest.mark.parametrize(
         "command",

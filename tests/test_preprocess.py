@@ -341,6 +341,39 @@ class TestCleaningConfig:
         assert cfg.removal_patterns == (r"^zap\d+$",)
         assert clean_text("zap12 keeper", cfg) == ["keeper"]
 
+    @pytest.mark.parametrize("loaded", [False, True], ids=["default", "loaded"])
+    def test_record_rebuilds_an_equal_config(self, clean_config, tmp_path, loaded):
+        # the record is JSON: sorted lists, where the config holds a tuple and frozensets
+        cfg = clean_config
+        if loaded:
+            cfg_path = tmp_path / "cleaning.json"
+            cfg_path.write_text(json.dumps({
+                "extra_stopwords": ["Vaccine"], "removal_patterns": [r"^zap\d+$", r"^x"],
+                "disallowed_pos": ["PREP", "DET"], "min_token_length": 4,
+            }), encoding="utf-8")
+            cfg = load_cleaning_config(cfg_path)
+        record = json.loads(json.dumps(cfg.to_record()))
+        assert record == cfg.to_record() and list(record) == [
+            "stoplist", "removal_patterns", "disallowed_pos", "min_token_length"
+        ]
+        assert record["stoplist"] == sorted(cfg.stoplist)
+        rebuilt = CleaningConfig(**record)
+        assert rebuilt == cfg and hash(rebuilt) == hash(cfg) and rebuilt.to_record() == record
+        assert isinstance(rebuilt.removal_patterns, tuple) and isinstance(rebuilt.disallowed_pos, frozenset)
+        text = "The Vaccine trial zap12 xray, between 95% of the codon tests in Fig. 2 (see www.x.org/a)."
+        assert clean_text(text, rebuilt) == clean_text(text, cfg)
+        assert clean_text(text, cfg) == (
+            ["trial", "codon", "tests", "www.x.org/a"] if loaded else ["vaccine", "trial", "zap12", "xray", "codon", "tests", "see"]
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("min_token_length", "2"), ("min_token_length", 2.0), ("stoplist", [1]), ("removal_patterns", 5)],
+    )
+    def test_field_of_another_type_is_a_type_error(self, clean_config, field, value):
+        with pytest.raises(TypeError):
+            CleaningConfig(**{**clean_config.to_record(), field: value})
+
 
 class TestChunkDocument:
     def test_sentence_coverage_per_document(self, clean_config):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ class TestAssignWeights:
         # cC contains "protocol" so it now scores above the floor
         assert multi["cC"] > FLOOR_WEIGHT
         assert multi["cA"] == single["cA"] == 1.0
+
+    def test_query_word_not_in_vocabulary_is_named_in_a_warning(self, caplog):
+        chunks, vocab = three_chunk_corpus()
+        with caplog.at_level(logging.WARNING, logger="keyclust"):
+            assert assign_weights(id_tokens(chunks), ["zzz", "vaccine", "qqq"], vocab) == assign_weights(
+                id_tokens(chunks), "vaccine", vocab
+            )
+        assert [r.getMessage() for r in caplog.records] == [
+            "query words ['zzz', 'qqq'] are not in the vocabulary, so no chunk is weighted for them"
+        ]
+        caplog.clear()
+        assign_weights(id_tokens(chunks), ["vaccine", "protocol"], vocab)
+        assert not caplog.records
 
     def test_multi_word_all_oov(self):
         chunks, vocab = three_chunk_corpus()
